@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from spfem import build_structured_mesh, cube_eigensequence, solve_spectrum
+from spfem import SpectrumSolver, build_structured_mesh, cube_eigensequence
 
 exact = np.array([m.lam for m in cube_eigensequence(8)])
 
@@ -19,7 +19,7 @@ print("   level   exact        m=4         m=8         m=16")
 values = {}
 for m in (4, 8, 16):
     mesh = build_structured_mesh(m)
-    values[m] = solve_spectrum(mesh, None, None, 8).eigenvalues
+    values[m] = SpectrumSolver(mesh, None).solve(None, 8).eigenvalues
 for l in range(8):
     print(f"  {l + 1:5d}  {exact[l]:10.4f}  {values[4][l]:10.4f}"
           f"  {values[8][l]:10.4f}  {values[16][l]:10.4f}")

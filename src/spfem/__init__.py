@@ -21,8 +21,7 @@ from .oracle import (CubeMode, ManufacturedProblem, SeriesDensity,
 from .quadrature import QuadratureRule, tet_rule
 from .scf import (IterationRecord, ScfConfig, ScfModel, ScfReport,
                   fixed_point_solve, poisson_solve)
-from .spectrum import (SpectralSet, SpectrumSolver, assemble_hamiltonian,
-                       solve_spectrum)
+from .spectrum import SpectralSet, SpectrumSolver, assemble_hamiltonian
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

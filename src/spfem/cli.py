@@ -23,7 +23,7 @@ from .occupancy import BOLTZMANN, FERMI_DIRAC, DistributionParams
 from .oracle import manufactured_problem
 from .quadrature import tet_rule
 from .scf import ScfConfig, ScfModel, fixed_point_solve
-from .spectrum import solve_spectrum
+from .spectrum import SpectrumSolver
 
 
 class ConfigError(ValueError):
@@ -271,7 +271,7 @@ def _cmd_eigs(cfg, args):
         example = 1 if args.potential == "example1" else 2
         V0 = manufactured_problem(example, cfg.params()).V0
     L = min(args.levels, mesh.n_interior)
-    spectral = solve_spectrum(mesh, None, V0, L, seed=cfg.seed)
+    spectral = SpectrumSolver(mesh, V0, seed=cfg.seed).solve(None, L)
     print(f"lowest {L} eigenvalues on m={cfg.m} "
           f"(potential: {args.potential})")
     for idx, (val, res) in enumerate(

@@ -107,12 +107,6 @@ class LinearCombination:
             out = out + c * values_on_elements(f, mesh, rule)
         return out
 
-    def element_gradients(self, mesh, rule):
-        out = 0.0
-        for c, f in self.terms:
-            out = out + c * gradients_on_elements(f, mesh, rule)
-        return out
-
 
 class CachedQuadValues:
     """Freeze a field's quadrature-point values per (mesh, rule degree).
@@ -132,9 +126,6 @@ class CachedQuadValues:
             vals = values_on_elements(self.field, mesh, rule)
             self._cache[key] = vals
         return vals
-
-    def element_gradients(self, mesh, rule):
-        return gradients_on_elements(self.field, mesh, rule)
 
 
 def values_on_elements(obj, mesh, rule):

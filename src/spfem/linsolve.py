@@ -112,19 +112,17 @@ def _rayleigh_ritz(A, B, X):
     return w, X @ Q
 
 
-def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, shift_hint=None,
-                      seed=0, v0=None, dense_cutoff=DENSE_CUTOFF):
+def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
+                      dense_cutoff=DENSE_CUTOFF):
     """L algebraically smallest eigenpairs of A x = e B x.
 
-    A is symmetric (possibly indefinite), B is SPD.  Internally the
-    pencil is shifted by s = max(0, -gershgorin(A)) + 1 so that the
-    shift-inverted operator orders the smallest eigenvalues first; the
-    reported values are shift-independent, which the residual check
-    enforces on the unshifted pencil.  Small problems (or L close to n)
-    fall back to a dense solve.
-
-    ``v0`` optionally warm-starts the iteration (any array whose first
-    dimension is n; only its leading column(s) are used).
+    A is symmetric (possibly indefinite), B is SPD.  Small problems
+    (n <= dense_cutoff, or L close to n) take a dense solve.  Otherwise
+    the pencil is shifted by s = max(0, -gershgorin(A)) + 1, so that
+    the shift-inverted operator orders the smallest eigenvalues first,
+    and ARPACK starts from a standard normal vector drawn from ``seed``.
+    Both paths end in a Rayleigh-Ritz step and a residual check on the
+    unshifted pencil, so the reported values do not depend on the shift.
     """
     n = A.n
     if not 1 <= L <= n:
@@ -134,14 +132,8 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, shift_hint=None,
     if dense:
         w, X = sla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, L - 1])
     else:
-        s = shift_hint
-        if s is None:
-            s = max(0.0, -A.gershgorin_lower_bound()) + 1.0
-        if v0 is not None:
-            start = np.asarray(v0, dtype=float)
-            start = start if start.ndim == 1 else start.sum(axis=1)
-        else:
-            start = np.random.default_rng(seed).standard_normal(n)
+        s = max(0.0, -A.gershgorin_lower_bound()) + 1.0
+        start = np.random.default_rng(seed).standard_normal(n)
         w, X = spla.eigsh(A.csr, k=L, M=B.csr, sigma=-s, which="LM",
                           mode="normal", v0=start, tol=1e-12)
         order = np.argsort(w)

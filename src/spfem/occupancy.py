@@ -233,7 +233,6 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     occ = truncated_distribution(p, M, spectral.eigenvalues - fermi)
     zero = np.flatnonzero(occ == 0.0)
     level_count = int(zero[0]) + 1
-    assert level_count < mesh.n_interior
     state = OccupationState(window=M, fermi_level=fermi,
                             occupations=occ, level_count=level_count)
     return spectral, state
@@ -243,30 +242,19 @@ class DensityField:
     """Electron density: occupation-weighted sum of squared
     eigenfunctions, piecewise quadratic on the mesh."""
 
-    def __init__(self, spectral, occupations, level_count=None):
+    def __init__(self, spectral, occupations, level_count):
         occupations = np.asarray(occupations, dtype=float)
-        if level_count is None:
-            nonzero = np.flatnonzero(occupations > 0.0)
-            level_count = int(nonzero[-1]) + 2 if len(nonzero) else 1
         n_active = min(level_count - 1, len(occupations), spectral.count)
         self.spectral = spectral
         self.occupations = occupations
         self.level_count = level_count
         self.n_active = n_active
         self.mesh = spectral.mesh
-        self.name = f"density[{spectral.tag}]"
 
     def element_values(self, mesh, rule):
         psi = self.spectral.element_values(mesh, rule, levels=self.n_active)
         return np.einsum("nql,l->nq", psi * psi,
                          self.occupations[:self.n_active])
-
-    def element_gradients(self, mesh, rule):
-        psi = self.spectral.element_values(mesh, rule, levels=self.n_active)
-        gpsi = self.spectral.element_gradients(mesh, rule,
-                                               levels=self.n_active)
-        return 2.0 * np.einsum("nql,nqdl,l->nqd", psi, gpsi,
-                               self.occupations[:self.n_active])
 
     def integral(self):
         """Exact integral (degree-2 quadrature of a piecewise quadratic)."""
@@ -275,28 +263,28 @@ class DensityField:
         return float((vals @ rule.weights) @ self.mesh.volumes)
 
     def evaluate(self, points):
-        """Density at arbitrary points, located in the structured mesh."""
+        """Density at points of the closed unit cube.
+
+        In a Kuhn cell the descending order a, b, c of the fractional
+        coordinates f picks the simplex: its vertices are the cell
+        corner followed by unit steps along a, b and c, with barycentric
+        weights 1 - f_a, f_a - f_b, f_b - f_c and f_c.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        mesh = self.mesh
-        m = mesh.m
+        if np.any((points < 0.0) | (points > 1.0)):
+            raise ValueError("points must lie in the closed unit cube")
+        m = self.mesh.m
         cells = np.minimum((points * m).astype(int), m - 1)
-        out = np.empty(len(points))
+        frac = points * m - cells
+        order = np.argsort(-frac, axis=1, kind="stable")
+        f = np.take_along_axis(frac, order, axis=1)
+        lam = -np.diff(f, axis=1, prepend=1.0, append=0.0)   # (np, 4)
+        strides = np.array([(m + 1) ** 2, m + 1, 1])
+        path = np.cumsum(np.column_stack([cells @ strides, strides[order]]),
+                         axis=1)                             # (np, 4)
         coeffs = self.spectral.coefficients[:, :self.n_active]
-        w = self.occupations[:self.n_active]
-        for row, (x, cell) in enumerate(zip(points, cells)):
-            base = ((cell[0] * m + cell[1]) * m + cell[2]) * 6
-            for k in range(6):
-                tet = mesh.tets[base + k]
-                corner = mesh.vertices[tet[0]]
-                lam123 = np.linalg.solve(
-                    (mesh.vertices[tet[1:]] - corner).T, x - corner)
-                lam = np.concatenate([[1.0 - lam123.sum()], lam123])
-                if np.all(lam >= -1e-12):
-                    psi = lam @ coeffs[tet]
-                    out[row] = float((psi * psi) @ w)
-                    break
-            else:
-                raise ValueError(f"point {x} not located in any element")
+        psi = np.einsum("pa,pal->pl", lam, coeffs[path])
+        out = (psi * psi) @ self.occupations[:self.n_active]
         return out if len(out) > 1 else float(out[0])
 
     def __sub__(self, other):

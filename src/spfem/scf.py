@@ -96,7 +96,6 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     rule = tet_rule(4)
     h = mesh_size(mesh)
     solver = SpectrumSolver(mesh, model.V0, tol=cfg.eig_tol, seed=cfg.seed,
-                            level_cap=cfg.L_max,
                             dense_cutoff=cfg.dense_cutoff)
     doping = fem.CachedQuadValues(model.n_D)
 

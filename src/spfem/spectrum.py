@@ -6,7 +6,6 @@ eigenfunctions are normalized in the L2 (mass-matrix) norm, which the
 generalized eigensolver delivers directly.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,14 +15,11 @@ from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
                        lowest_eigenpairs)
 from .quadrature import tet_rule
 
-MAX_LEVELS = 512
-
 
 @dataclass
 class SpectralSet:
     """Ascending eigenvalues with mass-normalized eigenfunctions."""
 
-    tag: str
     eigenvalues: np.ndarray        # (L,)
     coefficients: np.ndarray       # (nv, L), boundary rows zero
     residual_norms: np.ndarray
@@ -45,28 +41,6 @@ class SpectralSet:
             else self.coefficients[:, :levels]
         local = coeffs[mesh.tets]                      # (nt, 4, L)
         return np.einsum("qa,nal->nql", rule.points, local)
-
-    def element_gradients(self, mesh, rule, levels=None):
-        """(nt, nq, 3, L) eigenfunction gradients (constant in q)."""
-        if mesh is not self.mesh:
-            raise ValueError("spectral set evaluated on a foreign mesh")
-        coeffs = self.coefficients if levels is None \
-            else self.coefficients[:, :levels]
-        local = coeffs[mesh.tets]
-        g = np.einsum("nad,nal->ndl", mesh.grads, local)
-        return np.broadcast_to(g[:, None, :, :],
-                               (mesh.n_tets, len(rule.points)) + g.shape[1:])
-
-
-def potential_tag(mesh, u, V0):
-    """Stable identifier for the pencil of a given potential pair."""
-    h = hashlib.sha1()
-    h.update(f"m={mesh.m};V0={getattr(V0, 'name', 'none')};".encode())
-    if u is None:
-        h.update(b"u=zero")
-    else:
-        h.update(u.coeffs.tobytes())
-    return h.hexdigest()[:16]
 
 
 def assemble_hamiltonian(mesh, u, V0, rule=None):
@@ -107,57 +81,26 @@ def assemble_mass_cached(mesh):
 class SpectrumSolver:
     """Eigenpair provider for one mesh and applied potential.
 
-    Memoizes the largest spectral set computed per potential tag, so
-    repeated Fermi-level and truncation queries reuse eigenpairs, and
-    warm-starts the iterative eigensolver from the previously converged
-    basis when the potential changes (the dominant cost in the
-    self-consistency loop).
+    Holds only its inputs: every ``solve`` assembles the pencil for
+    u + V0 and runs one eigensolve, starting the iterative path from
+    the random vector drawn from ``seed``.
     """
 
     def __init__(self, mesh, V0, tol=DEFAULT_EIG_TOL, seed=0,
-                 level_cap=MAX_LEVELS, dense_cutoff=DENSE_CUTOFF):
+                 dense_cutoff=DENSE_CUTOFF):
         self.mesh = mesh
         self.V0 = V0
         self.tol = tol
         self.seed = seed
-        self.level_cap = level_cap
         self.dense_cutoff = dense_cutoff
-        self._cache_tag = None
-        self._cache_set = None
-        self._warm = None
 
     def solve(self, u, L):
+        """SpectralSet of the L lowest levels for the potential u + V0."""
         mesh = self.mesh
-        if not 1 <= L <= mesh.n_interior:
-            raise ValueError(
-                f"need 1 <= L <= {mesh.n_interior} interior dofs, got {L}")
-        if L > self.level_cap:
-            raise ValueError(f"L={L} exceeds the level cap {self.level_cap}")
-        tag = potential_tag(mesh, u, self.V0)
-        if tag == self._cache_tag and self._cache_set.count >= L:
-            cached = self._cache_set
-            return SpectralSet(tag, cached.eigenvalues[:L],
-                               cached.coefficients[:, :L],
-                               cached.residual_norms[:L], mesh=mesh)
-
         A, B = assemble_hamiltonian(mesh, u, self.V0)
         result = lowest_eigenpairs(A, B, L, tol=self.tol, seed=self.seed,
-                                   v0=self._warm,
                                    dense_cutoff=self.dense_cutoff)
         coeffs = np.zeros((mesh.n_vertices, L))
         coeffs[mesh.interior_vertices] = result.vectors
-        spectral = SpectralSet(tag, result.values, coeffs,
-                               result.residual_norms, mesh=mesh)
-        self._cache_tag = tag
-        self._cache_set = spectral
-        self._warm = result.vectors[:, 0]
-        return spectral
-
-
-def solve_spectrum(mesh, u, V0, L, tol=DEFAULT_EIG_TOL, seed=0,
-                   dense_cutoff=DENSE_CUTOFF):
-    """One-shot convenience wrapper around SpectrumSolver."""
-    solver = SpectrumSolver(mesh, V0, tol=tol, seed=seed,
-                            level_cap=max(MAX_LEVELS, L),
-                            dense_cutoff=dense_cutoff)
-    return solver.solve(u, L)
+        return SpectralSet(result.values, coeffs, result.residual_norms,
+                           mesh=mesh)

@@ -103,3 +103,10 @@ def test_truncation_overflow_exit_code(capsys):
                  "--L-max", "64"])
     assert code == 2
     assert "window" in capsys.readouterr().err
+
+
+def test_solve_keeps_every_interior_level(tmp_path):
+    # the window reaches all 8 interior levels of m = 3, the last one
+    # unoccupied
+    assert main(["solve", "--m", "3", "--mu", "0.021544346900318832",
+                 "--out", str(tmp_path / "m3")]) == 0

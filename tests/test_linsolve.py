@@ -77,14 +77,6 @@ def test_eigen_matches_dense_reference(mesh4):
     assert np.abs(gram - np.eye(5)).max() < 1e-8
 
 
-def test_eigen_shift_invariance(mesh4):
-    K = fem.assemble_stiffness(mesh4)
-    M = fem.assemble_mass(mesh4)
-    r1 = lowest_eigenpairs(K, M, 4, dense_cutoff=0)
-    r2 = lowest_eigenpairs(K, M, 4, dense_cutoff=0, shift_hint=50.0)
-    np.testing.assert_allclose(r1.values, r2.values, rtol=1e-10)
-
-
 @pytest.mark.parametrize("m", [4, 8])
 def test_galerkin_monotonicity(m):
     mesh = build_structured_mesh(m)

@@ -156,6 +156,20 @@ def test_fermi_one_sided_and_second_order(params):
     assert 2.5 <= gaps[4] / gaps[8] <= 5.5
 
 
+def test_every_interior_level_kept_at_m3():
+    # at m = 3 and this mu the window reaches the last of the 8 interior
+    # levels, whose occupation is exactly zero: a valid state
+    mesh = build_structured_mesh(3)
+    p = DistributionParams(mu=0.021544346900318832)
+    solver = SpectrumSolver(mesh, None)
+    spectral, occ = determine_occupation(
+        mesh, lambda L: solver.solve(None, L), p, mesh_size(mesh))
+    assert occ.level_count == mesh.n_interior == 8
+    assert abs(occ.occupations.sum() - p.N0) <= 1e-10 * p.N0
+    density = build_density(spectral, occ)
+    assert abs(density.integral() - p.N0) <= 1e-10 * p.N0
+
+
 def test_truncation_overflow_slow_decay():
     mesh = build_structured_mesh(4)
     slow = DistributionParams(mu=2.2e-3, f0=4.4e-6)
@@ -206,6 +220,44 @@ def test_density_point_evaluation_consistent(mesh8, params):
     for elem, q in sample:
         assert density.evaluate(pts[elem, q]) == pytest.approx(
             vals[elem, q], rel=1e-10)
+    # one batch of mesh vertices, points on the y = z Kuhn faces and
+    # points on the face x = 1, against a search over the cell's six
+    # elements with a dense barycentric solve per element; the tilted
+    # potential makes a density that no axis permutation leaves unchanged
+    tilt = fem.ScalarFunction(lambda p: 40.0 * p[..., 0] + 15.0 * p[..., 1])
+    tilted = build_density(
+        SpectrumSolver(mesh8, tilt).solve(None, 3),
+        OccupationState(window=0.0, fermi_level=0.0,
+                        occupations=np.array([params.N0, 1.0, 0.0]),
+                        level_count=3))
+    rng = np.random.default_rng(2)
+    a, b = rng.random((2, 40))
+    batch = np.concatenate([
+        mesh8.vertices[::23],
+        np.column_stack([a, b, b]),
+        np.column_stack([np.ones(40), a, b]),
+        [[1.0, 1.0, 1.0], [1.0, 0.5, 0.5]]])
+    for field in (density, tilted):
+        np.testing.assert_allclose(field.evaluate(batch),
+                                   [_density_by_search(field, x)
+                                    for x in batch],
+                                   rtol=1e-10, atol=1e-12 * params.N0)
+
+
+def _density_by_search(density, x):
+    mesh = density.mesh
+    m = mesh.m
+    cell = np.minimum((x * m).astype(int), m - 1)
+    base = ((cell[0] * m + cell[1]) * m + cell[2]) * 6
+    for tet in mesh.tets[base:base + 6]:
+        corner = mesh.vertices[tet[0]]
+        lam123 = np.linalg.solve((mesh.vertices[tet[1:]] - corner).T,
+                                 x - corner)
+        lam = np.concatenate([[1.0 - lam123.sum()], lam123])
+        if np.all(lam >= -1e-12):
+            psi = lam @ density.spectral.coefficients[tet, :density.n_active]
+            return float((psi * psi) @ density.occupations[:density.n_active])
+    raise AssertionError(f"point {x} not located in its cell")
 
 
 def test_density_invariant_under_degenerate_rotation(mesh8, params):

@@ -7,8 +7,7 @@ from conftest import sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh
 from spfem.quadrature import tet_rule
-from spfem.spectrum import (SpectrumSolver, assemble_hamiltonian,
-                            solve_spectrum)
+from spfem.spectrum import SpectrumSolver, assemble_hamiltonian
 
 LAM1 = 3 * math.pi ** 2
 LAM2 = 6 * math.pi ** 2
@@ -23,8 +22,9 @@ def test_hamiltonian_zero_potential_is_stiffness(mesh4):
 
 
 def test_constant_potential_shifts_spectrum(mesh4):
-    base = solve_spectrum(mesh4, None, None, 5)
-    shifted = solve_spectrum(mesh4, None, fem.ScalarFunction.constant(2.75), 5)
+    base = SpectrumSolver(mesh4, None).solve(None, 5)
+    shifted = SpectrumSolver(
+        mesh4, fem.ScalarFunction.constant(2.75)).solve(None, 5)
     np.testing.assert_allclose(shifted.eigenvalues,
                                base.eigenvalues + 2.75, atol=1e-9)
 
@@ -55,7 +55,7 @@ def test_boundary_potential_rejected(mesh4):
 
 
 def test_zero_potential_spectrum_structure(mesh8):
-    s = solve_spectrum(mesh8, None, None, 10)
+    s = SpectrumSolver(mesh8, None).solve(None, 10)
     # lowest level sits just above the exact value
     assert LAM1 <= s.eigenvalues[0] <= 1.1 * LAM1
     # the second shell: an exactly degenerate pair plus a nearby third
@@ -73,7 +73,7 @@ def test_zero_potential_spectrum_structure(mesh8):
 
 
 def test_normalization_and_orthogonality(mesh8):
-    s = solve_spectrum(mesh8, None, None, 6)
+    s = SpectrumSolver(mesh8, None).solve(None, 6)
     M = fem.assemble_mass(mesh8)
     X = s.coefficients[mesh8.interior_vertices]
     gram = X.T @ (M @ X)
@@ -83,8 +83,8 @@ def test_normalization_and_orthogonality(mesh8):
 
 
 def test_reproducible_across_runs(mesh8):
-    a = solve_spectrum(mesh8, None, None, 6)
-    b = solve_spectrum(mesh8, None, None, 6)
+    a = SpectrumSolver(mesh8, None).solve(None, 6)
+    b = SpectrumSolver(mesh8, None).solve(None, 6)
     np.testing.assert_allclose(
         a.eigenvalues, b.eigenvalues,
         atol=1e-8 * (1 + np.abs(a.eigenvalues).max()))
@@ -94,7 +94,7 @@ def test_eigenvalue_error_second_order():
     errs = []
     for m in (4, 8):
         mesh = build_structured_mesh(m)
-        s = solve_spectrum(mesh, None, None, 1)
+        s = SpectrumSolver(mesh, None).solve(None, 1)
         errs.append(s.eigenvalues[0] - LAM1)
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.4)
 
@@ -108,7 +108,7 @@ def test_eigenfunction_error_first_order():
     errs = []
     for m in (4, 8, 16):
         mesh = build_structured_mesh(m)
-        s = solve_spectrum(mesh, None, None, 1)
+        s = SpectrumSolver(mesh, None).solve(None, 1)
         psi = s.eigenfunction(0)
         vals = psi.element_values(mesh, rule)
         ref = fem.values_on_elements(phi1, mesh, rule)
@@ -124,15 +124,3 @@ def test_level_count_bounds(mesh4):
     solver = SpectrumSolver(mesh4, None)
     with pytest.raises(ValueError):
         solver.solve(None, mesh4.n_interior + 1)
-    small = SpectrumSolver(mesh4, None, level_cap=4)
-    with pytest.raises(ValueError):
-        small.solve(None, 5)
-
-
-def test_cache_reuses_eigenpairs(mesh4):
-    solver = SpectrumSolver(mesh4, None)
-    full = solver.solve(None, 8)
-    original = solver._cache_set
-    sliced = solver.solve(None, 4)
-    assert solver._cache_set is original  # no recompute
-    np.testing.assert_array_equal(sliced.eigenvalues, full.eigenvalues[:4])
