@@ -21,10 +21,9 @@ class ScalarFunction:
     is required only by H1-seminorm error evaluation.
     """
 
-    def __init__(self, fn, grad=None, name=None):
+    def __init__(self, fn, grad=None):
         self._fn = fn
         self.grad = grad
-        self.name = name or getattr(fn, "__name__", "scalar")
 
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
@@ -34,8 +33,7 @@ class ScalarFunction:
     def constant(cls, c):
         c = float(c)
         return cls(lambda p: np.full(p.shape[:-1], c),
-                   grad=lambda p: np.zeros(p.shape),
-                   name=f"const({c})")
+                   grad=lambda p: np.zeros(p.shape))
 
 
 ZERO = ScalarFunction.constant(0.0)

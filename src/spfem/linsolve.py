@@ -1,6 +1,8 @@
 """Sparse symmetric storage, preconditioned CG, and a generalized
-symmetric eigensolver for the lowest part of the spectrum."""
+symmetric eigensolver (dense, or LOBPCG preconditioned by one sparse LU)
+for the lowest part of the spectrum."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +15,11 @@ from .errors import ConvergenceError
 DEFAULT_PCG_TOL = 1e-11
 DEFAULT_EIG_TOL = 1e-9
 DENSE_CUTOFF = 400
+# lobpcg can stall for hundreds of iterations on a cold block; restarting
+# from the block it returns (dropping its search directions) every 40
+# iterations recovers within one or two runs
+LOBPCG_MAXITER = 40
+LOBPCG_RUNS = 5
 
 
 class SparseSymMatrix:
@@ -112,36 +119,68 @@ def _rayleigh_ritz(A, B, X):
     return w, X @ Q
 
 
+def _residual_norms(A, B, w, X):
+    return np.linalg.norm(A @ X - (B @ X) * w[None, :], axis=0)
+
+
+def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
+    """Whether ``lowest_eigenpairs`` takes the dense solve for L of n
+    levels."""
+    return n <= dense_cutoff or L > n - 2
+
+
+def shifted_factor(A, B):
+    """SuperLU factorization of A + sB with s = max(0, -gershgorin(A)) + 1,
+    the preconditioner of the iterative eigensolve for pencils near
+    (A, B)."""
+    s = max(0.0, -A.gershgorin_lower_bound()) + 1.0
+    return spla.splu((A.csr + s * B.csr).tocsc(),
+                     permc_spec="MMD_AT_PLUS_A")
+
+
 def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
-                      dense_cutoff=DENSE_CUTOFF):
+                      dense_cutoff=DENSE_CUTOFF, factor=None, start=None):
     """L algebraically smallest eigenpairs of A x = e B x.
 
     A is symmetric (possibly indefinite), B is SPD.  Small problems
-    (n <= dense_cutoff, or L close to n) take a dense solve.  Otherwise
-    the pencil is shifted by s = max(0, -gershgorin(A)) + 1, so that
-    the shift-inverted operator orders the smallest eigenvalues first,
-    and ARPACK starts from a standard normal vector drawn from ``seed``.
-    Both paths end in a Rayleigh-Ritz step and a residual check on the
-    unshifted pencil, so the reported values do not depend on the shift.
+    (``dense_path``) take a dense solve.  Otherwise LOBPCG runs with the
+    preconditioner ``factor.solve`` (``shifted_factor(A, B)`` when no
+    factor is given, typically that of a nearby reference pencil).  Its
+    start block is the columns of ``start`` (n, k), the previous block,
+    followed by standard normal columns drawn from ``seed`` up to L.
+    LOBPCG is asked for tol/10; a block still above tol after the
+    Rayleigh-Ritz step restarts from where it stopped, at most
+    LOBPCG_RUNS runs in all.  Both paths end in a Rayleigh-Ritz step and
+    a residual check on the pencil itself.
     """
     n = A.n
     if not 1 <= L <= n:
         raise ValueError(f"need 1 <= L <= {n}, got L={L}")
 
-    dense = n <= dense_cutoff or L > n - 2
-    if dense:
-        w, X = sla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, L - 1])
+    if dense_path(n, L, dense_cutoff):
+        _, X = sla.eigh(A.toarray(), B.toarray(), subset_by_index=[0, L - 1])
+        w, X = _rayleigh_ritz(A, B, X)
+        resid = _residual_norms(A, B, w, X)
     else:
-        s = max(0.0, -A.gershgorin_lower_bound()) + 1.0
-        start = np.random.default_rng(seed).standard_normal(n)
-        w, X = spla.eigsh(A.csr, k=L, M=B.csr, sigma=-s, which="LM",
-                          mode="normal", v0=start, tol=1e-12)
-        order = np.argsort(w)
-        w, X = w[order], X[:, order]
+        if factor is None:
+            factor = shifted_factor(A, B)
+        X = np.random.default_rng(seed).standard_normal((n, L))
+        if start is not None:
+            k = min(start.shape[1], L)
+            X[:, :k] = start[:, :k]
+        for _ in range(LOBPCG_RUNS):
+            # lobpcg warns when it stops above its tolerance or solves
+            # densely (n < 5L); the residual check below decides instead
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                _, X = spla.lobpcg(A.csr, X, B=B.csr, M=factor.solve,
+                                   tol=0.1 * tol, maxiter=LOBPCG_MAXITER,
+                                   largest=False)
+            w, X = _rayleigh_ritz(A, B, X)
+            resid = _residual_norms(A, B, w, X)
+            if np.all(resid <= tol):
+                break
 
-    w, X = _rayleigh_ritz(A, B, X)
-
-    resid = np.linalg.norm(A @ X - (B @ X) * w[None, :], axis=0)
     if np.any(resid > tol):
         raise ConvergenceError(
             f"eigensolver residuals exceed tol={tol:g}: max "

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import fem
 from .errors import ConvergenceError, InfeasibleOccupationError, \
@@ -42,13 +41,18 @@ class DistributionParams:
                 raise ValueError(f"{name} must be positive")
 
 
+def _fermi_dirac(x):
+    """1 / (1 + exp(x)), without overflow for large |x|."""
+    return np.exp(-np.logaddexp(0.0, x))
+
+
 def distribution(p, t):
     """Occupation weight at energy offset t; positive and decreasing."""
     t = np.asarray(t, dtype=float)
     if p.kind == BOLTZMANN:
         out = p.f0 * np.exp(-p.mu * t)
     else:
-        out = p.f0 * expit(-p.mu * t)
+        out = p.f0 * _fermi_dirac(p.mu * t)
     return out if out.ndim else float(out)
 
 
@@ -57,7 +61,7 @@ def distribution_derivative(p, t):
     if p.kind == BOLTZMANN:
         out = -p.mu * p.f0 * np.exp(-p.mu * t)
     else:
-        s = expit(-p.mu * t)
+        s = _fermi_dirac(p.mu * t)
         out = -p.mu * p.f0 * s * (1.0 - s)
     return out if out.ndim else float(out)
 
@@ -240,7 +244,14 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
 
 class DensityField:
     """Electron density: occupation-weighted sum of squared
-    eigenfunctions, piecewise quadratic on the mesh."""
+    eigenfunctions, piecewise quadratic on the mesh.
+
+    On an element with local eigenfunction coefficients c_l (4 vertex
+    values per level) the density is the quadratic form of the 4x4
+    occupation Gram G = sum_l f_l c_l c_l^T in the barycentric
+    coordinates, so quadrature values cost O(16) per point whatever the
+    number of levels.
+    """
 
     def __init__(self, spectral, occupations, level_count):
         occupations = np.asarray(occupations, dtype=float)
@@ -252,9 +263,15 @@ class DensityField:
         self.mesh = spectral.mesh
 
     def element_values(self, mesh, rule):
-        psi = self.spectral.element_values(mesh, rule, levels=self.n_active)
-        return np.einsum("nql,l->nq", psi * psi,
-                         self.occupations[:self.n_active])
+        """(nt, nq) density at quadrature points, P^T G P per point."""
+        if mesh is not self.mesh:
+            raise ValueError("density evaluated on a foreign mesh")
+        local = self.spectral.coefficients[:, :self.n_active][mesh.tets]
+        gram = (local * self.occupations[:self.n_active]) \
+            @ local.transpose(0, 2, 1)                     # (nt, 4, 4)
+        P = rule.points
+        PP = (P[:, :, None] * P[:, None, :]).reshape(len(P), 16)
+        return gram.reshape(-1, 16) @ PP.T
 
     def integral(self):
         """Exact integral (degree-2 quadrature of a piecewise quadratic)."""

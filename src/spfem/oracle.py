@@ -127,7 +127,6 @@ class SeriesDensity:
         self.params = p
         self.rel_tol = rel_tol
         self.fermi_level = continuous_fermi(p)
-        self.name = f"exact-density(mu={p.mu},f0={p.f0},N0={p.N0})"
         self._select_modes()
 
     def _select_modes(self):
@@ -204,8 +203,7 @@ def _example1_fields():
     def lap_v0(pts):
         return -3.0 * PI2 * v0(pts)
 
-    return (ScalarFunction(v0, grad=v0_grad, name="sine-product"),
-            ScalarFunction(lap_v0, name="lap(sine-product)"))
+    return ScalarFunction(v0, grad=v0_grad), ScalarFunction(lap_v0)
 
 
 def _example2_fields():
@@ -231,8 +229,7 @@ def _example2_fields():
         qx, qy, qz = (gpp(pts[..., d]) for d in range(3))
         return qx * gy * gz + gx * qy * gz + gx * gy * qz
 
-    return (ScalarFunction(v0, grad=v0_grad, name="exp-bump-product"),
-            ScalarFunction(lap_v0, name="lap(exp-bump-product)"))
+    return ScalarFunction(v0, grad=v0_grad), ScalarFunction(lap_v0)
 
 
 @dataclass
@@ -288,9 +285,8 @@ def manufactured_problem(example, p, rel_tol=1e-8):
         params=p,
         V0=V0,
         laplacian_V0=lap_V0,
-        V_exact=ScalarFunction(v_exact, grad=v_exact_grad,
-                               name=f"exact-potential-ex{example}"),
+        V_exact=ScalarFunction(v_exact, grad=v_exact_grad),
         n_exact=series,
         eps_F_exact=series.fermi_level,
-        n_D=ScalarFunction(doping, name=f"doping-ex{example}"),
+        n_D=ScalarFunction(doping),
     )

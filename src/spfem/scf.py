@@ -3,6 +3,9 @@
 Each sweep solves the spectral problem for the current potential,
 rebuilds occupations and density, and maps the density mismatch through
 the Dirichlet Laplacian; optional damping blends consecutive iterates.
+Sweeps share one spectral solver (its preconditioner and last
+eigenvector block) and start their level budget at the previous level
+count.
 The loop stops on a relative H1 increment and never raises on plain
 non-convergence (the report carries the flag), while structural
 failures such as truncation overflow propagate as exceptions.
@@ -99,16 +102,19 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
                             dense_cutoff=cfg.dense_cutoff)
     doping = fem.CachedQuadValues(model.n_D)
 
-    def occupation_at(u):
+    def occupation_at(u, L0):
         spectral, occ = determine_occupation(
-            mesh, lambda L: solver.solve(u, L), p, h, L_max=cfg.L_max)
+            mesh, lambda L: solver.solve(u, L), p, h, L_max=cfg.L_max,
+            L0=L0)
         return spectral, occ, build_density(spectral, occ)
 
     V = V_init if V_init is not None else fem.FeField.zero(mesh)
     records = []
     converged = False
+    L0 = None   # each level budget starts where the previous one ended
     for k in range(1, cfg.max_iter + 1):
-        spectral, occ, density = occupation_at(V)
+        spectral, occ, density = occupation_at(V, L0)
+        L0 = spectral.count
         V_raw = poisson_solve(mesh, density - doping, rule=rule,
                               tol=cfg.pcg_tol, stiffness=K)
         V_new = (1.0 - cfg.damping) * V + cfg.damping * V_raw
@@ -128,7 +134,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
             break
 
     # final state: density and self-consistency residual at the last iterate
-    spectral, occ, density = occupation_at(V)
+    spectral, occ, density = occupation_at(V, L0)
     V_mapped = poisson_solve(mesh, density - doping, rule=rule,
                              tol=cfg.pcg_tol, stiffness=K)
     self_res = _h1(K, M, V.interior() - V_mapped.interior())

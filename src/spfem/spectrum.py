@@ -12,7 +12,7 @@ import numpy as np
 
 from . import fem
 from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
-                       lowest_eigenpairs)
+                       dense_path, lowest_eigenpairs, shifted_factor)
 from .quadrature import tet_rule
 
 
@@ -32,15 +32,6 @@ class SpectralSet:
     def eigenfunction(self, l):
         """FeField for the l-th (0-based) eigenfunction."""
         return fem.FeField(self.mesh, self.coefficients[:, l].copy())
-
-    def element_values(self, mesh, rule, levels=None):
-        """(nt, nq, L) eigenfunction values at quadrature points."""
-        if mesh is not self.mesh:
-            raise ValueError("spectral set evaluated on a foreign mesh")
-        coeffs = self.coefficients if levels is None \
-            else self.coefficients[:, :levels]
-        local = coeffs[mesh.tets]                      # (nt, 4, L)
-        return np.einsum("qa,nal->nql", rule.points, local)
 
 
 def assemble_hamiltonian(mesh, u, V0, rule=None):
@@ -81,9 +72,13 @@ def assemble_mass_cached(mesh):
 class SpectrumSolver:
     """Eigenpair provider for one mesh and applied potential.
 
-    Holds only its inputs: every ``solve`` assembles the pencil for
-    u + V0 and runs one eigensolve, starting the iterative path from
-    the random vector drawn from ``seed``.
+    Every ``solve`` assembles the pencil for u + V0 and runs one
+    eigensolve.  The solver carries two pieces of state between calls
+    on the iterative path: ``factor``, the LU of the shifted reference
+    pencil K + W(V0) + sB, built at the first sparse solve and used as
+    the LOBPCG preconditioner for every u, and ``block``, the last
+    eigenvector block, from which the next solve starts (with seeded
+    random columns appended when L grows).
     """
 
     def __init__(self, mesh, V0, tol=DEFAULT_EIG_TOL, seed=0,
@@ -93,13 +88,20 @@ class SpectrumSolver:
         self.tol = tol
         self.seed = seed
         self.dense_cutoff = dense_cutoff
+        self.factor = None
+        self.block = None
 
     def solve(self, u, L):
         """SpectralSet of the L lowest levels for the potential u + V0."""
         mesh = self.mesh
         A, B = assemble_hamiltonian(mesh, u, self.V0)
+        if self.factor is None and not dense_path(A.n, L, self.dense_cutoff):
+            self.factor = shifted_factor(
+                *assemble_hamiltonian(mesh, None, self.V0))
         result = lowest_eigenpairs(A, B, L, tol=self.tol, seed=self.seed,
-                                   dense_cutoff=self.dense_cutoff)
+                                   dense_cutoff=self.dense_cutoff,
+                                   factor=self.factor, start=self.block)
+        self.block = result.vectors
         coeffs = np.zeros((mesh.n_vertices, L))
         coeffs[mesh.interior_vertices] = result.vectors
         return SpectralSet(result.values, coeffs, result.residual_norms,

@@ -87,4 +87,4 @@ def sine_product():
         return PI * np.stack([cx * sy * sz, sx * cy * sz, sx * sy * cz],
                              axis=-1)
 
-    return ScalarFunction(f, grad=grad, name="sine-product")
+    return ScalarFunction(f, grad=grad)

@@ -56,7 +56,7 @@ def test_weighted_mass_constant_and_linear(mesh4):
     assert np.abs((W2.csr + 2.0 * Mi.csr).toarray()).max() < 1e-13
     # w = x: total sum of the full matrix is int x over the cube = 1/2
     Wx = fem.assemble_weighted_mass(
-        mesh4, fem.ScalarFunction(lambda p: p[..., 0], name="x"),
+        mesh4, fem.ScalarFunction(lambda p: p[..., 0]),
         interior_only=False)
     assert Wx.csr.sum() == pytest.approx(0.5, abs=1e-13)
     sym = Wx.toarray()
@@ -80,7 +80,7 @@ def test_load_zero_and_linearity(mesh4):
     z = fem.assemble_load(mesh4, fem.ScalarFunction.constant(0.0))
     assert np.all(z == 0.0)
     g1 = sine_product()
-    g2 = fem.ScalarFunction(lambda p: p[..., 0] * p[..., 2], name="xz")
+    g2 = fem.ScalarFunction(lambda p: p[..., 0] * p[..., 2])
     combo = fem.LinearCombination([(2.5, g1), (-1.5, g2)])
     b = fem.assemble_load(mesh4, combo)
     b1 = fem.assemble_load(mesh4, g1)
@@ -91,8 +91,7 @@ def test_load_zero_and_linearity(mesh4):
 def test_errors_vanish_for_reproduced_linears(mesh4):
     f = fem.ScalarFunction(
         lambda p: p[..., 0] + 2.0 * p[..., 1],
-        grad=lambda p: np.broadcast_to([1.0, 2.0, 0.0], p.shape),
-        name="linear")
+        grad=lambda p: np.broadcast_to([1.0, 2.0, 0.0], p.shape))
     fh = fem.FeField.interpolate(mesh4, f)
     assert fem.l2_norm_error(mesh4, fh, f) < 1e-13
     assert fem.h1_semi_error(mesh4, fh, f) < 1e-13
@@ -120,7 +119,7 @@ def test_interpolation_error_orders():
 def test_bilinear_form_matches_direct_quadrature(mesh4):
     # v' (K + M_w) v equals elementwise quadrature of |grad v|^2 + w v^2
     w = fem.ScalarFunction(
-        lambda p: 1.0 + p[..., 0] - 0.5 * p[..., 1] * p[..., 2], name="w")
+        lambda p: 1.0 + p[..., 0] - 0.5 * p[..., 1] * p[..., 2])
     rule = tet_rule(2)
     K = fem.assemble_stiffness(mesh4)
     Mw = fem.assemble_weighted_mass(mesh4, w, rule)

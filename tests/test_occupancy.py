@@ -181,6 +181,23 @@ def test_truncation_overflow_slow_decay():
     assert err.value.levels <= 64
 
 
+def test_carried_level_budget_matches_default(mesh8, params):
+    # the SCF starts each budget at the previous level count; a larger
+    # start only adds levels beyond the window, with zero occupation
+    solver = SpectrumSolver(mesh8, None)
+    (s_def, occ_def), (s_64, occ_64) = [
+        determine_occupation(mesh8, lambda L: solver.solve(None, L),
+                             params, mesh_size(mesh8), L0=L0)
+        for L0 in (None, 64)]
+    assert s_def.count < s_64.count == 64
+    assert occ_64.fermi_level == pytest.approx(occ_def.fermi_level,
+                                               rel=1e-12)
+    assert occ_64.level_count == occ_def.level_count
+    np.testing.assert_allclose(occ_64.occupations[:s_def.count],
+                               occ_def.occupations, rtol=1e-12)
+    assert np.all(occ_64.occupations[s_def.count:] == 0.0)
+
+
 def test_density_integral_and_single_level(mesh8, params):
     solver = SpectrumSolver(mesh8, None)
     spectral, occ = determine_occupation(
@@ -194,7 +211,7 @@ def test_density_integral_and_single_level(mesh8, params):
                              level_count=2)
     dens1 = build_density(spectral, single)
     rule = tet_rule(2)
-    psi = spectral.element_values(mesh8, rule, levels=1)[..., 0]
+    psi = _psi_values(spectral, rule, 1)[..., 0]
     np.testing.assert_allclose(dens1.element_values(mesh8, rule),
                                params.N0 * psi ** 2, atol=1e-12)
 
@@ -242,6 +259,22 @@ def test_density_point_evaluation_consistent(mesh8, params):
                                    [_density_by_search(field, x)
                                     for x in batch],
                                    rtol=1e-10, atol=1e-12 * params.N0)
+    # quadrature values from the occupation Gram against the per-level
+    # sum of f_l psi_l^2 they replace
+    for field in (density, tilted):
+        occupations = field.occupations[:field.n_active]
+        for degree in (2, 4, 5):
+            rule = tet_rule(degree)
+            psi = _psi_values(field.spectral, rule, field.n_active)
+            np.testing.assert_allclose(
+                field.element_values(mesh8, rule),
+                np.einsum("nql,l->nq", psi * psi, occupations), rtol=1e-13)
+
+
+def _psi_values(spectral, rule, levels):
+    """(nt, nq, levels) eigenfunction values at quadrature points."""
+    local = spectral.coefficients[spectral.mesh.tets, :levels]
+    return np.einsum("qa,nal->nql", rule.points, local)
 
 
 def _density_by_search(density, x):

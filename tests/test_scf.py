@@ -31,7 +31,7 @@ def test_poisson_zero_rhs(mesh4):
 
 def test_poisson_linearity(mesh4):
     g1 = sine_product()
-    g2 = fem.ScalarFunction(lambda p: p[..., 1] ** 2, name="y2")
+    g2 = fem.ScalarFunction(lambda p: p[..., 1] ** 2)
     u1 = poisson_solve(mesh4, g1, tol=1e-13)
     u2 = poisson_solve(mesh4, g2, tol=1e-13)
     combo = fem.LinearCombination([(2.0, g1), (-3.0, g2)])

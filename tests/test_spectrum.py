@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import sine_product
 from spfem import fem
@@ -102,8 +104,7 @@ def test_eigenvalue_error_second_order():
 def test_eigenfunction_error_first_order():
     phi1 = fem.ScalarFunction(
         lambda p: 2 * math.sqrt(2) * sine_product()(p),
-        grad=lambda p: 2 * math.sqrt(2) * sine_product().grad(p),
-        name="first-mode")
+        grad=lambda p: 2 * math.sqrt(2) * sine_product().grad(p))
     rule = tet_rule(5)
     errs = []
     for m in (4, 8, 16):
@@ -118,6 +119,44 @@ def test_eigenfunction_error_first_order():
         errs.append(fem.h1_error(mesh, psi, phi1, rule))
     for coarse, fine in zip(errs, errs[1:]):
         assert coarse / fine == pytest.approx(2.0, abs=0.4)
+
+
+def _tilted(mesh):
+    """Interior interpolant of 40x + 15y, a potential without the cube's
+    axis symmetries."""
+    return fem.FeField.interpolate(
+        mesh, lambda p: 40.0 * p[..., 0] + 15.0 * p[..., 1], dirichlet=True)
+
+
+def test_iterative_path_matches_dense_oracle(mesh8):
+    # a cold start, a warm start under a new potential, a grown block
+    # (the previous 6 vectors plus seeded random columns) and n < 5L,
+    # where lobpcg solves densely itself; one factor serves all four
+    solver = SpectrumSolver(mesh8, None, dense_cutoff=0)
+    tilt = _tilted(mesh8)
+    factor = None
+    for u, L in ((None, 6), (tilt, 6), (tilt, 12), (tilt, 70)):
+        s = solver.solve(u, L)
+        if factor is None:
+            factor = solver.factor
+        assert solver.factor is factor
+        assert solver.block.shape == (mesh8.n_interior, L)
+        A, B = assemble_hamiltonian(mesh8, u, None)
+        ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)[:L]
+        np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-10)
+        assert np.all(s.residual_norms <= solver.tol)
+    assert 5 * 70 > mesh8.n_interior
+
+
+def test_sparse_path_emits_no_warnings():
+    mesh = build_structured_mesh(10)        # n = 729, above DENSE_CUTOFF
+    solver = SpectrumSolver(mesh, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver.solve(None, 16)
+        solver.solve(_tilted(mesh), 16)
+        solver.solve(_tilted(mesh), 150)    # n < 5L: lobpcg warns
+    assert solver.factor is not None
 
 
 def test_level_count_bounds(mesh4):
