@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .lab import emit_csv, format_table, run_study
-from .mesh import build_structured_mesh, mesh_size
+from .mesh import build_structured_mesh, mesh_size, write_rows
 from .occupancy import BOLTZMANN, FERMI_DIRAC, DistributionParams
 from .oracle import manufactured_problem
 from .quadrature import tet_rule
@@ -137,21 +137,17 @@ def dump_potential(field_, path, use_gzip=False):
     """One 'x y z value' line per mesh vertex."""
     mesh = field_.mesh
     with _open_out(path, use_gzip) as f:
-        for (x, y, z), v in zip(mesh.vertices, field_.coeffs):
-            f.write(f"{float(x)!r} {float(y)!r} {float(z)!r} {float(v)!r}\n")
+        write_rows(f, np.column_stack([mesh.vertices, field_.coeffs]))
 
 
 def dump_density(density, path, use_gzip=False):
     """One 'x y z value' line per quadrature point (degree-2 rule)."""
     mesh = density.mesh
     rule = tet_rule(2)
-    pts = mesh.physical_points(rule)
-    vals = density.element_values(mesh, rule)
+    pts = mesh.physical_points(rule).reshape(-1, 3)
+    vals = density.element_values(mesh, rule).reshape(-1, 1)
     with _open_out(path, use_gzip) as f:
-        for elem_pts, elem_vals in zip(pts, vals):
-            for (x, y, z), v in zip(elem_pts, elem_vals):
-                f.write(f"{float(x)!r} {float(y)!r} {float(z)!r} "
-                        f"{float(v)!r}\n")
+        write_rows(f, np.hstack([pts, vals]))
 
 
 def _add_common(sub):

@@ -2,9 +2,16 @@
 
 Dirichlet conditions are handled by eliminating boundary vertices, so
 all assembled operators act on interior degrees of freedom unless
-``interior_only=False`` is requested.  Assembly is vectorized over
-elements and single-pass, which makes it bit-reproducible for a fixed
-mesh.
+``interior_only=False`` is requested.
+
+Local arrays are closed-form products over all elements at once: a
+weighted mass is (nt, nq) weights times the rule's (nq, 16) table of
+basis products, a load is (nt, nq) values times the (nq, 4) basis
+values.  The position of every local entry in the final CSR pattern is
+computed once per mesh (and per ``interior_only``), so each matrix
+assembly is a single ``np.bincount`` and bit-reproducible for a fixed
+mesh.  The same positions expand a Gram given per vertex pair of the
+pattern into the 4x4 Grams of all elements.
 """
 
 import numpy as np
@@ -145,34 +152,80 @@ def gradients_on_elements(obj, mesh, rule):
     raise TypeError(f"no gradient available for {type(obj).__name__}")
 
 
-def _restrict(csr, mesh, interior_only):
-    if not interior_only:
-        return SparseSymMatrix(csr)
-    ids = mesh.interior_vertices
-    return SparseSymMatrix(csr[np.ix_(ids, ids)].tocsr())
+def _pattern(mesh, interior_only):
+    """CSR pattern of the assembled operators and, for each of the
+    (nt, 4, 4) local entries, its position in the CSR data.
+
+    Computed once per mesh and ``interior_only``.  Entries coupling a
+    boundary vertex (``interior_only``) map to the extra slot nnz, which
+    assembly drops.
+    """
+    pattern = mesh._patterns.get(interior_only)
+    if pattern is not None:
+        return pattern
+    ids = mesh.interior_index[mesh.tets] if interior_only else mesh.tets
+    n = mesh.n_interior if interior_only else mesh.n_vertices
+    rows = np.repeat(ids, 4, axis=1).ravel()   # entry (a, b) at 4a + b
+    cols = np.tile(ids, (1, 4)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    keys, slots = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    positions = np.full(len(rows), len(keys), dtype=np.int32)
+    positions[keep] = slots.ravel()
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    pattern = (positions, (keys % n).astype(np.int32), indptr, n)
+    mesh._patterns[interior_only] = pattern
+    return pattern
 
 
-def _scatter(mesh, element_mats):
-    nv = mesh.n_vertices
-    rows = np.repeat(mesh.tets[:, :, None], 4, axis=2)
-    cols = np.repeat(mesh.tets[:, None, :], 4, axis=1)
-    coo = sp.coo_matrix(
-        (element_mats.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv))
-    return coo.tocsr()
+def _assemble(mesh, local, interior_only):
+    """Sum the (nt, 4, 4) or (nt, 16) local matrices into the fixed CSR
+    pattern with one bincount."""
+    positions, indices, indptr, n = _pattern(mesh, interior_only)
+    data = np.bincount(positions, weights=local.ravel(),
+                       minlength=len(indices) + 1)[:-1]
+    return SparseSymMatrix(sp.csr_matrix(
+        (data, indices.copy(), indptr.copy()), shape=(n, n)))
+
+
+def pattern_gram(mesh, X, weights):
+    """Gram sum_l w_l X_il X_jl at every entry (i, j) of the interior CSR
+    pattern, for interior vectors X (n_interior, L), followed by a zero.
+
+    Gathered by ``element_gram``, it gives the 4x4 local Grams of the P1
+    fields X (zero on the boundary) on every element."""
+    _, indices, indptr, n = _pattern(mesh, True)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    out = np.zeros(len(indices) + 1)
+    for w, x in zip(weights, np.ascontiguousarray(X.T)):
+        out[:-1] += (w * x)[rows] * x[indices]
+    return out
+
+
+def element_gram(mesh, pairs):
+    """(nt, 16) local 4x4 Grams from the per-entry values of
+    ``pattern_gram``."""
+    return pairs[_pattern(mesh, True)[0]].reshape(-1, 16)
+
+
+def basis_products(rule):
+    """(nq, 16) products P_qa P_qb of the rule's barycentric points."""
+    P = rule.points
+    return (P[:, :, None] * P[:, None, :]).reshape(len(P), 16)
 
 
 def assemble_stiffness(mesh, interior_only=True):
     """Dirichlet Laplacian stiffness matrix (gradient-gradient form)."""
     local = np.einsum("nad,nbd->nab", mesh.grads, mesh.grads)
     local *= mesh.volumes[:, None, None]
-    return _restrict(_scatter(mesh, local), mesh, interior_only)
+    return _assemble(mesh, local, interior_only)
 
 
 def assemble_mass(mesh, interior_only=True):
     """L2 mass matrix from the exact P1 element integrals |K|/20*(1+I)."""
     base = (np.ones((4, 4)) + np.eye(4)) / 20.0
     local = mesh.volumes[:, None, None] * base[None, :, :]
-    return _restrict(_scatter(mesh, local), mesh, interior_only)
+    return _assemble(mesh, local, interior_only)
 
 
 def assemble_weighted_mass(mesh, w, rule=None, interior_only=True):
@@ -181,10 +234,9 @@ def assemble_weighted_mass(mesh, w, rule=None, interior_only=True):
     if rule.degree < 2:
         raise ValueError("weighted mass needs quadrature degree >= 2")
     wvals = values_on_elements(w, mesh, rule)          # (nt, nq)
-    local = np.einsum("q,nq,qa,qb->nab", rule.weights, wvals,
-                      rule.points, rule.points)
-    local *= mesh.volumes[:, None, None]
-    return _restrict(_scatter(mesh, local), mesh, interior_only)
+    local = (wvals * rule.weights) @ basis_products(rule)  # (nt, 16)
+    local *= mesh.volumes[:, None]
+    return _assemble(mesh, local, interior_only)
 
 
 def assemble_load(mesh, g, rule=None):
@@ -192,11 +244,11 @@ def assemble_load(mesh, g, rule=None):
     rule = rule or tet_rule(2)
     if rule.degree < 2:
         raise ValueError("load assembly needs quadrature degree >= 2")
-    gvals = values_on_elements(g, mesh, rule)
-    local = np.einsum("q,nq,qa->na", rule.weights, gvals, rule.points)
+    gvals = values_on_elements(g, mesh, rule)          # (nt, nq)
+    local = (gvals * rule.weights) @ rule.points       # (nt, 4)
     local *= mesh.volumes[:, None]
-    full = np.zeros(mesh.n_vertices)
-    np.add.at(full, mesh.tets.ravel(), local.ravel())
+    full = np.bincount(mesh.tets.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_vertices)
     return full[mesh.interior_vertices]
 
 

@@ -151,7 +151,8 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     LOBPCG is asked for tol/10; a block still above tol after the
     Rayleigh-Ritz step restarts from where it stopped, at most
     LOBPCG_RUNS runs in all.  Both paths end in a Rayleigh-Ritz step and
-    a residual check on the pencil itself.
+    a residual check on the pencil itself.  A ValueError from lobpcg,
+    such as a rank-deficient start block, becomes a ConvergenceError.
     """
     n = A.n
     if not 1 <= L <= n:
@@ -173,9 +174,14 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
             # densely (n < 5L); the residual check below decides instead
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                _, X = spla.lobpcg(A.csr, X, B=B.csr, M=factor.solve,
-                                   tol=0.1 * tol, maxiter=LOBPCG_MAXITER,
-                                   largest=False)
+                try:
+                    _, X = spla.lobpcg(A.csr, X, B=B.csr, M=factor.solve,
+                                       tol=0.1 * tol, maxiter=LOBPCG_MAXITER,
+                                       largest=False)
+                except ValueError as exc:
+                    # e.g. "Linearly dependent initial approximations"
+                    # for a rank-deficient start block
+                    raise ConvergenceError(f"lobpcg failed: {exc}") from exc
             w, X = _rayleigh_ritz(A, B, X)
             resid = _residual_norms(A, B, w, X)
             if np.all(resid <= tol):

@@ -45,6 +45,7 @@ class Mesh:
             len(self.interior_vertices))
         self.volumes, self.grads = _geometry(vertices, tets)
         self._point_cache = {}
+        self._patterns = {}        # CSR assembly patterns, filled by fem
 
     @property
     def n_vertices(self):
@@ -85,8 +86,28 @@ def _geometry(vertices, tets):
 _KUHN_PERMS = list(itertools.permutations(range(3)))
 
 
+def _kuhn_offsets(n1):
+    """(6, 4) vertex-id offsets of the six Kuhn paths from a cell's base
+    corner, in permutation order, positively oriented.
+
+    Path k steps along the axes ``_KUHN_PERMS[k]``, adding the strides
+    (n1^2, n1, 1); an odd permutation gives a negative volume, so its
+    last two vertices are swapped."""
+    perms = np.array(_KUHN_PERMS)
+    strides = np.array([n1 * n1, n1, 1])
+    offsets = np.zeros((6, 4), dtype=int)
+    offsets[:, 1:] = np.cumsum(strides[perms], axis=1)
+    corners = np.cumsum(np.eye(3)[perms], axis=1)   # vertices 1..3 - vertex 0
+    flip = np.linalg.det(corners) < 0
+    offsets[flip] = offsets[flip][:, [0, 1, 3, 2]]
+    return offsets
+
+
 def build_structured_mesh(m):
-    """Kuhn-subdivided structured mesh with m cells per axis."""
+    """Kuhn-subdivided structured mesh with m cells per axis.
+
+    Elements are ordered by cell (x slowest, z fastest), then by Kuhn
+    path."""
     if m < 1:
         raise ValueError(f"cells per axis must be >= 1, got {m}")
     n1 = m + 1
@@ -94,35 +115,14 @@ def build_structured_mesh(m):
     gx, gy, gz = np.meshgrid(idx, idx, idx, indexing="ij")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()]) / m
 
-    def vid(ix, iy, iz):
-        return (ix * n1 + iy) * n1 + iz
-
     on_boundary = (gx == 0) | (gx == m) | (gy == 0) | (gy == m) \
         | (gz == 0) | (gz == m)
     boundary_mask = on_boundary.ravel()
 
-    tets = []
-    for ix in range(m):
-        for iy in range(m):
-            for iz in range(m):
-                base = np.array([ix, iy, iz])
-                for perm in _KUHN_PERMS:
-                    corner = base.copy()
-                    path = [vid(*corner)]
-                    for axis in perm:
-                        corner[axis] += 1
-                        path.append(vid(*corner))
-                    tets.append(path)
-    tets = np.asarray(tets, dtype=int)
-
-    # enforce positive orientation (odd permutations give negative volume)
-    coords = vertices[tets]
-    signed = np.linalg.det(coords[:, 1:, :] - coords[:, :1, :])
-    flip = signed < 0
-    flipped = tets[flip]
-    flipped[:, [2, 3]] = flipped[:, [3, 2]]
-    tets[flip] = flipped
-
+    cells = np.arange(m)
+    base = ((cells[:, None, None] * n1 + cells[None, :, None]) * n1
+            + cells[None, None, :]).ravel()          # (m^3,) base corners
+    tets = (base[:, None, None] + _kuhn_offsets(n1)[None]).reshape(-1, 4)
     return Mesh(m, vertices, tets, boundary_mask)
 
 
@@ -136,11 +136,36 @@ def mesh_size(mesh):
     return float(h)
 
 
+WRITE_CHUNK_ROWS = 1 << 13
+
+
+def write_rows(f, table, prefix=""):
+    """Write each row of a 2-D int or float array as one text line:
+    ``prefix`` and the reprs of its entries, space-separated.
+
+    Lines match ``f"{prefix}{float(x)!r} ..."`` byte for byte.  Rows go
+    out WRITE_CHUNK_ROWS at a time, each chunk joined into one string;
+    within a chunk ``repr`` runs once per distinct value (floats are told
+    apart by their bits, so -0.0 keeps its sign).
+    """
+    table = np.asarray(table)
+    is_float = table.dtype.kind == "f"
+    if is_float:
+        table = np.ascontiguousarray(table, dtype=np.float64)
+    for start in range(0, len(table), WRITE_CHUNK_ROWS):
+        chunk = table[start:start + WRITE_CHUNK_ROWS]
+        keys, inverse = np.unique(chunk.view(np.int64) if is_float else chunk,
+                                  return_inverse=True)
+        if is_float:
+            keys = keys.view(np.float64)
+        words = np.array([repr(v) for v in keys.tolist()], dtype=object)
+        rows = words[inverse.reshape(chunk.shape)].tolist()
+        f.write("".join([prefix + " ".join(row) + "\n" for row in rows]))
+
+
 def write_mesh(mesh, path):
     """Plain-text dump: header, vertex lines, tet lines (0-based ids)."""
     with open(path, "w") as f:
         f.write(f"m {mesh.m} nv {mesh.n_vertices} nt {mesh.n_tets}\n")
-        for x, y, z in mesh.vertices:
-            f.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for t in mesh.tets:
-            f.write(f"t {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        write_rows(f, mesh.vertices, prefix="v ")
+        write_rows(f, mesh.tets, prefix="t ")

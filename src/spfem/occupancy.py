@@ -135,6 +135,11 @@ def solve_fermi(eigenvalues, p, M=np.inf):
     L = len(eps)
     if L == 0:
         raise ValueError("need at least one eigenvalue")
+    bad = np.flatnonzero(~np.isfinite(eps))
+    if bad.size:
+        raise ConvergenceError(
+            f"eigenvalue {bad[0]} is not finite ({float(eps[bad[0]])!r}); "
+            "no Fermi level can be bracketed")
     if p.kind == FERMI_DIRAC and p.f0 * L <= p.N0:
         raise InfeasibleOccupationError(
             f"occupation sum saturates at f0*L = {p.f0 * L:g} < N0 = {p.N0:g}")
@@ -250,7 +255,11 @@ class DensityField:
     values per level) the density is the quadratic form of the 4x4
     occupation Gram G = sum_l f_l c_l c_l^T in the barycentric
     coordinates, so quadrature values cost O(16) per point whatever the
-    number of levels.
+    number of levels.  The entries of G are those of the vertex-pair Gram
+    sum_l f_l psi_l(x_i) psi_l(x_j) on the interior assembly pattern
+    (eigenfunctions vanish on the boundary), which is computed at the
+    first evaluation and serves every rule after it (load, integral,
+    dump and error).
     """
 
     def __init__(self, spectral, occupations, level_count):
@@ -261,17 +270,19 @@ class DensityField:
         self.level_count = level_count
         self.n_active = n_active
         self.mesh = spectral.mesh
+        self._pairs = None
 
     def element_values(self, mesh, rule):
         """(nt, nq) density at quadrature points, P^T G P per point."""
         if mesh is not self.mesh:
             raise ValueError("density evaluated on a foreign mesh")
-        local = self.spectral.coefficients[:, :self.n_active][mesh.tets]
-        gram = (local * self.occupations[:self.n_active]) \
-            @ local.transpose(0, 2, 1)                     # (nt, 4, 4)
-        P = rule.points
-        PP = (P[:, :, None] * P[:, None, :]).reshape(len(P), 16)
-        return gram.reshape(-1, 16) @ PP.T
+        if self._pairs is None:
+            X = self.spectral.coefficients[mesh.interior_vertices,
+                                           :self.n_active]
+            self._pairs = fem.pattern_gram(
+                mesh, X, self.occupations[:self.n_active])
+        return fem.element_gram(mesh, self._pairs) \
+            @ fem.basis_products(rule).T
 
     def integral(self):
         """Exact integral (degree-2 quadrature of a piecewise quadratic)."""

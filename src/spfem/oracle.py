@@ -18,6 +18,8 @@ from .fem import ScalarFunction
 from .occupancy import BOLTZMANN, FERMI_REL_TOL, distribution
 
 PI2 = math.pi ** 2
+# points per evaluation block of the density series
+SERIES_CHUNK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,14 @@ class SeriesDensity:
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, 3)
+        out = np.empty(len(flat))
+        # in chunks of points, so the per-axis sine tables stay small
+        for start in range(0, len(flat), SERIES_CHUNK_POINTS):
+            stop = start + SERIES_CHUNK_POINTS
+            out[start:stop] = self._sum(flat[start:stop])
+        return out.reshape(points.shape[:-1])
+
+    def _sum(self, flat):
         imax = int(max(self.modes_i.max(), self.modes_j.max(),
                        self.modes_k.max()))
         freq = np.arange(1, imax + 1)[:, None] * math.pi
@@ -172,7 +182,7 @@ class SeriesDensity:
         for w, i, j, k in zip(self.weights, self.modes_i, self.modes_j,
                               self.modes_k):
             out += (8.0 * w) * sx2[i - 1] * sy2[j - 1] * sz2[k - 1]
-        return out.reshape(points.shape[:-1])
+        return out
 
 
 @lru_cache(maxsize=8)

@@ -1,7 +1,8 @@
 """Discrete Hamiltonian pencils and their lowest eigenpairs.
 
 The Hamiltonian for a potential u + V0 is discretized as
-A = stiffness + weighted_mass(u + V0) against the mass matrix B, and
+A = (stiffness + weighted_mass(V0)) + weighted_mass(u) against the mass
+matrix B, the bracket assembled once per solver, and
 eigenfunctions are normalized in the L2 (mass-matrix) norm, which the
 generalized eigensolver delivers directly.
 """
@@ -35,20 +36,25 @@ class SpectralSet:
 
 
 def assemble_hamiltonian(mesh, u, V0, rule=None):
-    """(A, B) pencil for the potential u + V0; u may be None for zero."""
+    """(A, B) pencil for the potential u + V0, assembled as the reference
+    K + W(V0) plus W(u); u and V0 may be None for zero."""
     rule = rule or tet_rule(2)
-    if u is not None and np.any(u.coeffs[mesh.boundary_mask] != 0.0):
-        raise ValueError("potential field must vanish on the boundary")
     A = assemble_stiffness_cached(mesh)
-    terms = []
-    if u is not None:
-        terms.append((1.0, u))
     if V0 is not None:
-        terms.append((1.0, V0))
-    if terms:
-        W = fem.assemble_weighted_mass(mesh, fem.LinearCombination(terms), rule)
+        W = fem.assemble_weighted_mass(mesh, V0, rule)
         A = SparseSymMatrix(A.csr + W.csr)
-    return A, assemble_mass_cached(mesh)
+    return _add_potential(A, mesh, u, rule), assemble_mass_cached(mesh)
+
+
+def _add_potential(A, mesh, u, rule=None):
+    """A + W(u) for a P1 potential u vanishing on the boundary (A itself
+    when u is None)."""
+    if u is None:
+        return A
+    if np.any(u.coeffs[mesh.boundary_mask] != 0.0):
+        raise ValueError("potential field must vanish on the boundary")
+    W = fem.assemble_weighted_mass(mesh, u, rule)
+    return SparseSymMatrix(A.csr + W.csr)
 
 
 # Stiffness and mass depend only on the mesh; cache them on the mesh
@@ -72,11 +78,12 @@ def assemble_mass_cached(mesh):
 class SpectrumSolver:
     """Eigenpair provider for one mesh and applied potential.
 
-    Every ``solve`` assembles the pencil for u + V0 and runs one
-    eigensolve.  The solver carries two pieces of state between calls
-    on the iterative path: ``factor``, the LU of the shifted reference
-    pencil K + W(V0) + sB, built at the first sparse solve and used as
-    the LOBPCG preconditioner for every u, and ``block``, the last
+    The reference pencil (K + W(V0), B) is assembled at the first
+    ``solve``; every ``solve`` adds W(u) to it and runs one eigensolve.
+    The solver carries two more pieces of state between calls on the
+    iterative path: ``factor``, the LU of the shifted reference pencil
+    K + W(V0) + sB, built at the first sparse solve and used as the
+    LOBPCG preconditioner for every u, and ``block``, the last
     eigenvector block, from which the next solve starts (with seeded
     random columns appended when L grows).
     """
@@ -88,16 +95,19 @@ class SpectrumSolver:
         self.tol = tol
         self.seed = seed
         self.dense_cutoff = dense_cutoff
+        self.reference = None
         self.factor = None
         self.block = None
 
     def solve(self, u, L):
         """SpectralSet of the L lowest levels for the potential u + V0."""
         mesh = self.mesh
-        A, B = assemble_hamiltonian(mesh, u, self.V0)
+        if self.reference is None:
+            self.reference = assemble_hamiltonian(mesh, None, self.V0)
+        A0, B = self.reference
+        A = _add_potential(A0, mesh, u)
         if self.factor is None and not dense_path(A.n, L, self.dense_cutoff):
-            self.factor = shifted_factor(
-                *assemble_hamiltonian(mesh, None, self.V0))
+            self.factor = shifted_factor(A0, B)
         result = lowest_eigenpairs(A, B, L, tol=self.tol, seed=self.seed,
                                    dense_cutoff=self.dense_cutoff,
                                    factor=self.factor, start=self.block)

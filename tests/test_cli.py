@@ -1,9 +1,15 @@
 import gzip
 
+import numpy as np
 import pytest
 
-from spfem.cli import ConfigError, main, parse_config
-from spfem.occupancy import BOLTZMANN
+from spfem.cli import (ConfigError, dump_density, dump_potential, main,
+                       parse_config)
+from spfem.fem import FeField
+from spfem.mesh import build_structured_mesh
+from spfem.occupancy import BOLTZMANN, DensityField
+from spfem.quadrature import tet_rule
+from spfem.spectrum import SpectrumSolver
 
 
 def test_defaults_from_empty_file(tmp_path):
@@ -110,3 +116,46 @@ def test_solve_keeps_every_interior_level(tmp_path):
     # unoccupied
     assert main(["solve", "--m", "3", "--mu", "0.021544346900318832",
                  "--out", str(tmp_path / "m3")]) == 0
+
+
+def _per_line_dumps(field, density, prefix):
+    """Reference: the per-line f-string writers the chunked writer
+    replaced."""
+    mesh = field.mesh
+    with open(f"{prefix}_potential.txt", "w") as f:
+        for (x, y, z), v in zip(mesh.vertices, field.coeffs):
+            f.write(f"{float(x)!r} {float(y)!r} {float(z)!r} {float(v)!r}\n")
+    rule = tet_rule(2)
+    pts = mesh.physical_points(rule)
+    vals = density.element_values(mesh, rule)
+    with open(f"{prefix}_density.txt", "w") as f:
+        for elem_pts, elem_vals in zip(pts, vals):
+            for (x, y, z), v in zip(elem_pts, elem_vals):
+                f.write(f"{float(x)!r} {float(y)!r} {float(z)!r} "
+                        f"{float(v)!r}\n")
+
+
+@pytest.mark.parametrize("use_gzip", [False, True])
+def test_dumps_match_per_line_writer(tmp_path, use_gzip):
+    mesh = build_structured_mesh(3)
+    spectral = SpectrumSolver(mesh, None).solve(None, 8)
+    density = DensityField(spectral, np.linspace(3.0, 0.5, 8), 8)
+    coeffs = np.random.default_rng(3).standard_normal(mesh.n_vertices)
+    coeffs[mesh.boundary_mask] = 0.0
+    coeffs[mesh.interior_vertices[0]] = -0.0      # keeps its sign
+    field = FeField(mesh, coeffs)
+    ref = tmp_path / "ref"
+    _per_line_dumps(field, density, ref)
+    out = tmp_path / "out"
+    dump_potential(field, f"{out}_potential.txt", use_gzip)
+    dump_density(density, f"{out}_density.txt", use_gzip)
+    for kind in ("potential", "density"):
+        path = f"{out}_{kind}.txt"
+        if use_gzip:
+            with gzip.open(path + ".gz", "rb") as f:
+                got = f.read()
+        else:
+            with open(path, "rb") as f:
+                got = f.read()
+        with open(f"{ref}_{kind}.txt", "rb") as f:
+            assert got == f.read()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import sine_product
 from spfem import fem
@@ -150,3 +151,71 @@ def test_fefield_guards(mesh4):
         field.element_values(other, tet_rule(2))
     with pytest.raises(ValueError):
         fem.FeField(mesh4, np.zeros(3))
+
+
+def _coo_assembly(mesh, local, interior_only):
+    """Reference: COO scatter, tocsr and np.ix_ restriction, the assembly
+    the fixed CSR pattern replaced."""
+    nv = mesh.n_vertices
+    rows = np.repeat(mesh.tets[:, :, None], 4, axis=2)
+    cols = np.repeat(mesh.tets[:, None, :], 4, axis=1)
+    csr = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(nv, nv)).tocsr()
+    if interior_only:
+        ids = mesh.interior_vertices
+        csr = csr[np.ix_(ids, ids)].tocsr()
+    csr.sum_duplicates()
+    return csr
+
+
+def _einsum_weighted_local(mesh, w, rule):
+    """Reference: the 4-operand einsum of the weighted-mass local
+    matrices."""
+    wvals = fem.values_on_elements(w, mesh, rule)
+    local = np.einsum("q,nq,qa,qb->nab", rule.weights, wvals,
+                      rule.points, rule.points)
+    return local * mesh.volumes[:, None, None]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("interior_only", [True, False])
+def test_fixed_pattern_assembly_matches_coo(m, interior_only):
+    mesh = build_structured_mesh(m)
+    rule = tet_rule(2)
+    rng = np.random.default_rng(m)
+    fe_weight = fem.FeField(mesh, rng.standard_normal(mesh.n_vertices))
+    analytic = fem.ScalarFunction(
+        lambda p: 1.0 + p[..., 0] - 0.5 * p[..., 1] * p[..., 2])
+    stiff_local = np.einsum("nad,nbd->nab", mesh.grads, mesh.grads) \
+        * mesh.volumes[:, None, None]
+    mass_local = mesh.volumes[:, None, None] \
+        * (np.ones((4, 4)) + np.eye(4))[None] / 20.0
+    cases = [
+        (fem.assemble_stiffness(mesh, interior_only), stiff_local),
+        (fem.assemble_mass(mesh, interior_only), mass_local),
+        (fem.assemble_weighted_mass(mesh, fe_weight, rule, interior_only),
+         _einsum_weighted_local(mesh, fe_weight, rule)),
+        (fem.assemble_weighted_mass(mesh, analytic, rule, interior_only),
+         _einsum_weighted_local(mesh, analytic, rule)),
+    ]
+    for new, local in cases:
+        ref = _coo_assembly(mesh, local, interior_only)
+        np.testing.assert_array_equal(new.csr.indptr, ref.indptr)
+        np.testing.assert_array_equal(new.csr.indices, ref.indices)
+        # summation order differs, so the data agree to rounding,
+        # relative to the largest entry
+        scale = np.abs(ref.data).max()
+        assert np.abs(new.csr.data - ref.data).max() <= 1e-15 * scale
+
+
+def test_load_matches_einsum_scatter(mesh4):
+    rule = tet_rule(4)
+    g = sine_product()
+    gvals = fem.values_on_elements(g, mesh4, rule)
+    local = np.einsum("q,nq,qa->na", rule.weights, gvals, rule.points)
+    local *= mesh4.volumes[:, None]
+    full = np.zeros(mesh4.n_vertices)
+    np.add.at(full, mesh4.tets.ravel(), local.ravel())
+    ref = full[mesh4.interior_vertices]
+    b = fem.assemble_load(mesh4, g, rule)
+    assert np.abs(b - ref).max() <= 1e-15 * np.abs(ref).max()

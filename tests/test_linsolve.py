@@ -112,3 +112,13 @@ def test_sparse_matrix_matvec_matches_dense():
     np.testing.assert_allclose(A @ x, dense @ x, atol=1e-14)
     assert A.structurally_symmetric()
     assert A.gershgorin_lower_bound() <= np.linalg.eigvalsh(dense).min() + 1e-12
+
+
+def test_rank_deficient_start_is_a_convergence_error():
+    mesh = build_structured_mesh(8)
+    K = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
+    col = np.random.default_rng(0).standard_normal((K.n, 1))
+    with pytest.raises(ConvergenceError, match="lobpcg"):
+        lowest_eigenpairs(K, M, 6, dense_cutoff=0,
+                          start=np.repeat(col, 6, axis=1))

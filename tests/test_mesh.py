@@ -101,3 +101,53 @@ def test_write_mesh(tmp_path):
     first = np.array([float(tok) for tok in vlines[0].split()[1:]])
     np.testing.assert_allclose(first, mesh.vertices[0])
     assert [int(tok) for tok in tlines[0].split()[1:]] == list(mesh.tets[0])
+
+
+def _triple_loop_tets(m):
+    """Reference: the per-cell Python loop that built the tets before the
+    broadcast form, with its per-element orientation flip."""
+    n1 = m + 1
+    idx = np.arange(n1)
+    gx, gy, gz = np.meshgrid(idx, idx, idx, indexing="ij")
+    vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()]) / m
+
+    def vid(ix, iy, iz):
+        return (ix * n1 + iy) * n1 + iz
+
+    tets = []
+    for ix in range(m):
+        for iy in range(m):
+            for iz in range(m):
+                base = np.array([ix, iy, iz])
+                for perm in itertools.permutations(range(3)):
+                    corner = base.copy()
+                    path = [vid(*corner)]
+                    for axis in perm:
+                        corner[axis] += 1
+                        path.append(vid(*corner))
+                    tets.append(path)
+    tets = np.asarray(tets, dtype=int)
+    coords = vertices[tets]
+    flip = np.linalg.det(coords[:, 1:, :] - coords[:, :1, :]) < 0
+    flipped = tets[flip]
+    flipped[:, [2, 3]] = flipped[:, [3, 2]]
+    tets[flip] = flipped
+    return tets
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_broadcast_tets_match_triple_loop(m):
+    tets = build_structured_mesh(m).tets
+    np.testing.assert_array_equal(tets, _triple_loop_tets(m))
+    assert tets.dtype == np.dtype(int)
+
+
+def test_write_mesh_matches_per_line_writer(tmp_path):
+    mesh = build_structured_mesh(3)
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    lines = [f"m {mesh.m} nv {mesh.n_vertices} nt {mesh.n_tets}\n"]
+    lines += [f"v {float(x)!r} {float(y)!r} {float(z)!r}\n"
+              for x, y, z in mesh.vertices]
+    lines += [f"t {t[0]} {t[1]} {t[2]} {t[3]}\n" for t in mesh.tets]
+    assert path.read_text() == "".join(lines)

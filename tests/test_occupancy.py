@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spfem import fem
-from spfem.errors import InfeasibleOccupationError, TruncationOverflowError
+from spfem.errors import (ConvergenceError, InfeasibleOccupationError,
+                          TruncationOverflowError)
 from spfem.mesh import build_structured_mesh, mesh_size
 from spfem.occupancy import (DistributionParams, OccupationState,
                              build_density, cutoff_chi,
@@ -115,6 +117,16 @@ def test_fermi_infeasible():
     fd = DistributionParams(kind="fermi_dirac", f0=1.0, mu=1.0, N0=100.0)
     with pytest.raises(InfeasibleOccupationError):
         solve_fermi([1.0, 2.0, 3.0], fd)
+
+
+@pytest.mark.parametrize("eigenvalues,index", [
+    ([np.nan, 1.0, 2.0], 0), ([1.0, np.inf], 1), ([-np.inf, 1.0], 0)])
+def test_fermi_rejects_non_finite_eigenvalues(params, eigenvalues, index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError,
+                           match=f"eigenvalue {index} is not finite"):
+            solve_fermi(eigenvalues, params)
 
 
 def test_determine_occupation_conserves(mesh8, params):

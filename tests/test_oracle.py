@@ -150,3 +150,22 @@ def test_doping_consistency(params):
 def test_invalid_example(params):
     with pytest.raises(ValueError):
         manufactured_problem(3, params)
+
+
+def test_chunked_series_matches_one_shot():
+    # reference: the one-shot sum over all points, kept here; the
+    # chunked evaluation does the same arithmetic per point
+    series = SeriesDensity(DistributionParams(mu=0.04))
+    pts = np.random.default_rng(2).random((2, 20000, 3))
+    flat = pts.reshape(-1, 3)
+    imax = int(max(series.modes_i.max(), series.modes_j.max(),
+                   series.modes_k.max()))
+    freq = np.arange(1, imax + 1)[:, None] * math.pi
+    sx2, sy2, sz2 = (np.sin(freq * flat[None, :, d]) ** 2 for d in range(3))
+    ref = np.zeros(len(flat))
+    for w, i, j, k in zip(series.weights, series.modes_i, series.modes_j,
+                          series.modes_k):
+        ref += (8.0 * w) * sx2[i - 1] * sy2[j - 1] * sz2[k - 1]
+    got = series(pts)
+    assert got.shape == (2, 20000)
+    np.testing.assert_array_equal(got.ravel(), ref)

@@ -163,3 +163,24 @@ def test_level_count_bounds(mesh4):
     solver = SpectrumSolver(mesh4, None)
     with pytest.raises(ValueError):
         solver.solve(None, mesh4.n_interior + 1)
+
+
+def test_split_hamiltonian_matches_one_shot(mesh8):
+    # the solver adds W(u) to its reference K + W(V0); the one-shot
+    # assembly of W(u + V0) is kept here as the reference
+    V0 = sine_product()
+    u = _tilted(mesh8)
+    K = fem.assemble_stiffness(mesh8)
+    W = fem.assemble_weighted_mass(
+        mesh8, fem.LinearCombination([(1.0, u), (1.0, V0)]))
+    one_shot = (K.csr + W.csr).toarray()
+    A, _ = assemble_hamiltonian(mesh8, u, V0)
+    scale = np.abs(one_shot).max()
+    assert np.abs(A.toarray() - one_shot).max() <= 1e-14 * scale
+
+    solver = SpectrumSolver(mesh8, V0)
+    s = solver.solve(u, 6)
+    A0, B = solver.reference
+    assert np.abs((A0.csr - K.csr).toarray()).max() > 0.0
+    ref = sla.eigh(one_shot, B.toarray(), eigvals_only=True)[:6]
+    np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-12)
