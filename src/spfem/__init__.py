@@ -3,10 +3,9 @@ system on the unit cube, with a manufactured-solution convergence lab."""
 
 from .errors import (ConvergenceError, InfeasibleOccupationError,
                      NumericsError, TruncationOverflowError)
-from .fem import (FeField, LinearCombination, ScalarFunction,
-                  assemble_load, assemble_mass, assemble_stiffness,
-                  assemble_weighted_mass, h1_error, h1_semi_error,
-                  l2_norm_error)
+from .fem import (FeField, ScalarFunction, assemble_load, assemble_mass,
+                  assemble_stiffness, assemble_weighted_mass, h1_error,
+                  h1_semi_error, l2_norm_error)
 from .lab import StudyRow, emit_csv, format_table, parse_csv, run_study
 from .linsolve import (EigenResult, SparseSymMatrix, lowest_eigenpairs,
                        pcg_solve)

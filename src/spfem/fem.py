@@ -11,7 +11,10 @@ values.  The position of every local entry in the final CSR pattern is
 computed once per mesh (and per ``interior_only``), so each matrix
 assembly is a single ``np.bincount`` and bit-reproducible for a fixed
 mesh.  The same positions expand a Gram given per vertex pair of the
-pattern into the 4x4 Grams of all elements.
+pattern into the 4x4 Grams of all elements.  These positions, kept in
+the mesh's ``_patterns``, are the only thing remembered between calls:
+fields are evaluated afresh at every assembly, and a caller that reuses
+one (a fixed doping load, say) keeps the assembled vector itself.
 """
 
 import numpy as np
@@ -98,39 +101,6 @@ class FeField:
 
     def __rmul__(self, scalar):
         return FeField(self.mesh, float(scalar) * self.coeffs)
-
-
-class LinearCombination:
-    """Weighted sum of field-like terms, evaluable per quadrature point."""
-
-    def __init__(self, terms):
-        self.terms = [(float(c), f) for c, f in terms]
-
-    def element_values(self, mesh, rule):
-        out = 0.0
-        for c, f in self.terms:
-            out = out + c * values_on_elements(f, mesh, rule)
-        return out
-
-
-class CachedQuadValues:
-    """Freeze a field's quadrature-point values per (mesh, rule degree).
-
-    Useful for static fields (doping profiles, exact-solution series)
-    that are re-evaluated at every iteration of an outer loop.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self._cache = {}
-
-    def element_values(self, mesh, rule):
-        key = (id(mesh), rule.degree)
-        vals = self._cache.get(key)
-        if vals is None:
-            vals = values_on_elements(self.field, mesh, rule)
-            self._cache[key] = vals
-        return vals
 
 
 def values_on_elements(obj, mesh, rule):

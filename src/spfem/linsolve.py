@@ -36,9 +36,6 @@ class SparseSymMatrix:
     def n(self):
         return self.csr.shape[0]
 
-    def matvec(self, x):
-        return self.csr @ x
-
     def __matmul__(self, x):
         return self.csr @ x
 

@@ -14,7 +14,9 @@ import numpy as np
 
 
 class Mesh:
-    """Immutable tetrahedral mesh of (0,1)^3 with m cells per axis.
+    """Immutable Kuhn mesh of (0,1)^3 with m cells per axis, as built by
+    ``build_structured_mesh``; its geometry and quadrature points are
+    closed forms of m.
 
     Attributes
     ----------
@@ -43,8 +45,11 @@ class Mesh:
         self.interior_vertices = np.flatnonzero(~boundary_mask)
         self.interior_index[self.interior_vertices] = np.arange(
             len(self.interior_vertices))
-        self.volumes, self.grads = _geometry(vertices, tets)
-        self._point_cache = {}
+        # every element is a translate of a reference simplex scaled by
+        # 1/m: volume 1/(6 m^3), gradients m times the reference ones
+        # (integers, so exact in floating point)
+        self.volumes = np.full(len(tets), 1.0 / (6 * m ** 3))
+        self.grads = np.tile(_KUHN_GRADS * m, (m ** 3, 1, 1))
         self._patterns = {}        # CSR assembly patterns, filled by fem
 
     @property
@@ -61,46 +66,39 @@ class Mesh:
 
     def physical_points(self, rule):
         """Physical coordinates of the rule's points on every element,
-        shape (nt, nq, 3).  Cached per rule degree."""
-        pts = self._point_cache.get(rule.degree)
-        if pts is None:
-            coords = self.vertices[self.tets]          # (nt, 4, 3)
-            pts = np.einsum("qa,nad->nqd", rule.points, coords)
-            self._point_cache[rule.degree] = pts
-        return pts
-
-
-def _geometry(vertices, tets):
-    coords = vertices[tets]                            # (nt, 4, 3)
-    edges = coords[:, 1:, :] - coords[:, :1, :]        # (nt, 3, 3)
-    vols = np.linalg.det(edges) / 6.0
-    inv = np.linalg.inv(edges)                         # (nt, 3, 3), rows ~ dual basis
-    # gradients of barycentric functions 1..3 are the columns of inv,
-    # and the zeroth is minus their sum
-    g123 = np.transpose(inv, (0, 2, 1))                # (nt, 3, 3)
-    g0 = -g123.sum(axis=1, keepdims=True)
-    grads = np.concatenate([g0, g123], axis=1)         # (nt, 4, 3)
-    return vols, grads
+        shape (nt, nq, 3): (cell corner + barycentric points times the
+        Kuhn corners) / m."""
+        m = self.m
+        cells = np.indices((m, m, m), dtype=float).reshape(3, -1).T
+        pts = cells[:, None, None, :] + rule.points @ _KUHN_CORNERS
+        pts /= m                                         # (m^3, 6, nq, 3)
+        return pts.reshape(-1, len(rule.points), 3)
 
 
 _KUHN_PERMS = list(itertools.permutations(range(3)))
 
 
-def _kuhn_offsets(n1):
-    """(6, 4) vertex-id offsets of the six Kuhn paths from a cell's base
-    corner, in permutation order, positively oriented.
+def _kuhn_simplices():
+    """Integer corners and barycentric gradients, both (6, 4, 3), of the
+    six Kuhn simplices of the unit cell, in permutation order,
+    positively oriented.
 
-    Path k steps along the axes ``_KUHN_PERMS[k]``, adding the strides
-    (n1^2, n1, 1); an odd permutation gives a negative volume, so its
-    last two vertices are swapped."""
-    perms = np.array(_KUHN_PERMS)
-    strides = np.array([n1 * n1, n1, 1])
-    offsets = np.zeros((6, 4), dtype=int)
-    offsets[:, 1:] = np.cumsum(strides[perms], axis=1)
-    corners = np.cumsum(np.eye(3)[perms], axis=1)   # vertices 1..3 - vertex 0
-    flip = np.linalg.det(corners) < 0
-    offsets[flip] = offsets[flip][:, [0, 1, 3, 2]]
-    return offsets
+    Simplex k steps from the origin along the axes a, b, c =
+    ``_KUHN_PERMS[k]``; its barycentric coordinates are 1 - x_a,
+    x_a - x_b, x_b - x_c and x_c.  An odd permutation gives a negative
+    volume, so its last two corners (and gradients) are swapped."""
+    steps = np.eye(3, dtype=int)[_KUHN_PERMS]           # e_a, e_b, e_c
+    corners = np.zeros((6, 4, 3), dtype=int)
+    corners[:, 1:] = np.cumsum(steps, axis=1)
+    pad = np.zeros((6, 1, 3))
+    grads = -np.diff(steps.astype(float), axis=1, prepend=pad, append=pad)
+    flip = np.linalg.det(corners[:, 1:]) < 0
+    corners[flip] = corners[flip][:, [0, 1, 3, 2]]
+    grads[flip] = grads[flip][:, [0, 1, 3, 2]]
+    return corners, grads
+
+
+_KUHN_CORNERS, _KUHN_GRADS = _kuhn_simplices()
 
 
 def build_structured_mesh(m):
@@ -122,7 +120,8 @@ def build_structured_mesh(m):
     cells = np.arange(m)
     base = ((cells[:, None, None] * n1 + cells[None, :, None]) * n1
             + cells[None, None, :]).ravel()          # (m^3,) base corners
-    tets = (base[:, None, None] + _kuhn_offsets(n1)[None]).reshape(-1, 4)
+    offsets = _KUHN_CORNERS @ np.array([n1 * n1, n1, 1])    # (6, 4)
+    tets = (base[:, None, None] + offsets[None]).reshape(-1, 4)
     return Mesh(m, vertices, tets, boundary_mask)
 
 

@@ -315,9 +315,6 @@ class DensityField:
         out = (psi * psi) @ self.occupations[:self.n_active]
         return out if len(out) > 1 else float(out[0])
 
-    def __sub__(self, other):
-        return fem.LinearCombination([(1.0, self), (-1.0, other)])
-
 
 def build_density(spectral, occ):
     """DensityField for a consistent spectral/occupation pair."""

@@ -9,7 +9,6 @@ accurate to a requested relative tolerance.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,10 +156,6 @@ class SeriesDensity:
             s_max *= 2
         raise NumericsError("density series cannot certify tolerance")
 
-    @property
-    def mode_count(self):
-        return len(self.weights)
-
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, 3)
@@ -185,16 +180,11 @@ class SeriesDensity:
         return out
 
 
-@lru_cache(maxsize=8)
-def _cached_series(p, rel_tol):
-    return SeriesDensity(p, rel_tol)
-
-
 def exact_density(p, x, rel_tol=1e-8):
     """Exact density at point(s) x, certified to rel_tol * ||n||_L2."""
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    return _cached_series(p, rel_tol)(x)
+    return SeriesDensity(p, rel_tol)(x)
 
 
 def _example1_fields():
@@ -264,7 +254,7 @@ class ManufacturedProblem:
     def residual_check(self, points, fine_rel_tol=1e-10):
         """|(-lap V_exact) - n + n_D| with n from an independently
         truncated, finer series; bounded by the series tails."""
-        fine = _cached_series(self.params, fine_rel_tol)
+        fine = SeriesDensity(self.params, fine_rel_tol)
         pts = np.asarray(points, dtype=float)
         return np.abs(self.laplacian_V0(pts) - fine(pts) + self.n_D(pts))
 
@@ -279,7 +269,7 @@ def manufactured_problem(example, p, rel_tol=1e-8):
     else:
         raise ValueError(f"example must be 1 or 2, got {example}")
 
-    series = _cached_series(p, rel_tol)
+    series = SeriesDensity(p, rel_tol)
 
     def v_exact(pts):
         return -V0(pts)

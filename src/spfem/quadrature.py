@@ -98,24 +98,15 @@ def _rule_degree6():
     return QuadratureRule(6, pts, w)
 
 
-_RULES = None
-
-
-def _rules():
-    global _RULES
-    if _RULES is None:
-        _RULES = [_rule_degree1(), _rule_degree2(), _rule_degree4(),
-                  _rule_degree5(), _rule_degree6()]
-        for r in _RULES:
-            assert abs(r.weights.sum() - 1.0) < 1e-12
-    return _RULES
+_RULES = [_rule_degree1(), _rule_degree2(), _rule_degree4(),
+          _rule_degree5(), _rule_degree6()]
 
 
 def tet_rule(degree):
     """Smallest available rule exact on polynomials up to ``degree``."""
     if degree < 1:
         raise ValueError(f"quadrature degree must be >= 1, got {degree}")
-    for rule in _rules():
+    for rule in _RULES:
         if rule.degree >= degree:
             return rule
     raise ValueError(f"no tetrahedron rule of degree {degree} available (max 6)")

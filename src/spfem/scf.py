@@ -1,8 +1,11 @@
 """Discrete Poisson solves and the fixed-point self-consistency loop.
 
-Each sweep solves the spectral problem for the current potential,
-rebuilds occupations and density, and maps the density mismatch through
-the Dirichlet Laplacian; optional damping blends consecutive iterates.
+The discrete solution is the fixed point u = A(u) with
+A(u) = K^{-1} (load(n[u]) - load(n_D)).  The doping load b_D =
+load(n_D) does not depend on u and is assembled once per solve.  Each
+sweep solves the spectral problem for the current potential, rebuilds
+occupations and density, and solves K V = load(density) - b_D;
+optional damping blends consecutive iterates.
 Sweeps share one spectral solver (its preconditioner and last
 eigenvector block) and start their level budget at the previous level
 count.
@@ -17,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .linsolve import pcg_solve
+from .linsolve import DEFAULT_PCG_TOL, pcg_solve
 from .mesh import mesh_size
 from .occupancy import build_density, determine_occupation
 from .quadrature import tet_rule
-from .spectrum import (SpectrumSolver, assemble_mass_cached,
-                       assemble_stiffness_cached)
+from .spectrum import SpectrumSolver
 
 
 @dataclass
@@ -32,9 +34,7 @@ class ScfConfig:
     damping: float = 1.0
     L_max: int = 512
     eig_tol: float = 1e-9
-    pcg_tol: float = 1e-11
     seed: int = 0
-    dense_cutoff: int = 400
 
     def __post_init__(self):
         if self.tol_rel <= 0:
@@ -76,13 +76,12 @@ class ScfReport:
     self_consistency_h1: float = float("nan")
 
 
-def poisson_solve(mesh, rhs, rule=None, tol=1e-11, stiffness=None):
-    """Galerkin solution of the Dirichlet Poisson problem with the given
-    right-hand side (any quadrature-evaluable field)."""
-    rule = rule or tet_rule(4)
-    K = stiffness if stiffness is not None else assemble_stiffness_cached(mesh)
-    b = fem.assemble_load(mesh, rhs, rule)
-    x = pcg_solve(K, b, tol=tol)
+def poisson_solve(mesh, load, tol=DEFAULT_PCG_TOL, stiffness=None):
+    """Galerkin solution of the Dirichlet Poisson problem for an
+    assembled interior load vector (``fem.assemble_load`` of the
+    right-hand side)."""
+    K = stiffness if stiffness is not None else fem.assemble_stiffness(mesh)
+    x = pcg_solve(K, load, tol=tol)
     return fem.FeField.from_interior(mesh, x)
 
 
@@ -94,19 +93,22 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     """Run the self-consistency iteration and return an ScfReport."""
     cfg = cfg or ScfConfig()
     p = model.params
-    K = assemble_stiffness_cached(mesh)
-    M = assemble_mass_cached(mesh)
+    K = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
     rule = tet_rule(4)
     h = mesh_size(mesh)
-    solver = SpectrumSolver(mesh, model.V0, tol=cfg.eig_tol, seed=cfg.seed,
-                            dense_cutoff=cfg.dense_cutoff)
-    doping = fem.CachedQuadValues(model.n_D)
+    solver = SpectrumSolver(mesh, model.V0, tol=cfg.eig_tol, seed=cfg.seed)
+    doping = fem.assemble_load(mesh, model.n_D, rule)
 
     def occupation_at(u, L0):
         spectral, occ = determine_occupation(
             mesh, lambda L: solver.solve(u, L), p, h, L_max=cfg.L_max,
             L0=L0)
         return spectral, occ, build_density(spectral, occ)
+
+    def potential_of(density):
+        load = fem.assemble_load(mesh, density, rule) - doping
+        return poisson_solve(mesh, load, stiffness=K)
 
     V = V_init if V_init is not None else fem.FeField.zero(mesh)
     records = []
@@ -115,8 +117,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     for k in range(1, cfg.max_iter + 1):
         spectral, occ, density = occupation_at(V, L0)
         L0 = spectral.count
-        V_raw = poisson_solve(mesh, density - doping, rule=rule,
-                              tol=cfg.pcg_tol, stiffness=K)
+        V_raw = potential_of(density)
         V_new = (1.0 - cfg.damping) * V + cfg.damping * V_raw
         diff = V_new.interior() - V.interior()
         inc = _h1(K, M, diff)
@@ -135,8 +136,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
 
     # final state: density and self-consistency residual at the last iterate
     spectral, occ, density = occupation_at(V, L0)
-    V_mapped = poisson_solve(mesh, density - doping, rule=rule,
-                             tol=cfg.pcg_tol, stiffness=K)
+    V_mapped = potential_of(density)
     self_res = _h1(K, M, V.interior() - V_mapped.interior())
     return ScfReport(potential=V, density=density, occupation=occ,
                      iterations=records, converged=converged,

@@ -39,11 +39,11 @@ def assemble_hamiltonian(mesh, u, V0, rule=None):
     """(A, B) pencil for the potential u + V0, assembled as the reference
     K + W(V0) plus W(u); u and V0 may be None for zero."""
     rule = rule or tet_rule(2)
-    A = assemble_stiffness_cached(mesh)
+    A = fem.assemble_stiffness(mesh)
     if V0 is not None:
         W = fem.assemble_weighted_mass(mesh, V0, rule)
         A = SparseSymMatrix(A.csr + W.csr)
-    return _add_potential(A, mesh, u, rule), assemble_mass_cached(mesh)
+    return _add_potential(A, mesh, u, rule), fem.assemble_mass(mesh)
 
 
 def _add_potential(A, mesh, u, rule=None):
@@ -55,24 +55,6 @@ def _add_potential(A, mesh, u, rule=None):
         raise ValueError("potential field must vanish on the boundary")
     W = fem.assemble_weighted_mass(mesh, u, rule)
     return SparseSymMatrix(A.csr + W.csr)
-
-
-# Stiffness and mass depend only on the mesh; cache them on the mesh
-# object so repeated spectral solves in one study reuse the assembly.
-def assemble_stiffness_cached(mesh):
-    K = getattr(mesh, "_stiffness", None)
-    if K is None:
-        K = fem.assemble_stiffness(mesh)
-        mesh._stiffness = K
-    return K
-
-
-def assemble_mass_cached(mesh):
-    M = getattr(mesh, "_mass", None)
-    if M is None:
-        M = fem.assemble_mass(mesh)
-        mesh._mass = M
-    return M
 
 
 class SpectrumSolver:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spfem.fem import ScalarFunction
+from spfem.fem import ScalarFunction, values_on_elements
 from spfem.lab import run_study
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import BOLTZMANN, DistributionParams
@@ -72,6 +72,17 @@ def example1_per_electron_study(per_electron_params):
 def example2_per_electron_study(per_electron_params):
     """Benchmark-2 study on m = 4, 8, 16 at the per-electron density."""
     return run_study(2, per_electron_params, (4, 8, 16), ScfConfig())
+
+
+class Combination:
+    """Weighted sum of field-like terms, evaluated per quadrature point."""
+
+    def __init__(self, terms):
+        self.terms = [(float(c), f) for c, f in terms]
+
+    def element_values(self, mesh, rule):
+        return sum(c * values_on_elements(f, mesh, rule)
+                   for c, f in self.terms)
 
 
 def sine_product():

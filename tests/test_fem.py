@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import sine_product
+from conftest import Combination, sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh
 from spfem.quadrature import tet_rule
@@ -82,7 +82,7 @@ def test_load_zero_and_linearity(mesh4):
     assert np.all(z == 0.0)
     g1 = sine_product()
     g2 = fem.ScalarFunction(lambda p: p[..., 0] * p[..., 2])
-    combo = fem.LinearCombination([(2.5, g1), (-1.5, g2)])
+    combo = Combination([(2.5, g1), (-1.5, g2)])
     b = fem.assemble_load(mesh4, combo)
     b1 = fem.assemble_load(mesh4, g1)
     b2 = fem.assemble_load(mesh4, g2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spfem.mesh import build_structured_mesh, mesh_size, write_mesh
+from spfem.quadrature import tet_rule
 
 
 @pytest.mark.parametrize("m,nv,nt,nint", [(1, 8, 6, 0), (2, 27, 48, 1),
@@ -151,3 +152,35 @@ def test_write_mesh_matches_per_line_writer(tmp_path):
               for x, y, z in mesh.vertices]
     lines += [f"t {t[0]} {t[1]} {t[2]} {t[3]}\n" for t in mesh.tets]
     assert path.read_text() == "".join(lines)
+
+
+def _batched_geometry(mesh):
+    """Reference: volumes and P1 gradients from a batched det/inv of the
+    edge matrices, as computed before the closed form."""
+    coords = mesh.vertices[mesh.tets]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    g123 = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    grads = np.concatenate([-g123.sum(axis=1, keepdims=True), g123], axis=1)
+    return np.linalg.det(edges) / 6.0, grads
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_closed_form_geometry_matches_det_inv(m):
+    mesh = build_structured_mesh(m)
+    volumes, grads = _batched_geometry(mesh)
+    assert np.abs(mesh.grads - grads).max() <= 1e-15 * m
+    np.testing.assert_allclose(mesh.volumes, volumes, rtol=4e-15, atol=0)
+    assert mesh.grads.dtype == mesh.volumes.dtype == np.dtype(float)
+    # the closed-form gradients are integers times m
+    np.testing.assert_array_equal(mesh.grads, np.rint(mesh.grads / m) * m)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 5])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_closed_form_points_match_barycentric(m, degree):
+    mesh = build_structured_mesh(m)
+    rule = tet_rule(degree)
+    ref = np.einsum("qa,nad->nqd", rule.points, mesh.vertices[mesh.tets])
+    pts = mesh.physical_points(rule)
+    assert pts.shape == ref.shape
+    assert np.abs(pts - ref).max() <= 4.4e-16

@@ -3,16 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sine_product
+from conftest import Combination, sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh, mesh_size
 from spfem.occupancy import (DistributionParams, build_density,
                              determine_occupation)
 from spfem.oracle import manufactured_problem
+from spfem.quadrature import tet_rule
 from spfem.scf import ScfConfig, ScfModel, fixed_point_solve, poisson_solve
 from spfem.spectrum import SpectrumSolver
 
 PI = math.pi
+
+
+def _poisson(mesh, rhs, **kwargs):
+    """Poisson solve for a field right-hand side, loaded at degree 4 as
+    in the SCF loop."""
+    return poisson_solve(mesh, fem.assemble_load(mesh, rhs, tet_rule(4)),
+                         **kwargs)
 
 
 def test_config_validation():
@@ -25,17 +33,17 @@ def test_config_validation():
 
 
 def test_poisson_zero_rhs(mesh4):
-    u = poisson_solve(mesh4, fem.ScalarFunction.constant(0.0))
+    u = _poisson(mesh4, fem.ScalarFunction.constant(0.0))
     assert np.all(u.coeffs == 0.0)
 
 
 def test_poisson_linearity(mesh4):
     g1 = sine_product()
     g2 = fem.ScalarFunction(lambda p: p[..., 1] ** 2)
-    u1 = poisson_solve(mesh4, g1, tol=1e-13)
-    u2 = poisson_solve(mesh4, g2, tol=1e-13)
-    combo = fem.LinearCombination([(2.0, g1), (-3.0, g2)])
-    u = poisson_solve(mesh4, combo, tol=1e-13)
+    u1 = _poisson(mesh4, g1, tol=1e-13)
+    u2 = _poisson(mesh4, g2, tol=1e-13)
+    combo = Combination([(2.0, g1), (-3.0, g2)])
+    u = _poisson(mesh4, combo, tol=1e-13)
     np.testing.assert_allclose(u.coeffs, 2.0 * u1.coeffs - 3.0 * u2.coeffs,
                                atol=1e-9)
 
@@ -48,7 +56,7 @@ def test_poisson_manufactured_first_order():
     errs = []
     for m in (4, 8, 16):
         mesh = build_structured_mesh(m)
-        u = poisson_solve(mesh, rhs)
+        u = _poisson(mesh, rhs)
         errs.append(fem.h1_error(mesh, u, exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert coarse / fine == pytest.approx(2.0, abs=0.25)
@@ -114,3 +122,11 @@ def test_non_convergence_is_flagged_not_raised(mesh4, params):
         mesh4, ScfModel(problem.V0, problem.n_D, params), cfg)
     assert not report.converged
     assert len(report.iterations) == 2
+
+
+def test_solve_leaves_no_state_on_the_mesh(params):
+    mesh = build_structured_mesh(4)
+    before = set(vars(mesh))
+    problem = manufactured_problem(1, params)
+    fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, params))
+    assert set(vars(mesh)) == before

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import sine_product
+from conftest import Combination, sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh
 from spfem.quadrature import tet_rule
@@ -172,7 +172,7 @@ def test_split_hamiltonian_matches_one_shot(mesh8):
     u = _tilted(mesh8)
     K = fem.assemble_stiffness(mesh8)
     W = fem.assemble_weighted_mass(
-        mesh8, fem.LinearCombination([(1.0, u), (1.0, V0)]))
+        mesh8, Combination([(1.0, u), (1.0, V0)]))
     one_shot = (K.csr + W.csr).toarray()
     A, _ = assemble_hamiltonian(mesh8, u, V0)
     scale = np.abs(one_shot).max()
