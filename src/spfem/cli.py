@@ -5,21 +5,25 @@ Subcommands: ``solve`` (single-mesh SCF with field dumps), ``study``
 residual self-checks), ``eigs`` (spectrum of a fixed potential).
 
 Configuration comes from an optional line-oriented ``key = value`` file
-plus flags, flags winning.  Exit codes: 0 success, 1 invalid
-configuration, 2 numerical non-convergence.
+plus flags, flags winning.  ``_PARSERS`` lists every key once, with the
+object that owns it: ``RunConfig`` for the CLI's own keys, its
+``params`` (``DistributionParams``) and ``scf`` (``ScfConfig``) for the
+rest, whose defaults and checks apply unchanged; a value its owner
+rejects raises ``ConfigError`` naming the key.  Exit codes: 0 success,
+1 invalid configuration or command line, 2 numerical non-convergence.
 """
 
 import argparse
 import gzip
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericsError
 from .lab import emit_csv, format_table, run_study
 from .mesh import build_structured_mesh, mesh_size, write_rows
-from .occupancy import BOLTZMANN, FERMI_DIRAC, DistributionParams
+from .occupancy import DistributionParams
 from .oracle import manufactured_problem
 from .quadrature import tet_rule
 from .scf import ScfConfig, ScfModel, fixed_point_solve
@@ -34,60 +38,61 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The CLI's own keys plus the occupation model and SCF settings,
+    which keep their defaults and checks in their own classes."""
+
     example: int = 1
-    distribution: str = BOLTZMANN
-    f0: float = 1.0
-    mu: float = 0.1
-    N0: float = 100.0
     m: int = 8
     meshes: list = field(default_factory=lambda: [4, 8, 16])
-    tol_rel: float = 1e-8
-    max_iter: int = 200
-    damping: float = 1.0
-    L_max: int = 512
-    seed: int = 0
     deterministic: bool = False
     out: str | None = None
+    params: DistributionParams = field(default_factory=DistributionParams)
+    scf: ScfConfig = field(default_factory=ScfConfig)
 
-    def params(self):
-        try:
-            return DistributionParams(kind=self.distribution, f0=self.f0,
-                                      mu=self.mu, N0=self.N0)
-        except ValueError as exc:
-            key = _offending_key(str(exc))
-            raise ConfigError(key, str(exc)) from None
-
-    def scf_config(self):
-        try:
-            return ScfConfig(tol_rel=self.tol_rel, max_iter=self.max_iter,
-                             damping=self.damping, L_max=self.L_max,
-                             seed=self.seed)
-        except ValueError as exc:
-            key = _offending_key(str(exc))
-            raise ConfigError(key, str(exc)) from None
+    def __post_init__(self):
+        if self.example not in (1, 2):
+            raise ValueError("example must be 1 or 2")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        if not self.meshes or any(v < 1 for v in self.meshes):
+            raise ValueError("meshes need positive mesh sizes")
 
 
-def _offending_key(message):
-    for key in ("f0", "mu", "N0", "tol_rel", "damping", "max_iter", "L_max",
-                "kind"):
-        if key in message:
-            return "distribution" if key == "kind" else key
-    return "?"
-
-
+# config key -> (RunConfig field holding it or None, field name, parser);
+# each key is also the flag --key with '_' written as '-'
 _PARSERS = {
-    "example": int, "distribution": str, "f0": float, "mu": float,
-    "N0": float, "m": int,
-    "meshes": lambda s: [int(v) for v in s.split(",") if v],
-    "tol_rel": float, "max_iter": int, "damping": float, "L_max": int,
-    "seed": int,
-    "deterministic": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "out": str,
+    "example": (None, "example", int),
+    "distribution": ("params", "kind", str),
+    "f0": ("params", "f0", float),
+    "mu": ("params", "mu", float),
+    "N0": ("params", "N0", float),
+    "m": (None, "m", int),
+    "meshes": (None, "meshes", lambda s: [int(v) for v in s.split(",") if v]),
+    "tol_rel": ("scf", "tol_rel", float),
+    "max_iter": ("scf", "max_iter", int),
+    "damping": ("scf", "damping", float),
+    "L_max": ("scf", "L_max", int),
+    "seed": ("scf", "seed", int),
+    "deterministic": (None, "deterministic",
+                      lambda s: s.strip().lower() in ("1", "true", "yes")),
+    "out": (None, "out", str),
 }
 
 
+def _parse(key, text):
+    if key not in _PARSERS:
+        raise ConfigError(key, "unknown key")
+    try:
+        return _PARSERS[key][2](text)
+    except ValueError:
+        raise ConfigError(key, f"cannot parse {text!r}") from None
+
+
 def parse_config(path=None, overrides=None):
-    """RunConfig from defaults, an optional file, then flag overrides."""
+    """RunConfig from defaults, an optional file, then flag overrides.
+
+    Each key is applied to the object that owns it, whose own check
+    failing raises ConfigError naming that key."""
     values = {}
     if path is not None:
         with open(path) as f:
@@ -98,32 +103,24 @@ def parse_config(path=None, overrides=None):
                 if "=" not in line:
                     raise ConfigError("?", f"line {lineno} is not 'key = value'")
                 key, _, text = line.partition("=")
-                key = key.strip()
-                if key not in _PARSERS:
-                    raise ConfigError(key, "unknown key")
-                try:
-                    values[key] = _PARSERS[key](text.strip())
-                except ValueError:
-                    raise ConfigError(key, f"cannot parse {text.strip()!r}") \
-                        from None
+                values[key.strip()] = _parse(key.strip(), text.strip())
     for key, val in (overrides or {}).items():
+        if key not in _PARSERS:
+            raise ConfigError(key, "unknown key")
         if val is not None:
             values[key] = val
 
-    cfg = RunConfig(**values)
-    if cfg.example not in (1, 2):
-        raise ConfigError("example", "must be 1 or 2")
-    if cfg.distribution not in (BOLTZMANN, FERMI_DIRAC):
-        raise ConfigError("distribution",
-                          f"must be {BOLTZMANN} or {FERMI_DIRAC}")
-    if cfg.m < 1:
-        raise ConfigError("m", "must be >= 1")
-    if any(v < 1 for v in cfg.meshes) or not cfg.meshes:
-        raise ConfigError("meshes", "need positive mesh sizes")
-    if cfg.seed < 0:
-        raise ConfigError("seed", "must be >= 0")
-    cfg.params()
-    cfg.scf_config()
+    cfg = RunConfig()
+    for key, val in values.items():
+        owner, name, _ = _PARSERS[key]
+        try:
+            if owner is None:
+                cfg = replace(cfg, **{name: val})
+            else:
+                part = replace(getattr(cfg, owner), **{name: val})
+                cfg = replace(cfg, **{owner: part})
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
     return cfg
 
 
@@ -150,46 +147,48 @@ def dump_density(density, path, use_gzip=False):
         write_rows(f, np.hstack([pts, vals]))
 
 
-def _add_common(sub):
+def _add_common(sub, mesh_key=None):
+    """--config plus one string flag per config key, parsed later like a
+    file value; of the mesh keys only ``mesh_key`` is offered."""
     sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--example", type=int)
-    sub.add_argument("--distribution", choices=[BOLTZMANN, FERMI_DIRAC])
-    sub.add_argument("--f0", type=float)
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--N0", type=float)
-    sub.add_argument("--tol-rel", dest="tol_rel", type=float)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
-    sub.add_argument("--damping", type=float)
-    sub.add_argument("--L-max", dest="L_max", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--deterministic", action="store_const", const=True)
-    sub.add_argument("--out")
+    for key in _PARSERS:
+        if key in ("m", "meshes") and key != mesh_key:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if key == "deterministic":
+            sub.add_argument(flag, action="store_const", const="true")
+        else:
+            sub.add_argument(flag, dest=key)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad command line is an invalid configuration (exit 1), not
+        # argparse's exit 2, which spfem keeps for non-convergence
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spfem",
         description="Schrodinger-Poisson finite element solver on the "
                     "unit cube")
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="single-mesh SCF run with dumps")
-    _add_common(solve)
-    solve.add_argument("--m", type=int)
+    _add_common(solve, "m")
     solve.add_argument("--gzip", action="store_true")
 
     study = subs.add_parser("study", help="convergence study to CSV")
-    _add_common(study)
-    study.add_argument("--meshes", type=str,
-                       help="comma-separated cells-per-axis, e.g. 4,8,16")
+    _add_common(study, "meshes")
 
     oracle = subs.add_parser("oracle-check",
                              help="manufactured-solution residual checks")
     _add_common(oracle)
 
     eigs = subs.add_parser("eigs", help="spectrum of a fixed potential")
-    _add_common(eigs)
-    eigs.add_argument("--m", type=int)
+    _add_common(eigs, "m")
     eigs.add_argument("--levels", type=int, default=10)
     eigs.add_argument("--potential", choices=["zero", "example1", "example2"],
                       default="zero")
@@ -197,19 +196,13 @@ def _build_parser():
 
 
 def _overrides(args):
-    keys = ("example", "distribution", "f0", "mu", "N0", "tol_rel",
-            "max_iter", "damping", "L_max", "seed", "deterministic", "out",
-            "m")
-    over = {k: getattr(args, k, None) for k in keys}
-    meshes = getattr(args, "meshes", None)
-    if meshes is not None:
-        over["meshes"] = _PARSERS["meshes"](meshes)
-    return over
+    return {key: _parse(key, getattr(args, key)) for key in _PARSERS
+            if getattr(args, key, None) is not None}
 
 
 def _cmd_solve(cfg, args):
     mesh = build_structured_mesh(cfg.m)
-    report = fixed_point_solve(mesh, _model(cfg), cfg.scf_config())
+    report = fixed_point_solve(mesh, _model(cfg), cfg.scf)
     last = report.iterations[-1]
     print(f"mesh m={cfg.m} (h={mesh_size(mesh):.6g}), "
           f"{len(report.iterations)} iterations, "
@@ -227,13 +220,13 @@ def _cmd_solve(cfg, args):
 
 
 def _model(cfg):
-    problem = manufactured_problem(cfg.example, cfg.params())
-    return ScfModel(problem.V0, problem.n_D, cfg.params())
+    problem = manufactured_problem(cfg.example, cfg.params)
+    return ScfModel(problem.V0, problem.n_D, cfg.params)
 
 
 def _cmd_study(cfg, args):
-    rows = run_study(cfg.example, cfg.params(), cfg.meshes,
-                     cfg.scf_config(), deterministic=cfg.deterministic)
+    rows = run_study(cfg.example, cfg.params, cfg.meshes, cfg.scf,
+                     deterministic=cfg.deterministic)
     print(format_table(rows))
     out = cfg.out or "study.csv"
     emit_csv(rows, out)
@@ -242,11 +235,11 @@ def _cmd_study(cfg, args):
 
 
 def _cmd_oracle_check(cfg, args):
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.scf.seed)
     points = 0.05 + 0.9 * rng.random((100, 3))
     worst = 0.0
     for example in (1, 2):
-        problem = manufactured_problem(example, cfg.params())
+        problem = manufactured_problem(example, cfg.params)
         resid = problem.residual_check(points)
         bound = 1e-6 * (1.0 + np.abs(problem.n_exact(points)))
         ok = bool(np.all(resid <= bound))
@@ -265,9 +258,9 @@ def _cmd_eigs(cfg, args):
         V0 = None
     else:
         example = 1 if args.potential == "example1" else 2
-        V0 = manufactured_problem(example, cfg.params()).V0
+        V0 = manufactured_problem(example, cfg.params).V0
     L = min(args.levels, mesh.n_interior)
-    spectral = SpectrumSolver(mesh, V0, seed=cfg.seed).solve(None, L)
+    spectral = SpectrumSolver(mesh, V0, seed=cfg.scf.seed).solve(None, L)
     print(f"lowest {L} eigenvalues on m={cfg.m} "
           f"(potential: {args.potential})")
     for idx, (val, res) in enumerate(
@@ -277,10 +270,9 @@ def _cmd_eigs(cfg, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        over = _overrides(args)
-        cfg = parse_config(args.config, over)
+        args = _build_parser().parse_args(argv)
+        cfg = parse_config(args.config, _overrides(args))
         if args.command == "solve":
             return _cmd_solve(cfg, args)
         if args.command == "study":
@@ -290,7 +282,7 @@ def main(argv=None):
         if args.command == "eigs":
             return _cmd_eigs(cfg, args)
         raise AssertionError(args.command)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

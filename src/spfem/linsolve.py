@@ -79,22 +79,13 @@ def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None):
     if bnorm == 0.0:
         return np.zeros(n)
     inv_diag = 1.0 / A.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(max_iter):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    jacobi = spla.LinearOperator((n, n), matvec=lambda r: inv_diag * r,
+                                 dtype=float)
+    x, info = spla.cg(A.csr, b, rtol=tol, atol=0.0, maxiter=max_iter,
+                      M=jacobi)
+    if info == 0:
+        return x
+    # cg reports a budget exit even when its last step met the tolerance
     resid = np.linalg.norm(A @ x - b)
     if resid <= tol * bnorm:
         return x

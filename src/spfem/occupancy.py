@@ -202,11 +202,6 @@ class OccupationState:
     occupations: np.ndarray
     level_count: int
 
-    @property
-    def occupied(self):
-        """Occupations of the strictly positive levels."""
-        return self.occupations[:self.level_count - 1]
-
 
 def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     """Compute eigenpairs and occupations with a block-doubling level

@@ -251,10 +251,10 @@ class ManufacturedProblem:
     eps_F_exact: float
     n_D: ScalarFunction
 
-    def residual_check(self, points, fine_rel_tol=1e-10):
+    def residual_check(self, points):
         """|(-lap V_exact) - n + n_D| with n from an independently
         truncated, finer series; bounded by the series tails."""
-        fine = SeriesDensity(self.params, fine_rel_tol)
+        fine = SeriesDensity(self.params, 1e-10)
         pts = np.asarray(points, dtype=float)
         return np.abs(self.laplacian_V0(pts) - fine(pts) + self.n_D(pts))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .linsolve import DEFAULT_PCG_TOL, pcg_solve
+from .linsolve import DEFAULT_EIG_TOL, DEFAULT_PCG_TOL, pcg_solve
 from .mesh import mesh_size
 from .occupancy import build_density, determine_occupation
 from .quadrature import tet_rule
@@ -33,7 +33,7 @@ class ScfConfig:
     max_iter: int = 200
     damping: float = 1.0
     L_max: int = 512
-    eig_tol: float = 1e-9
+    eig_tol: float = DEFAULT_EIG_TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -45,6 +45,8 @@ class ScfConfig:
             raise ValueError("max_iter must be >= 1")
         if self.L_max < 1:
             raise ValueError("L_max must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -7,8 +7,9 @@ from spfem.cli import (ConfigError, dump_density, dump_potential, main,
                        parse_config)
 from spfem.fem import FeField
 from spfem.mesh import build_structured_mesh
-from spfem.occupancy import BOLTZMANN, DensityField
+from spfem.occupancy import BOLTZMANN, DensityField, DistributionParams
 from spfem.quadrature import tet_rule
+from spfem.scf import ScfConfig
 from spfem.spectrum import SpectrumSolver
 
 
@@ -17,19 +18,26 @@ def test_defaults_from_empty_file(tmp_path):
     path.write_text("")
     cfg = parse_config(path)
     assert cfg.example == 1
-    assert cfg.distribution == BOLTZMANN
-    assert cfg.f0 == 1.0 and cfg.mu == 0.1 and cfg.N0 == 100.0
+    assert cfg.params.kind == BOLTZMANN
+    assert (cfg.params.f0 == 1.0 and cfg.params.mu == 0.1
+            and cfg.params.N0 == 100.0)
     assert cfg.meshes == [4, 8, 16]
-    assert cfg.tol_rel == 1e-8 and cfg.damping == 1.0
+    assert cfg.scf.tol_rel == 1e-8 and cfg.scf.damping == 1.0
+
+
+def test_defaults_are_the_owners_defaults():
+    cfg = parse_config(None)
+    assert cfg.params == DistributionParams()
+    assert cfg.scf == ScfConfig()
 
 
 def test_config_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("mu = 0.2\nmeshes = 2,4\n# comment\nexample = 2\n")
     cfg = parse_config(path)
-    assert cfg.mu == 0.2 and cfg.meshes == [2, 4] and cfg.example == 2
+    assert cfg.params.mu == 0.2 and cfg.meshes == [2, 4] and cfg.example == 2
     cfg = parse_config(path, {"mu": 0.3})
-    assert cfg.mu == 0.3  # flags win
+    assert cfg.params.mu == 0.3  # flags win
 
 
 def test_invalid_values_name_the_key(tmp_path):
@@ -49,13 +57,54 @@ def test_invalid_values_name_the_key(tmp_path):
 
 def test_slow_decay_regime_flags():
     cfg = parse_config(None, {"mu": 2.2e-3, "f0": 4.4e-6})
-    assert cfg.mu == pytest.approx(2.2e-3)
-    assert cfg.f0 == pytest.approx(4.4e-6)
+    assert cfg.params.mu == pytest.approx(2.2e-3)
+    assert cfg.params.f0 == pytest.approx(4.4e-6)
 
 
 def test_exit_code_for_bad_flag(capsys):
     assert main(["study", "--mu", "-1"]) == 1
     assert "mu" in capsys.readouterr().err
+
+
+# one invalid value per validated key, as (file text, typed override)
+_INVALID = {
+    "example": ("3", 3),
+    "distribution": ("gauss", "gauss"),
+    "f0": ("0", 0.0),
+    "mu": ("-1", -1.0),
+    "N0": ("-5", -5.0),
+    "m": ("0", 0),
+    "meshes": ("4,0", [4, 0]),
+    "tol_rel": ("0", 0.0),
+    "max_iter": ("0", 0),
+    "damping": ("1.5", 1.5),
+    "L_max": ("0", 0),
+    "seed": ("-1", -1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_INVALID))
+def test_every_invalid_key_is_named(tmp_path, capsys, key):
+    text, value = _INVALID[key]
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {text}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.key == key
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, {key: value})
+    assert err.value.key == key
+    command = "study" if key == "meshes" else "solve"
+    flag = "--" + key.replace("_", "-")
+    assert main([command, flag, text]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--mu", "abc"],
+                                  ["solve", "--bogus"]])
+def test_bad_command_line_exits_one(capsys, argv):
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
 
 
 def test_oracle_check_exit_zero(capsys):

@@ -5,9 +5,10 @@ import scipy.sparse as sp
 
 from spfem import fem
 from spfem.errors import ConvergenceError
-from spfem.linsolve import SparseSymMatrix, lowest_eigenpairs, pcg_solve
+from spfem.linsolve import (DEFAULT_PCG_TOL, SparseSymMatrix, lowest_eigenpairs,
+                            pcg_solve)
 from spfem.mesh import build_structured_mesh
-from spfem.oracle import cube_eigensequence
+from spfem.oracle import cube_eigensequence, manufactured_problem
 
 
 def _diag(values):
@@ -47,6 +48,38 @@ def test_pcg_budget_error(mesh4):
         pcg_solve(K, b, tol=1e-15, max_iter=2)
     assert err.value.residual > 0
     assert err.value.iterations == 2
+
+
+def _reference_pcg(A, b, tol):
+    """The hand-written Jacobi PCG loop that scipy's cg replaced."""
+    bnorm = np.linalg.norm(b)
+    inv_diag = 1.0 / A.diagonal()
+    x = np.zeros(A.n)
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    for _ in range(max(1000, 10 * A.n)):
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference PCG did not converge")
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_pcg_matches_reference_loop_on_doping_load(params, m):
+    mesh = build_structured_mesh(m)
+    K = fem.assemble_stiffness(mesh)
+    b = fem.assemble_load(mesh, manufactured_problem(1, params).n_D)
+    x = pcg_solve(K, b)
+    assert np.array_equal(x, _reference_pcg(K, b, DEFAULT_PCG_TOL))
 
 
 def test_eigen_trivial_diag():
