@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError("m must be >= 1")
         if not self.meshes or any(v < 1 for v in self.meshes):
             raise ValueError("meshes need positive mesh sizes")
+        if any(b <= a for a, b in zip(self.meshes, self.meshes[1:])):
+            raise ValueError("mesh sizes must be strictly increasing")
 
 
 # config key -> (RunConfig field holding it or None, field name, parser);

@@ -11,6 +11,7 @@ lies on the cube surface.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class Mesh:
@@ -123,6 +124,31 @@ def build_structured_mesh(m):
     offsets = _KUHN_CORNERS @ np.array([n1 * n1, n1, 1])    # (6, 4)
     tets = (base[:, None, None] + offsets[None]).reshape(-1, 4)
     return Mesh(m, vertices, tets, boundary_mask)
+
+
+def interior_prolongation(m):
+    """P1 interpolation from the interior dofs of the m/2 Kuhn mesh to
+    those of the m mesh, a CSR matrix ((m-1)^3, (m/2-1)^3), for even m.
+
+    The Kuhn mesh on m cells refines the one on m/2, and every 0/1
+    vector is a Kuhn edge direction, so fine vertex (i, j, k) lies on
+    the coarse edge from idx//2 to (idx+1)//2 (componentwise): it takes
+    half of each end, and both halves of one vertex when all three
+    indices are even.  Boundary ends, where the fields vanish, are
+    dropped.
+    """
+    if m % 2 or m < 4:
+        raise ValueError(f"need an even m >= 4, got {m}")
+    mc = m // 2
+    fine = np.indices((m - 1,) * 3).reshape(3, -1) + 1   # z fastest
+    ends = np.stack([fine // 2, (fine + 1) // 2]) - 1    # (2, 3, n)
+    inside = np.all((ends >= 0) & (ends < mc - 1), axis=1)
+    cols = (ends[:, 0] * (mc - 1) + ends[:, 1]) * (mc - 1) + ends[:, 2]
+    rows = np.broadcast_to(np.arange(fine.shape[1]), cols.shape)
+    # coinciding ends sum to weight 1
+    return sp.csr_matrix(
+        (np.full(inside.sum(), 0.5), (rows[inside], cols[inside])),
+        shape=(fine.shape[1], (mc - 1) ** 3))
 
 
 def mesh_size(mesh):

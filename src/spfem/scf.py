@@ -7,8 +7,8 @@ sweep solves the spectral problem for the current potential, rebuilds
 occupations and density, and solves K V = load(density) - b_D;
 optional damping blends consecutive iterates.
 Sweeps share one spectral solver (its preconditioner and last
-eigenvector block) and start their level budget at the previous level
-count.
+eigenvector block), which shares the loop's stiffness and mass
+matrices, and start their level budget at the previous level count.
 The loop stops on a relative H1 increment and never raises on plain
 non-convergence (the report carries the flag), while structural
 failures such as truncation overflow propagate as exceptions.
@@ -99,7 +99,8 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     M = fem.assemble_mass(mesh)
     rule = tet_rule(4)
     h = mesh_size(mesh)
-    solver = SpectrumSolver(mesh, model.V0, tol=cfg.eig_tol, seed=cfg.seed)
+    solver = SpectrumSolver(mesh, model.V0, tol=cfg.eig_tol, seed=cfg.seed,
+                            stiffness=K, mass=M)
     doping = fem.assemble_load(mesh, model.n_D, rule)
 
     def occupation_at(u, L0):

@@ -100,6 +100,12 @@ def test_every_invalid_key_is_named(tmp_path, capsys, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meshes", ["8,4", "4,4"])
+def test_meshes_must_increase_strictly(capsys, meshes):
+    assert main(["study", "--meshes", meshes]) == 1
+    assert "config key 'meshes'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["solve", "--mu", "abc"],
                                   ["solve", "--bogus"]])
 def test_bad_command_line_exits_one(capsys, argv):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from spfem import fem
 from spfem.errors import ConvergenceError
 from spfem.linsolve import (DEFAULT_PCG_TOL, SparseSymMatrix, lowest_eigenpairs,
-                            pcg_solve)
+                            pcg_solve, shifted_vcycle)
 from spfem.mesh import build_structured_mesh
 from spfem.oracle import cube_eigensequence, manufactured_problem
 
@@ -155,3 +155,21 @@ def test_rank_deficient_start_is_a_convergence_error():
     with pytest.raises(ConvergenceError, match="lobpcg"):
         lowest_eigenpairs(K, M, 6, dense_cutoff=0,
                           start=np.repeat(col, 6, axis=1))
+
+
+def test_vcycle_is_symmetric_positive_definite(params):
+    # m = 16 coarsens once (3375 -> 343 dofs); the pencil carries an
+    # indefinite potential, so the shift is active
+    mesh = build_structured_mesh(16)
+    V0 = manufactured_problem(1, params).V0
+    K = fem.assemble_stiffness(mesh)
+    A = SparseSymMatrix(K.csr + fem.assemble_weighted_mass(mesh, V0).csr)
+    cycle = shifted_vcycle(A, fem.assemble_mass(mesh), mesh.m)
+    assert cycle.sizes == [3375, 343]
+    rng = np.random.default_rng(7)
+    X, Y = rng.standard_normal((2, mesh.n_interior, 8))
+    VX, VY = cycle.solve(X), cycle.solve(Y)
+    np.testing.assert_allclose(Y.T @ VX, VY.T @ X, rtol=1e-12,
+                               atol=1e-12 * np.abs(Y.T @ VX).max())
+    assert np.linalg.eigvalsh(0.5 * (X.T @ VX + VX.T @ X)).min() > 0.0
+    np.testing.assert_allclose(cycle.solve(X[:, 3]), VX[:, 3], rtol=1e-14)

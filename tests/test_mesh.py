@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from spfem.mesh import build_structured_mesh, mesh_size, write_mesh
+from spfem import fem
+from spfem.mesh import (build_structured_mesh, interior_prolongation,
+                        mesh_size, write_mesh)
 from spfem.quadrature import tet_rule
 
 
@@ -184,3 +186,43 @@ def test_closed_form_points_match_barycentric(m, degree):
     pts = mesh.physical_points(rule)
     assert pts.shape == ref.shape
     assert np.abs(pts - ref).max() <= 4.4e-16
+
+
+@pytest.mark.parametrize("m", [4, 8, 20])
+def test_prolongation_is_galerkin_exact(m):
+    # P1 interpolation between nested meshes: P^T K_m P = K_{m/2} and
+    # P^T M_m P = M_{m/2}
+    P = interior_prolongation(m)
+    fine, coarse = build_structured_mesh(m), build_structured_mesh(m // 2)
+    for assemble in (fem.assemble_stiffness, fem.assemble_mass):
+        galerkin = P.T @ assemble(fine).csr @ P
+        assert abs(galerkin - assemble(coarse).csr).max() <= 1e-14
+
+
+def test_prolongation_interpolates_coarse_fields():
+    # prolongated coefficients are the coarse P1 field's values at the
+    # fine vertices, located in the Kuhn simplex of the sorted fractional
+    # coordinates within their coarse cell
+    mc = 4
+    fine, coarse = build_structured_mesh(2 * mc), build_structured_mesh(mc)
+    coeffs = np.zeros(coarse.n_vertices)
+    coeffs[coarse.interior_vertices] = np.random.default_rng(5) \
+        .standard_normal(coarse.n_interior)
+    pts = fine.vertices[fine.interior_vertices] * mc
+    cells = np.minimum(pts.astype(int), mc - 1)
+    order = np.argsort(cells - pts, axis=1, kind="stable")
+    frac = np.take_along_axis(pts - cells, order, axis=1)
+    lam = -np.diff(frac, axis=1, prepend=1.0, append=0.0)
+    strides = np.array([(mc + 1) ** 2, mc + 1, 1])
+    path = np.cumsum(np.column_stack([cells @ strides, strides[order]]),
+                     axis=1)
+    values = np.einsum("pa,pa->p", lam, coeffs[path])
+    prolongated = interior_prolongation(2 * mc) \
+        @ coeffs[coarse.interior_vertices]
+    np.testing.assert_allclose(prolongated, values, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [2, 9])
+def test_prolongation_needs_even_m_of_at_least_4(m):
+    with pytest.raises(ValueError):
+        interior_prolongation(m)

@@ -148,6 +148,34 @@ def test_iterative_path_matches_dense_oracle(mesh8):
     assert 5 * 70 > mesh8.n_interior
 
 
+@pytest.mark.parametrize("m,sizes", [(12, [1331, 125]), (9, [512])])
+def test_vcycle_path_matches_dense_oracle(m, sizes):
+    # even m above MG_COARSE_SIZE dofs builds a level; odd m builds none,
+    # and the preconditioner is the LU of the shifted pencil
+    mesh = build_structured_mesh(m)
+    solver = SpectrumSolver(mesh, None, dense_cutoff=0)
+    tilt = _tilted(mesh)
+    s = solver.solve(tilt, 8)
+    assert solver.factor.sizes == sizes
+    A, B = assemble_hamiltonian(mesh, tilt, None)
+    ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 7])
+    np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-10)
+    assert np.all(s.residual_norms <= solver.tol)
+
+
+def test_solver_shares_the_callers_matrices(mesh4):
+    K = fem.assemble_stiffness(mesh4)
+    M = fem.assemble_mass(mesh4)
+    solver = SpectrumSolver(mesh4, None, stiffness=K, mass=M)
+    assert solver.reference[0] is K and solver.reference[1] is M
+    solver.solve(None, 4)
+    dense = solver.dense_mass
+    np.testing.assert_array_equal(dense, M.toarray())
+    solver.solve(_tilted(mesh4), 6)
+    assert solver.dense_mass is dense and solver.factor is None
+
+
 def test_sparse_path_emits_no_warnings():
     mesh = build_structured_mesh(10)        # n = 729, above DENSE_CUTOFF
     solver = SpectrumSolver(mesh, None)
