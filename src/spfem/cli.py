@@ -210,7 +210,8 @@ def _cmd_solve(cfg, args):
           f"{len(report.iterations)} iterations, "
           f"converged={report.converged}")
     print(f"fermi level {last.fermi_level!r}, levels kept "
-          f"{last.level_count}, final H1 increment {last.increment_h1:.3e}")
+          f"{last.level_count}, final H1 increment {last.increment_h1:.3e}, "
+          f"increment ratio {last.increment_ratio:.3g}")
     prefix = cfg.out or "solve"
     dump_potential(report.potential, f"{prefix}_potential.txt",
                    use_gzip=args.gzip)

@@ -4,8 +4,14 @@ The discrete solution is the fixed point u = A(u) with
 A(u) = K^{-1} (load(n[u]) - load(n_D)).  The doping load b_D =
 load(n_D) does not depend on u and is assembled once per solve.  Each
 sweep solves the spectral problem for the current potential, rebuilds
-occupations and density, and solves K V = load(density) - b_D;
-optional damping blends consecutive iterates.
+occupations and density, and solves K V = load(density) - b_D.
+The next iterate is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal.
+49, 2011; Pulay's DIIS) on the interior potential vector over the last
+``ANDERSON_DEPTH`` sweeps, with ``damping`` as the mixing weight; the
+first sweep, with no history, is the damped update
+(1 - damping) V + damping A(V).  Plain Picard iteration needs A to be
+a contraction; Anderson mixing only needs I - A' to be invertible near
+the fixed point, which is what the error theory assumes.
 Sweeps share one spectral solver (its preconditioner and last
 eigenvector block), which shares the loop's stiffness and mass
 matrices, and start their level budget at the previous level count.
@@ -15,6 +21,7 @@ failures such as truncation overflow propagate as exceptions.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +33,15 @@ from .occupancy import build_density, determine_occupation
 from .quadrature import tet_rule
 from .spectrum import SpectrumSolver
 
+# number of previous sweeps whose differences enter the Anderson step
+ANDERSON_DEPTH = 5
+
 
 @dataclass
 class ScfConfig:
     tol_rel: float = 1e-8
     max_iter: int = 200
-    damping: float = 1.0
+    damping: float = 1.0      # mixing weight beta of the Anderson step
     L_max: int = 512
     eig_tol: float = DEFAULT_EIG_TOL
     seed: int = 0
@@ -62,6 +72,7 @@ class ScfModel:
 class IterationRecord:
     iteration: int
     increment_h1: float
+    increment_ratio: float        # increment_h1 over the previous one
     fermi_level: float
     level_count: int
     occupation_error: float       # |sum occupations - N0|
@@ -91,8 +102,25 @@ def _h1(K, M, vec):
     return math.sqrt(max(vec @ (K @ vec) + vec @ (M @ vec), 0.0))
 
 
+def _anderson_step(x, g, history, beta):
+    """Next iterate from x, its image g = A(x) and the (dx, df) pairs of
+    the previous sweeps, f = g - x.
+
+    x + beta f - (dX + beta dF) gamma with gamma the least-squares
+    solution of dF gamma = f; without history, (1 - beta) x + beta g.
+    """
+    x_new = (1.0 - beta) * x + beta * g
+    if history:
+        dX, dF = (np.column_stack(d) for d in zip(*history))
+        gamma = np.linalg.lstsq(dF, g - x, rcond=None)[0]
+        x_new -= (dX + beta * dF) @ gamma
+    return x_new
+
+
 def fixed_point_solve(mesh, model, cfg=None, V_init=None):
-    """Run the self-consistency iteration and return an ScfReport."""
+    """Run the self-consistency iteration and return an ScfReport.
+
+    ``V_init`` is a start potential with zero boundary values."""
     cfg = cfg or ScfConfig()
     p = model.params
     K = fem.assemble_stiffness(mesh)
@@ -117,23 +145,31 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     records = []
     converged = False
     L0 = None   # each level budget starts where the previous one ended
+    history = deque(maxlen=ANDERSON_DEPTH)
+    prev = None     # (x, f) of the previous sweep
     for k in range(1, cfg.max_iter + 1):
         spectral, occ, density = occupation_at(V, L0)
         L0 = spectral.count
-        V_raw = potential_of(density)
-        V_new = (1.0 - cfg.damping) * V + cfg.damping * V_raw
-        diff = V_new.interior() - V.interior()
-        inc = _h1(K, M, diff)
+        x = V.interior()
+        g = potential_of(density).interior()
+        f = g - x
+        if prev is not None:
+            history.append((x - prev[0], f - prev[1]))
+        prev = (x, f)
+        x_new = _anderson_step(x, g, history, cfg.damping)
+        inc = _h1(K, M, x_new - x)
         records.append(IterationRecord(
             iteration=k,
             increment_h1=inc,
+            increment_ratio=(inc / records[-1].increment_h1 if records
+                             else math.nan),
             fermi_level=occ.fermi_level,
             level_count=occ.level_count,
             occupation_error=abs(float(np.sum(occ.occupations)) - p.N0),
             density_integral_error=abs(density.integral() - p.N0),
         ))
-        V = V_new
-        if inc <= cfg.tol_rel * (1.0 + _h1(K, M, V.interior())):
+        V = fem.FeField.from_interior(mesh, x_new)
+        if inc <= cfg.tol_rel * (1.0 + _h1(K, M, x_new)):
             converged = True
             break
 

@@ -166,6 +166,16 @@ def test_truncation_overflow_exit_code(capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_non_convergence_exit_code(capsys, tmp_path):
+    code = main(["solve", "--m", "4", "--max-iter", "2",
+                 "--out", str(tmp_path / "m4")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "2 iterations, converged=False" in out
+    ratio = out.split("increment ratio ")[1].split()[0]
+    assert 0.0 < float(ratio) < float("inf")
+
+
 def test_solve_keeps_every_interior_level(tmp_path):
     # the window reaches all 8 interior levels of m = 3, the last one
     # unoccupied

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from conftest import Combination, sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh, mesh_size
-from spfem.occupancy import (DistributionParams, build_density,
-                             determine_occupation)
+from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DistributionParams,
+                             build_density, determine_occupation)
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
-from spfem.scf import ScfConfig, ScfModel, fixed_point_solve, poisson_solve
+from spfem.scf import (ANDERSON_DEPTH, ScfConfig, ScfModel, _anderson_step,
+                       fixed_point_solve, poisson_solve)
 from spfem.spectrum import SpectrumSolver
 
 PI = math.pi
@@ -122,6 +124,70 @@ def test_non_convergence_is_flagged_not_raised(mesh4, params):
         mesh4, ScfModel(problem.V0, problem.n_D, params), cfg)
     assert not report.converged
     assert len(report.iterations) == 2
+    first, second = report.iterations
+    assert math.isnan(first.increment_ratio)
+    assert second.increment_ratio == (second.increment_h1
+                                      / first.increment_h1)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_anderson_step_without_history_is_the_damped_update(mesh4, beta):
+    rng = np.random.default_rng(0)
+    n = len(mesh4.interior_vertices)
+    V = fem.FeField.from_interior(mesh4, rng.standard_normal(n))
+    V_raw = fem.FeField.from_interior(mesh4, rng.standard_normal(n))
+    damped = ((1.0 - beta) * V + beta * V_raw).interior()
+    step = _anderson_step(V.interior(), V_raw.interior(), deque(), beta)
+    assert np.array_equal(step, damped)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_anderson_reaches_the_fixed_point_where_picard_diverges(beta):
+    # x -> G x + c with spectral radius 1.5 (also 1.25 once damped) and
+    # I - G invertible; G has four distinct eigenvalues, so the mixed
+    # iteration needs only a few sweeps
+    n = 30
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    G = Q @ np.diag(np.resize([1.5, -1.2, 0.6, 0.0], n)) @ Q.T
+    c = rng.standard_normal(n)
+    fixed = np.linalg.solve(np.eye(n) - G, c)
+
+    x = np.zeros(n)
+    for _ in range(30):
+        x = (1.0 - beta) * x + beta * (G @ x + c)
+    assert np.linalg.norm(x - fixed) > 1e2 * np.linalg.norm(fixed)
+
+    x, prev = np.zeros(n), None
+    history = deque(maxlen=ANDERSON_DEPTH)
+    for _ in range(30):
+        g = G @ x + c
+        if prev is not None:
+            history.append((x - prev[0], (g - x) - prev[1]))
+        prev = (x, g - x)
+        x = _anderson_step(x, g, history, beta)
+    assert np.linalg.norm(x - fixed) <= 1e-10 * np.linalg.norm(fixed)
+
+
+# Boltzmann (f0 = 1) and Fermi-Dirac (f0 = 2 N0) over both benchmarks,
+# N0 and mu: the damped Picard loop runs 60 sweeps without converging
+# on every case with N0 >= 3000 and on Fermi-Dirac N0 = 1000, mu = 0.04
+CONVERGENCE_MAP = [(kind, ex, N0, mu)
+                   for kind in (BOLTZMANN, FERMI_DIRAC) for ex in (1, 2)
+                   for N0 in (1000.0, 3000.0, 10000.0) for mu in (0.1, 0.04)]
+
+
+@pytest.mark.parametrize("kind,example,N0,mu", CONVERGENCE_MAP)
+def test_convergence_map(mesh4, kind, example, N0, mu):
+    f0 = 1.0 if kind == BOLTZMANN else 2.0 * N0
+    p = DistributionParams(kind, f0=f0, mu=mu, N0=N0)
+    problem = manufactured_problem(example, p)
+    report = fixed_point_solve(mesh4, ScfModel(problem.V0, problem.n_D, p),
+                               ScfConfig(max_iter=30))
+    assert report.converged
+    for rec in report.iterations:
+        assert rec.occupation_error <= 1e-10 * N0
+        assert rec.density_integral_error <= 1e-9 * N0
 
 
 def test_solve_leaves_no_state_on_the_mesh(params):
