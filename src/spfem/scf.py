@@ -102,19 +102,32 @@ def _h1(K, M, vec):
     return math.sqrt(max(vec @ (K @ vec) + vec @ (M @ vec), 0.0))
 
 
-def _anderson_step(x, g, history, beta):
-    """Next iterate from x, its image g = A(x) and the (dx, df) pairs of
-    the previous sweeps, f = g - x.
+class _Anderson:
+    """Anderson mixing of the iterates x -> g = A(x) of a fixed-point map
+    over the last ``ANDERSON_DEPTH`` steps, with mixing weight beta.
 
-    x + beta f - (dX + beta dF) gamma with gamma the least-squares
-    solution of dF gamma = f; without history, (1 - beta) x + beta g.
+    Each step returns x + beta f - (dX + beta dF) gamma, f = g - x, where
+    dX, dF hold the differences of consecutive x and f and gamma is the
+    least-squares solution of dF gamma = f; the first step, with no
+    history, is (1 - beta) x + beta g.
     """
-    x_new = (1.0 - beta) * x + beta * g
-    if history:
-        dX, dF = (np.column_stack(d) for d in zip(*history))
-        gamma = np.linalg.lstsq(dF, g - x, rcond=None)[0]
-        x_new -= (dX + beta * dF) @ gamma
-    return x_new
+
+    def __init__(self, beta):
+        self.beta = beta
+        self.history = deque(maxlen=ANDERSON_DEPTH)   # (dx, df) pairs
+        self.last = None                              # (x, f)
+
+    def step(self, x, g):
+        f = g - x
+        if self.last is not None:
+            self.history.append((x - self.last[0], f - self.last[1]))
+        self.last = (x, f)
+        x_new = (1.0 - self.beta) * x + self.beta * g
+        if self.history:
+            dX, dF = (np.column_stack(d) for d in zip(*self.history))
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            x_new -= (dX + self.beta * dF) @ gamma
+        return x_new
 
 
 def fixed_point_solve(mesh, model, cfg=None, V_init=None):
@@ -145,18 +158,12 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     records = []
     converged = False
     L0 = None   # each level budget starts where the previous one ended
-    history = deque(maxlen=ANDERSON_DEPTH)
-    prev = None     # (x, f) of the previous sweep
+    mixer = _Anderson(cfg.damping)
     for k in range(1, cfg.max_iter + 1):
         spectral, occ, density = occupation_at(V, L0)
         L0 = spectral.count
         x = V.interior()
-        g = potential_of(density).interior()
-        f = g - x
-        if prev is not None:
-            history.append((x - prev[0], f - prev[1]))
-        prev = (x, f)
-        x_new = _anderson_step(x, g, history, cfg.damping)
+        x_new = mixer.step(x, potential_of(density).interior())
         inc = _h1(K, M, x_new - x)
         records.append(IterationRecord(
             iteration=k,

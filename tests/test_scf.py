@@ -1,5 +1,4 @@
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DistributionParams,
                              build_density, determine_occupation)
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
-from spfem.scf import (ANDERSON_DEPTH, ScfConfig, ScfModel, _anderson_step,
-                       fixed_point_solve, poisson_solve)
+from spfem.scf import (ScfConfig, ScfModel, _Anderson, fixed_point_solve,
+                       poisson_solve)
 from spfem.spectrum import SpectrumSolver
 
 PI = math.pi
@@ -137,7 +136,7 @@ def test_anderson_step_without_history_is_the_damped_update(mesh4, beta):
     V = fem.FeField.from_interior(mesh4, rng.standard_normal(n))
     V_raw = fem.FeField.from_interior(mesh4, rng.standard_normal(n))
     damped = ((1.0 - beta) * V + beta * V_raw).interior()
-    step = _anderson_step(V.interior(), V_raw.interior(), deque(), beta)
+    step = _Anderson(beta).step(V.interior(), V_raw.interior())
     assert np.array_equal(step, damped)
 
 
@@ -158,14 +157,9 @@ def test_anderson_reaches_the_fixed_point_where_picard_diverges(beta):
         x = (1.0 - beta) * x + beta * (G @ x + c)
     assert np.linalg.norm(x - fixed) > 1e2 * np.linalg.norm(fixed)
 
-    x, prev = np.zeros(n), None
-    history = deque(maxlen=ANDERSON_DEPTH)
+    x, mixer = np.zeros(n), _Anderson(beta)
     for _ in range(30):
-        g = G @ x + c
-        if prev is not None:
-            history.append((x - prev[0], (g - x) - prev[1]))
-        prev = (x, g - x)
-        x = _anderson_step(x, g, history, beta)
+        x = mixer.step(x, G @ x + c)
     assert np.linalg.norm(x - fixed) <= 1e-10 * np.linalg.norm(fixed)
 
 
