@@ -207,11 +207,20 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     """Compute eigenpairs and occupations with a block-doubling level
     budget.
 
-    ``solve`` maps a level count L to a SpectralSet.  Starting from
-    L0 = max(16, ceil((2|ln h|)^{3/2})), the budget doubles until the
-    topmost computed level sits strictly beyond the truncation window,
-    at which point the tail occupations vanish identically and the
-    partial Fermi solve is exact.
+    ``solve`` maps a level count L to a SpectralSet.  The budget starts
+    at ``L0``, by default max(16, ceil((2|ln h|)^{3/2})); the SCF loop
+    passes the budget it trimmed from its previous sweep, which may be
+    smaller.  It doubles until the topmost computed level sits more than
+    one unit beyond the truncation window, at which point the tail
+    occupations vanish identically and the partial Fermi solve is exact.
+
+    The eigenvalues may come from a loose eigensolve.  For B-normalized
+    vectors a residual r moves an eigenvalue by at most
+    r / sqrt(lambda_min(M)), M the mass matrix: at r = 1e-5 that is
+    1.4e-3 for m = 16 (lambda_min(M) = 4.97e-5) and 2.0e-3 for m = 20
+    (2.53e-5), far below the one-unit width of the cutoff.  A level
+    misjudged by that much at the end of the cutoff has an occupation
+    factor of order exp(-500).
     """
     M = truncation_bound(h, p)
     required = M + 1.0

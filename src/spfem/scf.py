@@ -14,10 +14,22 @@ a contraction; Anderson mixing only needs I - A' to be invertible near
 the fixed point, which is what the error theory assumes.
 Sweeps share one spectral solver (its preconditioner and last
 eigenvector block), which shares the loop's stiffness and mass
-matrices, and start their level budget at the previous level count.
-The loop stops on a relative H1 increment and never raises on plain
-non-convergence (the report carries the flag), while structural
-failures such as truncation overflow propagate as exceptions.
+matrices.
+Each sweep's eigenproblem is solved only as accurately and as wide as
+the iteration needs.  Inexact Newton theory (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982) keeps the outer convergence
+when the inner accuracy is proportional to the outer residual, so a
+sweep's eigen tolerance is ``EIG_FORCING`` times the previous H1
+increment, clipped to [eig_tol, ``EIG_TOL_MAX``] (``sweep_eig_tol``);
+the first sweep, from an unrelated start, gets ``EIG_TOL_MAX``.  The
+level budget of the next sweep is ``LEVEL_MARGIN`` times the levels
+that reach one unit past the window (``next_level_budget``); the
+levels beyond carry occupation exactly 0.
+The loop stops on a relative H1 increment, only on a sweep whose
+eigen residuals meet eig_tol, and never raises on plain
+non-convergence (the report carries the flag), while structural failures such as truncation
+overflow propagate as exceptions.  The final-state solve, whose
+density the report returns, runs at eig_tol.
 """
 
 import math
@@ -35,6 +47,13 @@ from .spectrum import SpectrumSolver
 
 # number of previous sweeps whose differences enter the Anderson step
 ANDERSON_DEPTH = 5
+# a sweep's eigen tolerance is EIG_FORCING times the previous H1
+# increment, at most EIG_TOL_MAX and at least the configured eig_tol
+EIG_TOL_MAX = 1e-5
+EIG_FORCING = 1e-3
+# the next level budget is LEVEL_MARGIN times the levels reaching the
+# end of the cutoff, so the spectrum may drift without a budget doubling
+LEVEL_MARGIN = 1.25
 
 
 @dataclass
@@ -73,10 +92,13 @@ class IterationRecord:
     iteration: int
     increment_h1: float
     increment_ratio: float        # increment_h1 over the previous one
+                                  # (NaN on sweep 1 or after a zero one)
     fermi_level: float
     level_count: int
     occupation_error: float       # |sum occupations - N0|
     density_integral_error: float  # |int density - N0|
+    eig_tol: float                # tolerance of the sweep's eigensolves
+    levels: int                   # levels the sweep's eigensolve computed
 
 
 @dataclass
@@ -96,6 +118,23 @@ def poisson_solve(mesh, load, tol=DEFAULT_PCG_TOL, stiffness=None):
     K = stiffness if stiffness is not None else fem.assemble_stiffness(mesh)
     x = pcg_solve(K, load, tol=tol)
     return fem.FeField.from_interior(mesh, x)
+
+
+def sweep_eig_tol(eig_tol, increment):
+    """Eigen tolerance of a sweep whose predecessor moved the potential
+    by ``increment`` in H1 (math.inf for the first sweep):
+    EIG_FORCING * increment, clipped to [eig_tol, EIG_TOL_MAX]."""
+    return max(eig_tol, min(EIG_TOL_MAX, EIG_FORCING * increment))
+
+
+def next_level_budget(spectral, occ):
+    """Level budget for the next sweep: LEVEL_MARGIN times the levels up
+    to the first one more than window + 1 above the Fermi level, which
+    ``determine_occupation`` guarantees among the computed ones, and at
+    most the levels computed now."""
+    beyond = spectral.eigenvalues - occ.fermi_level > occ.window + 1.0
+    need = int(np.argmax(beyond)) + 1
+    return min(spectral.count, math.ceil(LEVEL_MARGIN * need))
 
 
 def _h1(K, M, vec):
@@ -144,9 +183,9 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
                             stiffness=K, mass=M)
     doping = fem.assemble_load(mesh, model.n_D, rule)
 
-    def occupation_at(u, L0):
+    def occupation_at(u, L0, tol):
         spectral, occ = determine_occupation(
-            mesh, lambda L: solver.solve(u, L), p, h, L_max=cfg.L_max,
+            mesh, lambda L: solver.solve(u, L, tol), p, h, L_max=cfg.L_max,
             L0=L0)
         return spectral, occ, build_density(spectral, occ)
 
@@ -157,31 +196,38 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     V = V_init if V_init is not None else fem.FeField.zero(mesh)
     records = []
     converged = False
-    L0 = None   # each level budget starts where the previous one ended
+    L0 = None   # each level budget is trimmed from the previous sweep
+    prev = math.inf   # H1 increment of the previous sweep
     mixer = _Anderson(cfg.damping)
     for k in range(1, cfg.max_iter + 1):
-        spectral, occ, density = occupation_at(V, L0)
-        L0 = spectral.count
+        tol = sweep_eig_tol(cfg.eig_tol, prev)
+        spectral, occ, density = occupation_at(V, L0, tol)
+        L0 = next_level_budget(spectral, occ)
         x = V.interior()
         x_new = mixer.step(x, potential_of(density).interior())
         inc = _h1(K, M, x_new - x)
         records.append(IterationRecord(
             iteration=k,
             increment_h1=inc,
-            increment_ratio=(inc / records[-1].increment_h1 if records
-                             else math.nan),
+            increment_ratio=inc / prev if 0 < prev < math.inf else math.nan,
             fermi_level=occ.fermi_level,
             level_count=occ.level_count,
             occupation_error=abs(float(np.sum(occ.occupations)) - p.N0),
             density_integral_error=abs(density.integral() - p.N0),
+            eig_tol=tol,
+            levels=spectral.count,
         ))
         V = fem.FeField.from_interior(mesh, x_new)
-        if inc <= cfg.tol_rel * (1.0 + _h1(K, M, x_new)):
+        # a loose sweep may not stop the loop, though the dense path
+        # meets eig_tol whatever it was asked for
+        exact = np.max(spectral.residual_norms) <= cfg.eig_tol
+        if exact and inc <= cfg.tol_rel * (1.0 + _h1(K, M, x_new)):
             converged = True
             break
+        prev = inc
 
     # final state: density and self-consistency residual at the last iterate
-    spectral, occ, density = occupation_at(V, L0)
+    spectral, occ, density = occupation_at(V, L0, cfg.eig_tol)
     V_mapped = potential_of(density)
     self_res = _h1(K, M, V.interior() - V_mapped.interior())
     return ScfReport(potential=V, density=density, occupation=occ,

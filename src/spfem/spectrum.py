@@ -72,7 +72,10 @@ class SpectrumSolver:
     reference pencil K + W(V0) + sB, built at the first sparse solve and
     used as the LOBPCG preconditioner for every u; and ``block``, the
     last eigenvector block, from which the next solve starts (with
-    seeded random columns appended when L grows).
+    seeded random columns appended when L grows, and its leading L
+    columns taken when L shrinks).  Each ``solve`` runs to its own
+    ``tol`` when given, else to the solver's: the SCF loop asks for
+    loose early sweeps and ``tol`` itself at the end.
     """
 
     def __init__(self, mesh, V0, tol=DEFAULT_EIG_TOL, seed=0,
@@ -87,8 +90,9 @@ class SpectrumSolver:
         self.factor = None
         self.block = None
 
-    def solve(self, u, L):
-        """SpectralSet of the L lowest levels for the potential u + V0."""
+    def solve(self, u, L, tol=None):
+        """SpectralSet of the L lowest levels for the potential u + V0,
+        with eigen residuals at most ``tol`` (default ``self.tol``)."""
         mesh = self.mesh
         A0, B = self.reference
         A = _add_potential(A0, mesh, u)
@@ -97,7 +101,9 @@ class SpectrumSolver:
                 self.dense_mass = B.toarray()
         elif self.factor is None:
             self.factor = shifted_vcycle(A0, B, mesh.m)
-        result = lowest_eigenpairs(A, B, L, tol=self.tol, seed=self.seed,
+        result = lowest_eigenpairs(A, B, L,
+                                   tol=self.tol if tol is None else tol,
+                                   seed=self.seed,
                                    dense_cutoff=self.dense_cutoff,
                                    preconditioner=self.factor,
                                    start=self.block, B_dense=self.dense_mass)

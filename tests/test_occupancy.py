@@ -15,6 +15,7 @@ from spfem.occupancy import (DistributionParams, OccupationState,
                              truncated_distribution, truncation_bound)
 from spfem.oracle import continuous_fermi, cube_eigensequence
 from spfem.quadrature import tet_rule
+from spfem.scf import next_level_budget
 from spfem.spectrum import SpectrumSolver
 
 
@@ -208,6 +209,26 @@ def test_carried_level_budget_matches_default(mesh8, params):
     np.testing.assert_allclose(occ_64.occupations[:s_def.count],
                                occ_def.occupations, rtol=1e-12)
     assert np.all(occ_64.occupations[s_def.count:] == 0.0)
+
+
+def test_trimmed_level_budget_matches_default(mesh8, params):
+    # the SCF trims the next budget to the levels reaching the end of
+    # the cutoff, with a margin; the levels it drops have zero occupation
+    solver = SpectrumSolver(mesh8, None)
+    s_def, occ_def = determine_occupation(
+        mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8))
+    L0 = next_level_budget(s_def, occ_def)
+    assert L0 < 16 == s_def.count
+    s_trim, occ_trim = determine_occupation(
+        mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8),
+        L0=L0)
+    assert s_trim.count == L0
+    assert occ_trim.fermi_level == pytest.approx(occ_def.fermi_level,
+                                                 rel=1e-12)
+    assert occ_trim.level_count == occ_def.level_count
+    np.testing.assert_allclose(occ_trim.occupations,
+                               occ_def.occupations[:L0], rtol=1e-12)
+    assert np.all(occ_def.occupations[L0:] == 0.0)
 
 
 def test_density_integral_and_single_level(mesh8, params):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import Combination, sine_product
-from spfem import fem
+from spfem import fem, scf
 from spfem.mesh import build_structured_mesh, mesh_size
 from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DistributionParams,
                              build_density, determine_occupation)
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
-from spfem.scf import (ScfConfig, ScfModel, _Anderson, fixed_point_solve,
-                       poisson_solve)
+from spfem.scf import (EIG_TOL_MAX, ScfConfig, ScfModel, _Anderson,
+                       fixed_point_solve, poisson_solve, sweep_eig_tol)
 from spfem.spectrum import SpectrumSolver
 
 PI = math.pi
@@ -190,3 +190,45 @@ def test_solve_leaves_no_state_on_the_mesh(params):
     problem = manufactured_problem(1, params)
     fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, params))
     assert set(vars(mesh)) == before
+
+
+def test_sweep_tolerance_rule():
+    eig_tol = ScfConfig().eig_tol
+    assert sweep_eig_tol(eig_tol, math.inf) == EIG_TOL_MAX
+    increments = np.concatenate([[0.0], np.logspace(-16, 4, 201), [math.inf]])
+    tols = [sweep_eig_tol(eig_tol, inc) for inc in increments]
+    assert all(eig_tol <= t <= EIG_TOL_MAX for t in tols)
+    assert all(a <= b for a, b in zip(tols, tols[1:]))
+    assert tols[0] == eig_tol and tols[-1] == EIG_TOL_MAX
+
+
+def _h1_norm(K, M, v):
+    return math.sqrt(v @ (K @ v) + v @ (M @ v))
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_inexact_sweeps_keep_the_fixed_point(example, params, monkeypatch):
+    # m = 12: 1331 dofs, the sparse eigen path with one V-cycle level
+    mesh = build_structured_mesh(12)
+    problem = manufactured_problem(example, params)
+    model = ScfModel(problem.V0, problem.n_D, params)
+    cfg = ScfConfig()
+    report = fixed_point_solve(mesh, model, cfg)
+    assert report.converged
+    assert report.iterations[0].eig_tol == EIG_TOL_MAX
+    assert report.iterations[-1].eig_tol == cfg.eig_tol
+    assert max(report.density.spectral.residual_norms) <= cfg.eig_tol
+    for rec in report.iterations:
+        assert rec.occupation_error <= 1e-10 * params.N0
+        assert rec.density_integral_error <= 1e-9 * params.N0
+    K = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
+    v = report.potential.interior()
+    norm = _h1_norm(K, M, v)
+    assert report.self_consistency_h1 <= cfg.tol_rel * (1.0 + norm)
+
+    # every sweep solved to eig_tol
+    monkeypatch.setattr(scf, "EIG_TOL_MAX", cfg.eig_tol)
+    tight = fixed_point_solve(mesh, model, cfg)
+    assert all(rec.eig_tol == cfg.eig_tol for rec in tight.iterations)
+    assert _h1_norm(K, M, v - tight.potential.interior()) <= 1e-7 * norm
