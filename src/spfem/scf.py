@@ -27,9 +27,9 @@ that reach one unit past the window (``next_level_budget``); the
 levels beyond carry occupation exactly 0.
 The loop stops on a relative H1 increment, only on a sweep whose
 eigen residuals meet eig_tol, and never raises on plain
-non-convergence (the report carries the flag), while structural failures such as truncation
-overflow propagate as exceptions.  The final-state solve, whose
-density the report returns, runs at eig_tol.
+non-convergence (the report carries the flag), while structural
+failures such as truncation overflow propagate as exceptions.  The
+final-state solve, whose density the report returns, runs at eig_tol.
 """
 
 import math
