@@ -24,12 +24,15 @@ report = fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, p),
 # iteration; it stays well below 1 while the solve converges.  Each
 # sweep's eigensolves run at a tolerance that follows the previous
 # increment, down to eig_tol, for a budget trimmed to the levels that
-# reach the window ("solved"; "kept" are the occupied ones plus one)
-print("sweep   H1 increment   ratio      Fermi level   kept   eig tol  solved")
+# reach the window ("solved"; "kept" are the occupied ones plus one);
+# "eigs" counts the sweep's eigensolves, one more per budget doubling
+print("sweep   H1 increment   ratio      Fermi level   kept   eig tol  "
+      "solved  eigs")
 for rec in report.iterations:
     print(f"{rec.iteration:5d}   {rec.increment_h1:12.4e}   "
           f"{rec.increment_ratio:7.3f}   {rec.fermi_level:12.6f}   "
-          f"{rec.level_count:4d}   {rec.eig_tol:7.1e}  {rec.levels:6d}")
+          f"{rec.level_count:4d}   {rec.eig_tol:7.1e}  {rec.levels:6d}  "
+          f"{rec.eig_solves:4d}")
 print(f"\nconverged: {report.converged}, "
       f"self-consistency residual {report.self_consistency_h1:.2e}")
 

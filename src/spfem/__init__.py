@@ -14,13 +14,13 @@ from .occupancy import (DensityField, DistributionParams, OccupationState,
                         build_density, cutoff_chi, determine_occupation,
                         distribution, solve_fermi, truncated_distribution,
                         truncation_bound)
-from .oracle import (CubeMode, ManufacturedProblem, SeriesDensity,
-                     continuous_fermi, cube_eigensequence, exact_density,
-                     manufactured_problem)
+from .oracle import (ManufacturedProblem, SeriesDensity, continuous_fermi,
+                     exact_density, manufactured_problem)
 from .quadrature import QuadratureRule, tet_rule
 from .scf import (IterationRecord, ScfConfig, ScfModel, ScfReport,
                   fixed_point_solve, poisson_solve)
-from .spectrum import SpectralSet, SpectrumSolver, assemble_hamiltonian
+from .spectrum import (CubeMode, SpectralSet, SpectrumSolver,
+                       assemble_hamiltonian, cube_eigensequence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

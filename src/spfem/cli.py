@@ -212,8 +212,10 @@ def _cmd_solve(cfg, args):
     print(f"fermi level {last.fermi_level!r}, levels kept "
           f"{last.level_count}, final H1 increment {last.increment_h1:.3e}, "
           f"increment ratio {last.increment_ratio:.3g}")
+    solves = sum(rec.eig_solves for rec in report.iterations)
     print(f"last sweep: eigen tolerance {last.eig_tol:.3g}, "
-          f"levels solved {last.levels}")
+          f"levels solved {last.levels}; {solves} eigensolves in "
+          f"{len(report.iterations)} sweeps")
     prefix = cfg.out or "solve"
     dump_potential(report.potential, f"{prefix}_potential.txt",
                    use_gzip=args.gzip)

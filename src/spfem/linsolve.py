@@ -191,9 +191,10 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     caller holds B densified.  Otherwise LOBPCG runs with the
     preconditioner ``preconditioner.solve`` (``shifted_vcycle(A, B)``
     when none is given, typically the V-cycle of a nearby reference
-    pencil).  Its start block is the columns of ``start`` (n, k), the
-    previous block, followed by standard normal columns drawn from
-    ``seed`` up to L.
+    pencil).  Its start block is the columns of ``start`` (n, k),
+    followed by standard normal columns drawn from ``seed`` up to L;
+    ``SpectrumSolver`` passes its previous block, or on its first sparse
+    solve the perturbed cube modes of ``spectrum.cube_start``.
     LOBPCG is asked for tol/10; a block still above tol after the
     Rayleigh-Ritz step restarts from where it stopped, at most
     LOBPCG_RUNS runs in all.  Both paths end in a Rayleigh-Ritz step and

@@ -208,9 +208,11 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     budget.
 
     ``solve`` maps a level count L to a SpectralSet.  The budget starts
-    at ``L0``, by default max(16, ceil((2|ln h|)^{3/2})); the SCF loop
-    passes the budget it trimmed from its previous sweep, which may be
-    smaller.  It doubles until the topmost computed level sits more than
+    at ``L0``, by default max(16, ceil((2|ln h|)^{3/2})).  The SCF loop
+    passes its own: on the first sweep the continuum levels that reach
+    the window (``scf.first_level_budget``), which count high because
+    the discrete levels lie above the continuum ones, and after it the
+    budget it trimmed from its previous sweep.  It doubles until the topmost computed level sits more than
     one unit beyond the truncation window, at which point the tail
     occupations vanish identically and the partial Fermi solve is exact.
 

@@ -1,6 +1,8 @@
-"""Analytic ground truth on the unit cube: Laplacian eigenpairs, the
-continuum Fermi level, the exact density series, and manufactured
-problems whose exact potential is known in closed form.
+"""Analytic ground truth on the unit cube: the continuum Fermi level,
+the exact density series, and manufactured problems whose exact
+potential is known in closed form.  The Laplacian eigenpairs
+(``CubeMode``, ``cube_eigensequence``) live in ``spectrum``, whose
+solver starts from them, and are re-exported here.
 
 The density series is truncated with a certified tail bound, computed
 from the product structure of the mode sums, so every evaluation is
@@ -15,52 +17,10 @@ import numpy as np
 from .errors import NumericsError
 from .fem import ScalarFunction
 from .occupancy import BOLTZMANN, FERMI_REL_TOL, distribution
+from .spectrum import PI2, CubeMode, cube_eigensequence  # noqa: F401
 
-PI2 = math.pi ** 2
 # points per evaluation block of the density series
 SERIES_CHUNK_POINTS = 1 << 14
-
-
-@dataclass(frozen=True)
-class CubeMode:
-    """Laplacian eigenmode sin(i pi x) sin(j pi y) sin(k pi z), unit
-    L2 norm."""
-
-    i: int
-    j: int
-    k: int
-
-    @property
-    def lam(self):
-        return (self.i ** 2 + self.j ** 2 + self.k ** 2) * PI2
-
-    def phi(self, points):
-        points = np.asarray(points, dtype=float)
-        return (2.0 * math.sqrt(2.0)
-                * np.sin(self.i * math.pi * points[..., 0])
-                * np.sin(self.j * math.pi * points[..., 1])
-                * np.sin(self.k * math.pi * points[..., 2]))
-
-
-def cube_eigensequence(count):
-    """First ``count`` modes sorted by eigenvalue, ties by (i, j, k)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    bound = 4
-    while True:
-        modes = [(i * i + j * j + k * k, (i, j, k))
-                 for i in range(1, bound + 1)
-                 for j in range(1, bound + 1)
-                 for k in range(1, bound + 1)]
-        modes.sort()
-        if len(modes) >= count:
-            s_count = modes[count - 1][0]
-            # complete iff no mode with an index beyond the bound can
-            # undercut the count-th eigenvalue
-            if s_count < (bound + 1) ** 2 + 2:
-                break
-        bound *= 2
-    return [CubeMode(*ijk) for _, ijk in modes[:count]]
 
 
 def _axis_sum(mu):

@@ -22,9 +22,14 @@ when the inner accuracy is proportional to the outer residual, so a
 sweep's eigen tolerance is ``EIG_FORCING`` times the previous H1
 increment, clipped to [eig_tol, ``EIG_TOL_MAX``] (``sweep_eig_tol``);
 the first sweep, from an unrelated start, gets ``EIG_TOL_MAX``.  The
-level budget of the next sweep is ``LEVEL_MARGIN`` times the levels
-that reach one unit past the window (``next_level_budget``); the
-levels beyond carry occupation exactly 0.
+first sweep's level budget is the count of continuum levels s pi^2
+that reach one unit past the window, to the end of their shell
+(``first_level_budget``), so it does not double up from a guess; its
+eigensolve starts from the cube modes themselves (``SpectrumSolver``).
+The level budget of each later sweep is ``LEVEL_MARGIN`` times the
+levels of its predecessor that reach one unit past the window, moved
+up to the next relative gap above ``LEVEL_GAP`` (``next_level_budget``);
+the levels beyond carry occupation exactly 0.
 The loop stops on a relative H1 increment, only on a sweep whose
 eigen residuals meet eig_tol, and never raises on plain
 non-convergence (the report carries the flag), while structural
@@ -41,9 +46,11 @@ import numpy as np
 from . import fem
 from .linsolve import DEFAULT_EIG_TOL, DEFAULT_PCG_TOL, pcg_solve
 from .mesh import mesh_size
-from .occupancy import build_density, determine_occupation
+from .errors import InfeasibleOccupationError
+from .occupancy import (build_density, determine_occupation, solve_fermi,
+                        truncation_bound)
 from .quadrature import tet_rule
-from .spectrum import SpectrumSolver
+from .spectrum import SpectrumSolver, cube_eigensequence
 
 # number of previous sweeps whose differences enter the Anderson step
 ANDERSON_DEPTH = 5
@@ -52,8 +59,11 @@ ANDERSON_DEPTH = 5
 EIG_TOL_MAX = 1e-5
 EIG_FORCING = 1e-3
 # the next level budget is LEVEL_MARGIN times the levels reaching the
-# end of the cutoff, so the spectrum may drift without a budget doubling
+# end of the cutoff, so the spectrum may drift without a budget doubling,
+# extended to the next level more than LEVEL_GAP above its predecessor
+# (relative), so that no block ends inside a cluster
 LEVEL_MARGIN = 1.25
+LEVEL_GAP = 0.02
 
 
 @dataclass
@@ -99,6 +109,7 @@ class IterationRecord:
     density_integral_error: float  # |int density - N0|
     eig_tol: float                # tolerance of the sweep's eigensolves
     levels: int                   # levels the sweep's eigensolve computed
+    eig_solves: int               # eigensolves of the sweep: 1 + doublings
 
 
 @dataclass
@@ -127,14 +138,39 @@ def sweep_eig_tol(eig_tol, increment):
     return max(eig_tol, min(EIG_TOL_MAX, EIG_FORCING * increment))
 
 
+def first_level_budget(p, h, cap):
+    """Level budget of the first sweep from the continuum spectrum
+    s pi^2 of the cube: the levels up to the first one more than
+    window + 1 above their Fermi level, up to the end of its degenerate
+    cluster.  The discrete levels lie above the continuum ones, so the
+    count errs high.  None (``determine_occupation``'s default) when the
+    window does not fit in ``cap`` levels."""
+    lam = np.array([mode.lam for mode in cube_eigensequence(cap)])
+    window = truncation_bound(h, p)
+    try:
+        fermi = solve_fermi(lam, p, window)
+    except InfeasibleOccupationError:
+        return None
+    beyond = np.flatnonzero(lam - fermi > window + 1.0)
+    if beyond.size == 0:
+        return None
+    return int(np.searchsorted(lam, lam[beyond[0]], side="right"))
+
+
 def next_level_budget(spectral, occ):
     """Level budget for the next sweep: LEVEL_MARGIN times the levels up
     to the first one more than window + 1 above the Fermi level, which
-    ``determine_occupation`` guarantees among the computed ones, and at
-    most the levels computed now."""
-    beyond = spectral.eigenvalues - occ.fermi_level > occ.window + 1.0
+    ``determine_occupation`` guarantees among the computed ones, moved
+    up to the next relative gap above LEVEL_GAP, and at most the levels
+    computed now."""
+    lam = spectral.eigenvalues
+    beyond = lam - occ.fermi_level > occ.window + 1.0
     need = int(np.argmax(beyond)) + 1
-    return min(spectral.count, math.ceil(LEVEL_MARGIN * need))
+    L = math.ceil(LEVEL_MARGIN * need)
+    if L >= spectral.count:
+        return spectral.count
+    gap = np.diff(lam[L - 1:]) > LEVEL_GAP * np.abs(lam[L:])
+    return L + int(np.argmax(gap)) if gap.any() else spectral.count
 
 
 def _h1(K, M, vec):
@@ -184,10 +220,14 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     doping = fem.assemble_load(mesh, model.n_D, rule)
 
     def occupation_at(u, L0, tol):
-        spectral, occ = determine_occupation(
-            mesh, lambda L: solver.solve(u, L, tol), p, h, L_max=cfg.L_max,
-            L0=L0)
-        return spectral, occ, build_density(spectral, occ)
+        budgets = []
+
+        def solve(L):
+            budgets.append(L)
+            return solver.solve(u, L, tol)
+        spectral, occ = determine_occupation(mesh, solve, p, h,
+                                             L_max=cfg.L_max, L0=L0)
+        return spectral, occ, build_density(spectral, occ), len(budgets)
 
     def potential_of(density):
         load = fem.assemble_load(mesh, density, rule) - doping
@@ -196,12 +236,14 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     V = V_init if V_init is not None else fem.FeField.zero(mesh)
     records = []
     converged = False
-    L0 = None   # each level budget is trimmed from the previous sweep
+    # the first level budget comes from the continuum spectrum, each
+    # later one is trimmed from the previous sweep
+    L0 = first_level_budget(p, h, min(cfg.L_max, mesh.n_interior))
     prev = math.inf   # H1 increment of the previous sweep
     mixer = _Anderson(cfg.damping)
     for k in range(1, cfg.max_iter + 1):
         tol = sweep_eig_tol(cfg.eig_tol, prev)
-        spectral, occ, density = occupation_at(V, L0, tol)
+        spectral, occ, density, solves = occupation_at(V, L0, tol)
         L0 = next_level_budget(spectral, occ)
         x = V.interior()
         x_new = mixer.step(x, potential_of(density).interior())
@@ -216,6 +258,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
             density_integral_error=abs(density.integral() - p.N0),
             eig_tol=tol,
             levels=spectral.count,
+            eig_solves=solves,
         ))
         V = fem.FeField.from_interior(mesh, x_new)
         # a loose sweep may not stop the loop, though the dense path
@@ -227,7 +270,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
         prev = inc
 
     # final state: density and self-consistency residual at the last iterate
-    spectral, occ, density = occupation_at(V, L0, cfg.eig_tol)
+    spectral, occ, density, _ = occupation_at(V, L0, cfg.eig_tol)
     V_mapped = potential_of(density)
     self_res = _h1(K, M, V.interior() - V_mapped.interior())
     return ScfReport(potential=V, density=density, occupation=occ,

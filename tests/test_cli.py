@@ -152,6 +152,17 @@ def test_solve_deterministic_dumps_identical(tmp_path, capsys):
     assert len(first) == 4
 
 
+def test_solve_summary_counts_eigensolves(tmp_path, capsys):
+    assert main(["solve", "--m", "4", "--out", str(tmp_path / "m4")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sweeps = int(lines[0].split(", ")[1].split()[0])
+    third = lines[2]
+    assert third.startswith("last sweep: eigen tolerance")
+    solves = int(third.split("; ")[1].split()[0])
+    assert third.endswith(f"eigensolves in {sweeps} sweeps")
+    assert solves >= sweeps
+
+
 def test_solve_gzip(tmp_path):
     prefix = tmp_path / "z"
     assert main(["solve", "--m", "4", "--gzip", "--out", str(prefix)]) == 0

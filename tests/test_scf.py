@@ -7,12 +7,15 @@ from conftest import Combination, sine_product
 from spfem import fem, scf
 from spfem.mesh import build_structured_mesh, mesh_size
 from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DistributionParams,
-                             build_density, determine_occupation)
+                             OccupationState, build_density,
+                             determine_occupation, solve_fermi,
+                             truncation_bound)
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
-from spfem.scf import (EIG_TOL_MAX, ScfConfig, ScfModel, _Anderson,
-                       fixed_point_solve, poisson_solve, sweep_eig_tol)
-from spfem.spectrum import SpectrumSolver
+from spfem.scf import (EIG_TOL_MAX, LEVEL_GAP, ScfConfig, ScfModel, _Anderson,
+                       first_level_budget, fixed_point_solve,
+                       next_level_budget, poisson_solve, sweep_eig_tol)
+from spfem.spectrum import SpectralSet, SpectrumSolver, cube_eigensequence
 
 PI = math.pi
 
@@ -231,4 +234,72 @@ def test_inexact_sweeps_keep_the_fixed_point(example, params, monkeypatch):
     monkeypatch.setattr(scf, "EIG_TOL_MAX", cfg.eig_tol)
     tight = fixed_point_solve(mesh, model, cfg)
     assert all(rec.eig_tol == cfg.eig_tol for rec in tight.iterations)
+    assert _h1_norm(K, M, v - tight.potential.interior()) <= 1e-7 * norm
+
+
+def test_first_level_budget_reaches_the_continuum_window():
+    # benchmark 1 at m = 16 with mu = 0.04, the widest window measured
+    p = DistributionParams(mu=0.04)
+    h = mesh_size(build_structured_mesh(16))
+    L0 = first_level_budget(p, h, 512)
+    lam = np.array([mode.lam for mode in cube_eigensequence(512)])
+    window = truncation_bound(h, p)
+    fermi = solve_fermi(lam, p, window)
+    # the level past window + 1 is in, with the rest of its shell
+    first = int(np.argmax(lam - fermi > window + 1.0))
+    assert lam[first] == lam[L0 - 1] < lam[L0]
+    assert L0 == 38
+    # no place for the window inside the cap: the default budget
+    assert first_level_budget(p, h, first) is None
+    slow = DistributionParams(f0=4.4e-6, mu=2.2e-3)
+    assert first_level_budget(slow, h, 64) is None
+    saturated = DistributionParams(FERMI_DIRAC, f0=1.0, N0=100.0)
+    assert first_level_budget(saturated, h, 64) is None
+
+
+def test_level_budget_ends_at_a_gap():
+    lam = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 50.5, 50.6, 70.0, 80.0])
+    spectral = SpectralSet(lam, np.zeros((1, len(lam))), np.zeros(len(lam)))
+    occ = OccupationState(window=20.0, fermi_level=18.0,
+                          occupations=np.zeros(len(lam)), level_count=3)
+    # need 4 (40 > 18 + 21), 1.25 * 4 -> 5, which cuts 50 / 50.5 / 50.6
+    assert next_level_budget(spectral, occ) == 7
+    assert (lam[7] - lam[6]) > LEVEL_GAP * lam[7]
+    # no gap above the margin: every computed level
+    assert next_level_budget(SpectralSet(lam[:7], np.zeros((1, 7)),
+                                         np.zeros(7)), occ) == 7
+
+
+def test_first_sweep_runs_one_eigensolve(params):
+    # m = 12 with mu = 0.04: the sparse path, where the budget doubled
+    # 16 -> 32 in the first sweep before it came from the continuum
+    p = DistributionParams(mu=0.04)
+    mesh = build_structured_mesh(12)
+    problem = manufactured_problem(1, p)
+    report = fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, p))
+    assert report.converged
+    assert report.iterations[0].eig_solves == 1
+    assert all(rec.eig_solves >= 1 for rec in report.iterations)
+
+
+def test_large_n0_inexact_sweeps_keep_the_fixed_point(monkeypatch):
+    # N0 = 3000 on the sparse path, where the Anderson tail amplifies
+    # the loose first sweeps into extra sweeps
+    p = DistributionParams(N0=3000.0)
+    mesh = build_structured_mesh(12)
+    problem = manufactured_problem(1, p)
+    model = ScfModel(problem.V0, problem.n_D, p)
+    cfg = ScfConfig()
+    report = fixed_point_solve(mesh, model, cfg)
+    assert report.converged
+    for rec in report.iterations:
+        assert rec.occupation_error <= 1e-10 * p.N0
+        assert rec.density_integral_error <= 1e-9 * p.N0
+    monkeypatch.setattr(scf, "EIG_TOL_MAX", cfg.eig_tol)
+    tight = fixed_point_solve(mesh, model, cfg)
+    assert tight.converged
+    K = fem.assemble_stiffness(mesh)
+    M = fem.assemble_mass(mesh)
+    v = report.potential.interior()
+    norm = _h1_norm(K, M, v)
     assert _h1_norm(K, M, v - tight.potential.interior()) <= 1e-7 * norm

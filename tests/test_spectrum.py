@@ -6,10 +6,14 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import Combination, sine_product
-from spfem import fem
+import spfem
+from spfem import fem, oracle, spectrum
 from spfem.mesh import build_structured_mesh
+from spfem.occupancy import DistributionParams
+from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
-from spfem.spectrum import SpectrumSolver, assemble_hamiltonian
+from spfem.spectrum import (START_NOISE, SpectrumSolver, assemble_hamiltonian,
+                            cube_eigensequence, cube_start)
 
 LAM1 = 3 * math.pi ** 2
 LAM2 = 6 * math.pi ** 2
@@ -69,7 +73,6 @@ def test_zero_potential_spectrum_structure(mesh8):
     assert np.all(s.eigenvalues[1:4] >= LAM2 - 1e-9)
     assert np.all(s.eigenvalues[1:4] <= 1.25 * LAM2)
     # Galerkin bound against the exact shells, with multiplicity
-    from spfem.oracle import cube_eigensequence
     lam = np.array([mode.lam for mode in cube_eigensequence(10)])
     assert np.all(s.eigenvalues >= lam - 1e-9)
 
@@ -212,3 +215,51 @@ def test_split_hamiltonian_matches_one_shot(mesh8):
     assert np.abs((A0.csr - K.csr).toarray()).max() > 0.0
     ref = sla.eigh(one_shot, B.toarray(), eigvals_only=True)[:6]
     np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-12)
+
+
+def test_cube_modes_are_reexported():
+    assert oracle.CubeMode is spectrum.CubeMode is spfem.CubeMode
+    assert oracle.cube_eigensequence is spfem.cube_eigensequence \
+        is cube_eigensequence
+
+
+def test_cube_start_is_the_perturbed_cube_modes(mesh8, monkeypatch):
+    # L = 7 ends the 9 pi^2 shell; L = 6 ends inside it
+    points = mesh8.vertices[mesh8.interior_vertices]
+    modes = np.column_stack([mode.phi(points)
+                             for mode in cube_eigensequence(7)])
+    X = cube_start(mesh8, 7, seed=3)
+    # every column moved by START_NOISE of its norm
+    monkeypatch.setattr(spectrum, "START_NOISE", 0.0)
+    clean = cube_start(mesh8, 7, seed=3)
+    np.testing.assert_allclose(
+        np.linalg.norm(X - clean, axis=0),
+        START_NOISE * np.linalg.norm(clean, axis=0), rtol=1e-12)
+    # the complete shells are the modes themselves, the last shell's
+    # columns lie in its span, whether or not the block ends it
+    np.testing.assert_allclose(clean[:, :4], modes[:, :4], atol=1e-12)
+    for L in (6, 7):
+        last = cube_start(mesh8, L)[:, 4:]
+        fit = np.linalg.lstsq(modes[:, 4:7], last, rcond=None)[0]
+        np.testing.assert_allclose(modes[:, 4:7] @ fit, last, atol=1e-12)
+    # indices m and above vanish or alias on the grid and are skipped
+    tiny = build_structured_mesh(3)
+    assert np.linalg.matrix_rank(cube_start(tiny, 8)) == 8
+
+
+@pytest.mark.parametrize("example", [None, 1])
+def test_first_sparse_solve_from_cube_modes_matches_dense_oracle(example):
+    # the unperturbed cube modes stall or miss levels here (L = 20, 38,
+    # 42 at m = 12): the mesh, V0 and the V-cycle share the cube's
+    # symmetries, so an exact mode block never reaches a symmetry class
+    # it lacks
+    mesh = build_structured_mesh(12)
+    V0 = None if example is None else manufactured_problem(
+        example, DistributionParams()).V0
+    A, B = assemble_hamiltonian(mesh, None, V0)
+    ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 41])
+    for L in (6, 20, 38, 42):
+        solver = SpectrumSolver(mesh, V0, dense_cutoff=0)
+        s = solver.solve(None, L)
+        np.testing.assert_allclose(s.eigenvalues, ref[:L], rtol=1e-10)
