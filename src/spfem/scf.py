@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
+from .errors import InfeasibleOccupationError
 from .linsolve import DEFAULT_EIG_TOL, DEFAULT_PCG_TOL, pcg_solve
 from .mesh import mesh_size
-from .errors import InfeasibleOccupationError
 from .occupancy import (build_density, determine_occupation, solve_fermi,
                         truncation_bound)
 from .quadrature import tet_rule

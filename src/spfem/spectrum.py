@@ -91,14 +91,15 @@ def cube_start(mesh, L, seed=0):
     while True:
         modes = [mode for mode in cube_eigensequence(count)
                  if max(mode.i, mode.j, mode.k) < m]
-        shells = np.array([round(mode.lam / PI2) for mode in modes])
+        shells = np.array([mode.i ** 2 + mode.j ** 2 + mode.k ** 2
+                           for mode in modes])
         # the shell of the L-th mode is complete once a later one follows
         if len(modes) == mesh.n_interior or (
                 len(modes) > L and shells[-1] > shells[L - 1]):
             break
         count *= 2
-    lo, hi = np.searchsorted(shells, shells[L - 1], side="left"), \
-        np.searchsorted(shells, shells[L - 1], side="right")
+    lo = np.searchsorted(shells, shells[L - 1], side="left")
+    hi = np.searchsorted(shells, shells[L - 1], side="right")
     idx = np.arange(1, m)
     S = np.sin(math.pi / m * np.outer(idx, idx))     # S[i - 1, a - 1]
     I, J, K = (np.array([getattr(mode, ax) for mode in modes[:hi]]) - 1

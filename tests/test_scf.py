@@ -270,7 +270,7 @@ def test_level_budget_ends_at_a_gap():
                                          np.zeros(7)), occ) == 7
 
 
-def test_first_sweep_runs_one_eigensolve(params):
+def test_first_sweep_runs_one_eigensolve():
     # m = 12 with mu = 0.04: the sparse path, where the budget doubled
     # 16 -> 32 in the first sweep before it came from the continuum
     p = DistributionParams(mu=0.04)
