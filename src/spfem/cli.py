@@ -276,19 +276,15 @@ def _cmd_eigs(cfg, args):
     return 0
 
 
+_COMMANDS = {"solve": _cmd_solve, "study": _cmd_study,
+             "oracle-check": _cmd_oracle_check, "eigs": _cmd_eigs}
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config, _overrides(args))
-        if args.command == "solve":
-            return _cmd_solve(cfg, args)
-        if args.command == "study":
-            return _cmd_study(cfg, args)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(cfg, args)
-        if args.command == "eigs":
-            return _cmd_eigs(cfg, args)
-        raise AssertionError(args.command)
+        return _COMMANDS[args.command](cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

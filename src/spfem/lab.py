@@ -1,5 +1,6 @@
 """Convergence studies over mesh sequences, with CSV and table output."""
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,8 +38,6 @@ class StudyRow:
 
 def estimated_order(e_coarse, e_fine, h_coarse, h_fine):
     """ln(e_coarse/e_fine) / ln(h_coarse/h_fine), or None if undefined."""
-    import math
-
     if e_coarse > 0 and e_fine > 0 and h_coarse != h_fine:
         return math.log(e_coarse / e_fine) / math.log(h_coarse / h_fine)
     return None

@@ -4,9 +4,9 @@ potential is known in closed form.  The Laplacian eigenpairs
 (``CubeMode``, ``cube_eigensequence``) live in ``spectrum``, whose
 solver starts from them, and are re-exported here.
 
-The density series is truncated with a certified tail bound, computed
-from the product structure of the mode sums, so every evaluation is
-accurate to a requested relative tolerance.
+The Fermi-Dirac level and the density series stop at a shell of one
+mode table (``cube_shells``), with a tail bound summed from positive
+terms only, so each is accurate to a requested relative tolerance.
 """
 
 import math
@@ -16,11 +16,14 @@ import numpy as np
 
 from .errors import NumericsError
 from .fem import ScalarFunction
-from .occupancy import BOLTZMANN, FERMI_REL_TOL, distribution
-from .spectrum import PI2, CubeMode, cube_eigensequence  # noqa: F401
+from .occupancy import BOLTZMANN, FERMI_REL_TOL, distribution, solve_fermi
+from .spectrum import (PI2, CubeMode, cube_eigensequence,  # noqa: F401
+                       cube_shells)
 
 # points per evaluation block of the density series
 SERIES_CHUNK_POINTS = 1 << 14
+# largest truncation shell of either series (tail tables reach 4x it)
+SHELL_MAX = 4096
 
 
 def _axis_sum(mu):
@@ -35,49 +38,42 @@ def _axis_sum(mu):
         i += 1
 
 
+def _shell_tail(mu, s_max, level):
+    """Bound on sum exp(mu (level - s pi^2)) over the modes s > s_max:
+    the shells in (s_max, 4 s_max] term by term, the rest by
+    exp(-mu pi^2 s) <= exp(-2 mu pi^2 s_max) exp(-mu pi^2 s / 2), which
+    sums to a cube of ``_axis_sum(mu / 2)``.  The level sits in the
+    exponents, so no factor exp(mu level) overflows."""
+    s = cube_shells(4 * s_max)[0]
+    s = s[np.searchsorted(s, s_max, side="right"):]
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(mu * (level - PI2 * s)))
+                     + np.exp(mu * (level - 2.0 * PI2 * s_max))
+                     * _axis_sum(0.5 * mu) ** 3)
+
+
 def continuous_fermi(p):
     """Fermi level of the continuum spectrum.
 
     Boltzmann admits the closed form mu^{-1} ln(N0 / (f0 Z)) with Z the
-    cube partition sum; the Fermi-Dirac level is solved from the series
-    with a certified Boltzmann-majorant tail.
+    cube partition sum; the Fermi-Dirac level is ``solve_fermi`` over
+    the shells up to s_max, which doubles until the Boltzmann majorant
+    of the dropped modes (``_shell_tail``) is within FERMI_REL_TOL N0.
     """
     if p.kind == BOLTZMANN:
         Z = _axis_sum(p.mu) ** 3
         return math.log(p.N0 / (p.f0 * Z)) / p.mu
 
     tol = FERMI_REL_TOL * p.N0
-    count = 512
-    for _ in range(16):
-        if p.f0 * count <= 2.0 * p.N0:   # saturation: need more levels
-            count *= 2
-            continue
-        modes = cube_eigensequence(count)
-        lams = np.array([m.lam for m in modes])
-
-        def g(y):
-            return float(np.sum(distribution(p, lams - y)))
-
-        lo, hi = lams[0] - 10.0 / p.mu, lams[0] + 10.0 / p.mu
-        while g(lo) > p.N0:
-            lo -= (hi - lo)
-        while g(hi) < p.N0:
-            hi += (hi - lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < p.N0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * (1.0 + abs(mid)):
-                break
-        y = 0.5 * (lo + hi)
-        # Boltzmann majorant of the dropped tail at the solved level
-        tail = (p.f0 * math.exp(p.mu * y)
-                * (_axis_sum(p.mu) ** 3 - float(np.sum(np.exp(-p.mu * lams)))))
-        if tail <= tol:
-            return y
-        count *= 2
+    s_max = 12
+    while s_max <= SHELL_MAX:
+        lams = cube_shells(s_max)[0] * PI2
+        # past f0 L = 2 N0 the level lies below the top mode
+        if p.f0 * len(lams) > 2.0 * p.N0:
+            y = solve_fermi(lams, p)
+            if p.f0 * _shell_tail(p.mu, s_max, y) <= tol:
+                return y
+        s_max *= 2
     raise NumericsError("continuum Fermi series cannot certify tolerance")
 
 
@@ -85,6 +81,8 @@ class SeriesDensity:
     """Exact electron density as a certified truncated mode series."""
 
     def __init__(self, p, rel_tol=1e-8):
+        if rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
         self.params = p
         self.rel_tol = rel_tol
         self.fermi_level = continuous_fermi(p)
@@ -93,28 +91,16 @@ class SeriesDensity:
     def _select_modes(self):
         p = self.params
         budget = self.rel_tol * p.N0
-        full = _axis_sum(p.mu) ** 3
-        amplitude = 8.0 * p.f0 * math.exp(p.mu * self.fermi_level)
+        level = self.fermi_level
         s_max = 12
-        for _ in range(40):
-            bound = math.ceil(math.sqrt(s_max))
-            i = np.arange(1, bound + 1)
-            ii, jj, kk = np.meshgrid(i, i, i, indexing="ij")
-            s = (ii * ii + jj * jj + kk * kk).ravel()
-            keep = s <= s_max
-            partial = float(np.sum(np.exp(-p.mu * PI2 * s[keep])))
-            if amplitude * (full - partial) <= budget:
-                order = np.argsort(s[keep], kind="stable")
-                self.modes_i = ii.ravel()[keep][order]
-                self.modes_j = jj.ravel()[keep][order]
-                self.modes_k = kk.ravel()[keep][order]
-                lams = s[keep][order] * PI2
-                self.lambdas = lams
-                self.weights = np.asarray(
-                    distribution(p, lams - self.fermi_level))
-                return
+        # a dropped mode is at most 8 f0 exp(mu (level - lambda)) anywhere
+        while 8.0 * p.f0 * _shell_tail(p.mu, s_max, level) > budget:
             s_max *= 2
-        raise NumericsError("density series cannot certify tolerance")
+            if s_max > SHELL_MAX:
+                raise NumericsError("density series cannot certify tolerance")
+        s, self.modes_i, self.modes_j, self.modes_k = cube_shells(s_max)
+        self.lambdas = s * PI2
+        self.weights = np.asarray(distribution(p, self.lambdas - level))
 
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
@@ -142,8 +128,6 @@ class SeriesDensity:
 
 def exact_density(p, x, rel_tol=1e-8):
     """Exact density at point(s) x, certified to rel_tol * ||n||_L2."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     return SeriesDensity(p, rel_tol)(x)
 
 

@@ -1,5 +1,6 @@
 """Discrete Hamiltonian pencils and their lowest eigenpairs, and the
-Laplacian eigenmodes of the unit cube they approach.
+Laplacian eigenmodes of the unit cube they approach, read from one
+table of complete shells of equal i^2 + j^2 + k^2 (``cube_shells``).
 
 The Hamiltonian for a potential u + V0 is discretized as
 A = (stiffness + weighted_mass(V0)) + weighted_mass(u) against the mass
@@ -50,25 +51,26 @@ class CubeMode:
                 * np.sin(self.k * math.pi * points[..., 2]))
 
 
+def cube_shells(s_max):
+    """Int arrays (s, i, j, k) of every mode with s = i^2 + j^2 + k^2 <=
+    s_max, sorted by (s, i, j, k).  Each shell of equal s is complete:
+    the table holds every mode of every shell up to s_max."""
+    i = np.arange(1, math.isqrt(max(s_max - 2, 0)) + 1)
+    ii, jj, kk = (a.ravel() for a in np.meshgrid(i, i, i, indexing="ij"))
+    s = ii * ii + jj * jj + kk * kk
+    keep = np.flatnonzero(s <= s_max)
+    order = keep[np.argsort(s[keep], kind="stable")]
+    return s[order], ii[order], jj[order], kk[order]
+
+
 def cube_eigensequence(count):
     """First ``count`` modes sorted by eigenvalue, ties by (i, j, k)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    bound = 4
-    while True:
-        modes = [(i * i + j * j + k * k, (i, j, k))
-                 for i in range(1, bound + 1)
-                 for j in range(1, bound + 1)
-                 for k in range(1, bound + 1)]
-        modes.sort()
-        if len(modes) >= count:
-            s_count = modes[count - 1][0]
-            # complete iff no mode with an index beyond the bound can
-            # undercut the count-th eigenvalue
-            if s_count < (bound + 1) ** 2 + 2:
-                break
-        bound *= 2
-    return [CubeMode(*ijk) for _, ijk in modes[:count]]
+    # the n^3 modes with indices up to n all lie in the shells up to 3 n^2
+    n = math.ceil(count ** (1 / 3))
+    _, I, J, K = (a[:count].tolist() for a in cube_shells(3 * n * n))
+    return [CubeMode(*ijk) for ijk in zip(I, J, K)]
 
 
 def cube_start(mesh, L, seed=0):
@@ -87,23 +89,14 @@ def cube_start(mesh, L, seed=0):
     m = mesh.m
     if not 1 <= L <= mesh.n_interior:
         raise ValueError(f"need 1 <= L <= {mesh.n_interior}, got L={L}")
-    count = L
-    while True:
-        modes = [mode for mode in cube_eigensequence(count)
-                 if max(mode.i, mode.j, mode.k) < m]
-        shells = np.array([mode.i ** 2 + mode.j ** 2 + mode.k ** 2
-                           for mode in modes])
-        # the shell of the L-th mode is complete once a later one follows
-        if len(modes) == mesh.n_interior or (
-                len(modes) > L and shells[-1] > shells[L - 1]):
-            break
-        count *= 2
+    shells, I, J, K = cube_shells(3 * (m - 1) ** 2)   # holds every grid mode
+    grid = np.maximum(np.maximum(I, J), K) < m
+    shells = shells[grid]
     lo = np.searchsorted(shells, shells[L - 1], side="left")
     hi = np.searchsorted(shells, shells[L - 1], side="right")
+    I, J, K = (a[grid][:hi] - 1 for a in (I, J, K))
     idx = np.arange(1, m)
     S = np.sin(math.pi / m * np.outer(idx, idx))     # S[i - 1, a - 1]
-    I, J, K = (np.array([getattr(mode, ax) for mode in modes[:hi]]) - 1
-               for ax in "ijk")
     X = (2.0 * math.sqrt(2.0) * S[I][:, :, None, None]
          * S[J][:, None, :, None] * S[K][:, None, None, :])
     X = X.reshape(hi, -1).T

@@ -61,6 +61,10 @@ def test_slow_decay_regime_flags():
     assert cfg.params.f0 == pytest.approx(4.4e-6)
 
 
+def test_oracle_check_fermi_dirac():
+    assert main(["oracle-check", "--distribution", "fermi_dirac"]) == 0
+
+
 def test_exit_code_for_bad_flag(capsys):
     assert main(["study", "--mu", "-1"]) == 1
     assert "mu" in capsys.readouterr().err

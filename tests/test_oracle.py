@@ -1,16 +1,21 @@
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spfem import fem
 from spfem.occupancy import DistributionParams
-from spfem.oracle import (SeriesDensity, continuous_fermi,
+from spfem.oracle import (SeriesDensity, _shell_tail, continuous_fermi,
                           cube_eigensequence, exact_density,
                           manufactured_problem)
 from spfem.quadrature import tet_rule
+from spfem.spectrum import cube_shells
 
 PI2 = math.pi ** 2
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_first_modes():
@@ -39,6 +44,11 @@ def test_sequence_against_brute_force():
     expected = [s * PI2 for s, _ in brute[:60]]
     assert brute[59][0] < 38
     assert lams == pytest.approx(expected)
+    # the shell table up to 37 is the brute-force list in the same
+    # order, each shell whole
+    table = cube_shells(37)
+    assert [(s, (i, j, k)) for s, i, j, k in zip(*table)] == \
+        [entry for entry in brute if entry[0] <= 37]
 
 
 def test_mode_normalization_by_quadrature(mesh8):
@@ -67,6 +77,45 @@ def test_continuous_fermi_fermi_dirac():
     lam = np.array([m.lam for m in cube_eigensequence(4096)])
     total = float(np.sum(fd.f0 * expit(-fd.mu * (lam - level))))
     assert total == pytest.approx(fd.N0, rel=1e-9)
+
+
+# the continuum Fermi-Dirac level in a capped child interpreter, so a
+# search that does not stop fails this test instead of exhausting memory
+_FERMI_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from spfem.occupancy import DistributionParams
+from spfem.oracle import continuous_fermi
+f0, mu, N0 = map(float, sys.argv[1:])
+print(repr(continuous_fermi(DistributionParams("fermi_dirac", f0, mu, N0))))
+"""
+
+
+@pytest.mark.parametrize("f0, mu, N0", [(1.0, 0.1, 100.0),
+                                        (2.0, 0.1, 100.0)])
+def test_continuous_fermi_fermi_dirac_certifies(f0, mu, N0):
+    from scipy.special import expit
+
+    done = subprocess.run(
+        [sys.executable, "-c", _FERMI_CHILD, str(f0), str(mu), str(N0)],
+        cwd=SRC, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    level = float(done.stdout)
+    lam = np.array([m.lam for m in cube_eigensequence(20000)])
+    total = float(np.sum(f0 * expit(-mu * (lam - level))))
+    assert total == pytest.approx(N0, rel=1e-9)
+
+
+@pytest.mark.parametrize("s_max", [12, 24, 48, 96])
+@pytest.mark.parametrize("mu", [0.02, 0.04, 0.1, 0.5, 1.0])
+def test_shell_tail_bounds_the_dropped_modes(mu, s_max):
+    # the level at the truncation shell keeps every term representable
+    level = PI2 * s_max
+    s = cube_shells(16 * s_max)[0]
+    brute = float(np.sum(np.exp(mu * (level - PI2 * s[s > s_max]))))
+    bound = _shell_tail(mu, s_max, level)
+    assert bound >= brute * (1.0 - 1e-12)
+    assert bound <= 1.2 * brute
 
 
 def test_exact_density_properties(params):
@@ -150,6 +199,11 @@ def test_doping_consistency(params):
 def test_invalid_example(params):
     with pytest.raises(ValueError):
         manufactured_problem(3, params)
+
+
+def test_nonpositive_series_tolerance_is_an_argument_error(params):
+    with pytest.raises(ValueError, match="rel_tol"):
+        manufactured_problem(1, params, rel_tol=0.0)
 
 
 def test_chunked_series_matches_one_shot():
