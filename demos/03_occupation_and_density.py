@@ -8,9 +8,9 @@ of squared eigenfunctions.
 
 import numpy as np
 
-from spfem import (DistributionParams, SpectrumSolver, build_density,
-                   build_structured_mesh, continuous_fermi,
-                   determine_occupation, exact_density, mesh_size)
+from spfem import (DistributionParams, SeriesDensity, SpectrumSolver,
+                   build_density, build_structured_mesh, continuous_fermi,
+                   determine_occupation, mesh_size)
 
 p = DistributionParams()  # Boltzmann, f0=1, mu=0.1, N0=100
 fermi_exact = continuous_fermi(p)
@@ -36,7 +36,8 @@ solver = SpectrumSolver(mesh, None)
 spectral, occ = determine_occupation(
     mesh, lambda L: solver.solve(None, L), p, mesh_size(mesh))
 density = build_density(spectral, occ)
-for t in (0.125, 0.25, 0.375, 0.5):
-    x = np.array([t, t, t])
-    print(f"  x={t:5.3f}: n_h = {density.evaluate(x):10.4f}, "
-          f"n = {exact_density(p, x):10.4f}")
+diagonal = np.repeat([[0.125], [0.25], [0.375], [0.5]], 3, axis=1)
+exact = SeriesDensity(p)(diagonal)   # one series, all four points
+for x, n in zip(diagonal, exact):
+    print(f"  x={x[0]:5.3f}: n_h = {density.evaluate(x):10.4f}, "
+          f"n = {n:10.4f}")

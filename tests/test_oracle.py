@@ -2,6 +2,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,22 @@ def test_residual_self_check(example, params):
     assert np.all(resid <= 1e-6 * (1.0 + np.abs(n)))
 
 
+@pytest.mark.parametrize("example", [1, 2])
+def test_fermi_dirac_residual_is_measured(example):
+    # at the defaults the 1e-8 and 1e-10 Fermi-Dirac series stop at the
+    # same shell; the check's series reaches twice as far and is summed
+    # mode by mode, so it reads the rounding of n_exact, not 0
+    fd = DistributionParams(kind="fermi_dirac")
+    problem = manufactured_problem(example, fd)
+    pts = 0.05 + 0.9 * np.random.default_rng(42).random((100, 3))
+    resid = problem.residual_check(pts)
+    n = problem.n_exact(pts)
+    assert resid.max() > 0.0
+    assert np.all(resid <= 1e-6 * (1.0 + np.abs(n)))
+    # the terms past n_exact's shell are far below rounding
+    assert resid.max() <= 1e-13 * n.max()
+
+
 def test_example1_laplacian_and_sign(params):
     problem = manufactured_problem(1, params)
     center = np.array([0.5, 0.5, 0.5])
@@ -206,20 +223,55 @@ def test_nonpositive_series_tolerance_is_an_argument_error(params):
         manufactured_problem(1, params, rel_tol=0.0)
 
 
-def test_chunked_series_matches_one_shot():
-    # reference: the one-shot sum over all points, kept here; the
-    # chunked evaluation does the same arithmetic per point
-    series = SeriesDensity(DistributionParams(mu=0.04))
-    pts = np.random.default_rng(2).random((2, 20000, 3))
-    flat = pts.reshape(-1, 3)
+def _per_mode_reference(series, flat):
+    """The series at (N, 3) points summed one mode at a time, with a
+    compensated (Neumaier) running sum: a plain one drifts by about
+    1e-13 of the maximum over the 85 565 modes at mu = 1e-3."""
     imax = int(max(series.modes_i.max(), series.modes_j.max(),
                    series.modes_k.max()))
     freq = np.arange(1, imax + 1)[:, None] * math.pi
     sx2, sy2, sz2 = (np.sin(freq * flat[None, :, d]) ** 2 for d in range(3))
-    ref = np.zeros(len(flat))
+    total = np.zeros(len(flat))
+    carry = np.zeros(len(flat))
     for w, i, j, k in zip(series.weights, series.modes_i, series.modes_j,
                           series.modes_k):
-        ref += (8.0 * w) * sx2[i - 1] * sy2[j - 1] * sz2[k - 1]
-    got = series(pts)
-    assert got.shape == (2, 20000)
-    np.testing.assert_array_equal(got.ravel(), ref)
+        term = (8.0 * w) * sx2[i - 1] * sy2[j - 1] * sz2[k - 1]
+        new = total + term
+        # terms are >= 0: the larger addend loses (larger - new) + smaller
+        carry += (np.maximum(total, term) - new) + np.minimum(total, term)
+        total = new
+    return total + carry
+
+
+def test_chunked_series_matches_one_shot(mesh16):
+    # the separable contraction sums in another order than the modes,
+    # so it matches the per-mode sum to rounding, not bit for bit:
+    # random points (pointwise), the degree-4 quadrature points of the
+    # m = 16 mesh (grouped by distinct coordinates and (x, y) pairs),
+    # and random points at n = 55, several blocks of distinct pairs
+    wide = SeriesDensity(DistributionParams(mu=0.04))
+    cases = [(wide, np.random.default_rng(2).random((2, 20000, 3))),
+             (wide, mesh16.physical_points(tet_rule(4))),
+             (SeriesDensity(DistributionParams(mu=1e-3)),
+              np.random.default_rng(3).random((500, 3)))]
+    assert len(cases[2][0].coeffs) == 55
+    for series, pts in cases:
+        ref = _per_mode_reference(series, pts.reshape(-1, 3))
+        got = series(pts)
+        assert got.shape == pts.shape[:-1]
+        np.testing.assert_allclose(got.ravel(), ref, rtol=0,
+                                   atol=1e-13 * ref.max())
+
+
+def test_series_memory_is_bounded_by_block_entries():
+    # at n = 55 the (x, y) tables of 20 000 distinct points, evaluated
+    # at once, would take 20 000 * 55^2 * 8 B = 484 MB
+    series = SeriesDensity(DistributionParams(mu=1e-3))
+    pts = np.random.default_rng(4).random((20000, 3))
+    tracemalloc.start()
+    try:
+        series(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
