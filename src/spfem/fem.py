@@ -46,9 +46,6 @@ class ScalarFunction:
                    grad=lambda p: np.zeros(p.shape))
 
 
-ZERO = ScalarFunction.constant(0.0)
-
-
 class FeField:
     """Piecewise-linear field given by one coefficient per mesh vertex."""
 

@@ -56,31 +56,10 @@ def distribution(p, t):
     return out if out.ndim else float(out)
 
 
-def distribution_derivative(p, t):
-    t = np.asarray(t, dtype=float)
-    if p.kind == BOLTZMANN:
-        out = -p.mu * p.f0 * np.exp(-p.mu * t)
-    else:
-        s = _fermi_dirac(p.mu * t)
-        out = -p.mu * p.f0 * s * (1.0 - s)
-    return out if out.ndim else float(out)
-
-
 def _bump(s):
     """exp(-1/s) continued by 0 for s <= 0; smooth at 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
-def _bump_derivative(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos]) / s[pos] ** 2
-    return out
+    with np.errstate(divide="ignore"):
+        return np.exp(-1.0 / np.maximum(s, 0.0))
 
 
 def cutoff_chi(M, t):
@@ -92,24 +71,9 @@ def cutoff_chi(M, t):
     return out if out.ndim else float(out)
 
 
-def cutoff_chi_derivative(M, t):
-    t = np.asarray(t, dtype=float)
-    a = _bump(M + 1.0 - t)
-    b = _bump(t - M)
-    da = _bump_derivative(M + 1.0 - t)
-    db = _bump_derivative(t - M)
-    out = -(da * b + a * db) / (a + b) ** 2
-    return out if out.ndim else float(out)
-
-
 def truncated_distribution(p, M, t):
     """Cutoff-weighted occupation; identically 0 for t >= M + 1."""
     return cutoff_chi(M, t) * distribution(p, t)
-
-
-def truncated_distribution_derivative(p, M, t):
-    return cutoff_chi_derivative(M, t) * distribution(p, t) \
-        + cutoff_chi(M, t) * distribution_derivative(p, t)
 
 
 def truncation_bound(h, p):
@@ -119,17 +83,18 @@ def truncation_bound(h, p):
     return 2.0 * abs(math.log(h)) / p.mu
 
 
-def _occupation_sum(eigenvalues, p, M, y):
-    return float(np.sum(truncated_distribution(p, M, eigenvalues - y)))
-
-
 def solve_fermi(eigenvalues, p, M=np.inf):
     """Fermi level making the truncated occupations sum to N0.
 
-    The root is isolated by bracketing and bisection, then polished by
-    a safeguarded Newton iteration using the analytic derivative; the
-    cutoff can flatten the occupation sum, in which case Newton falls
-    back to bisection steps.
+    The occupation sum increases with the level y.  At
+    y = min(eps) - ln(f0 L / N0) / mu - 10 each of the L terms is below
+    (N0 / L) e^(-10 mu), for either distribution and any cutoff, so that
+    end brackets the root from below without a search; one evaluation
+    checks it.  The upper end grows until the sum reaches N0, which a
+    Fermi-Dirac sum near saturation f0 L needs.  Bisection narrows the
+    bracket to width 1e-2; then each step is the secant through the last
+    two iterates, or a bisection step when that secant's slope is not
+    positive or its root leaves the bracket.  No derivative is used.
     """
     eps = np.asarray(eigenvalues, dtype=float)
     L = len(eps)
@@ -144,19 +109,18 @@ def solve_fermi(eigenvalues, p, M=np.inf):
         raise InfeasibleOccupationError(
             f"occupation sum saturates at f0*L = {p.f0 * L:g} < N0 = {p.N0:g}")
 
-    lo = eps[0] - math.log(p.f0 * L / p.N0) / p.mu - 10.0
-    hi = eps[-1] + math.log(p.N0 / p.f0) / p.mu + 10.0
-    width = max(hi - lo, 1.0)
-    for _ in range(200):
-        if _occupation_sum(eps, p, M, lo) <= p.N0:
-            break
-        lo -= width
-        width *= 2.0
-    else:
+    def excess(y):
+        return float(np.sum(truncated_distribution(p, M, eps - y))) - p.N0
+
+    lo = eps.min() - math.log(p.f0 * L / p.N0) / p.mu - 10.0
+    hi = eps.max() + math.log(p.N0 / p.f0) / p.mu + 10.0
+    g_lo = excess(lo)
+    if g_lo > 0.0:
         raise ConvergenceError("failed to bracket the Fermi level from below")
     width = max(hi - lo, 1.0)
     for _ in range(200):
-        if _occupation_sum(eps, p, M, hi) >= p.N0:
+        g_hi = excess(hi)
+        if g_hi >= 0.0:
             break
         hi += width
         width *= 2.0
@@ -165,31 +129,27 @@ def solve_fermi(eigenvalues, p, M=np.inf):
             f"occupation sum never reaches N0 = {p.N0:g} "
             "(too few levels or cutoff too tight)")
 
-    while hi - lo > 1e-2:
-        mid = 0.5 * (lo + hi)
-        if _occupation_sum(eps, p, M, mid) < p.N0:
-            lo = mid
-        else:
-            hi = mid
-
-    y = 0.5 * (lo + hi)
     tol = FERMI_REL_TOL * p.N0
-    for _ in range(300):
-        g = _occupation_sum(eps, p, M, y)
-        if abs(g - p.N0) <= tol:
-            return float(y)
-        if g < p.N0:
+    y0, g0, y1, g1 = lo, g_lo, hi, g_hi
+    steps = 0
+    while not abs(g1) <= tol:
+        y = 0.5 * (lo + hi)
+        if hi - lo <= 1e-2:
+            steps += 1
+            if steps > 300:
+                raise ConvergenceError("Fermi solve stalled",
+                                       residual=abs(g1) / p.N0)
+            if (g1 - g0) * (y1 - y0) > 0.0:
+                secant = y1 - g1 * (y1 - y0) / (g1 - g0)
+                if lo < secant < hi:
+                    y = secant
+        g = excess(y)
+        if g < 0.0:
             lo = y
         else:
             hi = y
-        dg = float(np.sum(-truncated_distribution_derivative(p, M, eps - y)))
-        step_ok = dg > 1e-300
-        if step_ok:
-            y_new = y - (g - p.N0) / dg
-            step_ok = lo < y_new < hi
-        y = y_new if step_ok else 0.5 * (lo + hi)
-    raise ConvergenceError("Fermi solve stalled",
-                           residual=abs(g - p.N0) / p.N0)
+        y0, g0, y1, g1 = y1, g1, y, g
+    return float(y1)
 
 
 @dataclass
@@ -212,9 +172,12 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     passes its own: on the first sweep the continuum levels that reach
     the window (``scf.first_level_budget``), which count high because
     the discrete levels lie above the continuum ones, and after it the
-    budget it trimmed from its previous sweep.  It doubles until the topmost computed level sits more than
-    one unit beyond the truncation window, at which point the tail
-    occupations vanish identically and the partial Fermi solve is exact.
+    budget it trimmed from its previous sweep.  It doubles while the
+    levels cannot hold N0 (a Fermi-Dirac sum saturates at f0 L) and
+    until the topmost computed level sits more than one unit beyond the
+    truncation window, at which point the tail occupations vanish
+    identically and the partial Fermi solve is exact.  At the cap either
+    shortfall raises.
 
     The eigenvalues may come from a loose eigensolve.  For B-normalized
     vectors a residual r moves an eigenvalue by at most
@@ -233,7 +196,14 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
 
     while True:
         spectral = solve(L)
-        fermi = solve_fermi(spectral.eigenvalues, p, M)
+        try:
+            fermi = solve_fermi(spectral.eigenvalues, p, M)
+        except InfeasibleOccupationError:
+            # too few levels to hold N0 (Fermi-Dirac saturation)
+            if L >= cap:
+                raise
+            L = min(2 * L, cap)
+            continue
         tail_offset = float(spectral.eigenvalues[-1] - fermi)
         if tail_offset > required:
             break

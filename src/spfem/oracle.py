@@ -238,7 +238,6 @@ class ManufacturedProblem:
     laplacian_V0: ScalarFunction
     V_exact: ScalarFunction
     n_exact: SeriesDensity
-    eps_F_exact: float
     n_D: ScalarFunction
 
     def residual_check(self, points):
@@ -282,6 +281,5 @@ def manufactured_problem(example, p, rel_tol=1e-8):
         laplacian_V0=lap_V0,
         V_exact=ScalarFunction(v_exact, grad=v_exact_grad),
         n_exact=series,
-        eps_F_exact=series.fermi_level,
         n_D=ScalarFunction(doping),
     )

@@ -8,11 +8,14 @@ from spfem import fem
 from spfem.errors import (ConvergenceError, InfeasibleOccupationError,
                           TruncationOverflowError)
 from spfem.mesh import build_structured_mesh, mesh_size
-from spfem.occupancy import (DistributionParams, OccupationState,
-                             build_density, cutoff_chi,
-                             cutoff_chi_derivative, determine_occupation,
-                             distribution, solve_fermi,
-                             truncated_distribution, truncation_bound)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spfem.occupancy import (FERMI_REL_TOL, DistributionParams,
+                             OccupationState, build_density, cutoff_chi,
+                             determine_occupation, distribution,
+                             solve_fermi, truncated_distribution,
+                             truncation_bound)
 from spfem.oracle import continuous_fermi, cube_eigensequence
 from spfem.quadrature import tet_rule
 from spfem.scf import next_level_budget
@@ -52,10 +55,29 @@ def test_cutoff_values_and_monotonicity():
     t = np.linspace(M - 1, M + 2, 400)
     chi = cutoff_chi(M, t)
     assert np.all(np.diff(chi) <= 1e-15)
-    assert np.all(cutoff_chi_derivative(M, t) <= 0.0)
-    # derivative vanishes outside the transition band
-    assert cutoff_chi_derivative(M, M - 1.0) == 0.0
-    assert cutoff_chi_derivative(M, M + 2.0) == 0.0
+
+
+def _chi_by_definition(M, t):
+    def bump(s):
+        return math.exp(-1.0 / s) if s > 0.0 else 0.0
+    a, b = bump(M + 1.0 - t), bump(t - M)
+    return a / (a + b)
+
+
+@pytest.mark.parametrize("M", [0.0, 10.0, 460.5])
+def test_cutoff_matches_its_definition(M):
+    offsets = [-3.0, -1.0, -1e-9, 0.0, 1e-300, 1e-9, 0.01, 0.3, 0.5, 0.7,
+               0.99, 1.0 - 1e-9, 1.0, 1.0 + 1e-300, 1.0 + 1e-9, 2.0, 5.0]
+    t = np.array([M + d for d in offsets] + [-M, M / 2, 0.0, -0.0])
+    chi = cutoff_chi(M, t)
+    for ti, ci in zip(t, chi):
+        assert ci == pytest.approx(_chi_by_definition(M, ti),
+                                   rel=1e-15, abs=0.0), ti
+        assert cutoff_chi(M, float(ti)) == ci
+    assert cutoff_chi(M, M) == 1.0
+    assert cutoff_chi(M, M + 1.0) == 0.0
+    # an infinite window keeps every finite offset
+    assert np.all(cutoff_chi(math.inf, t) == 1.0)
 
 
 def test_truncated_distribution():
@@ -114,6 +136,38 @@ def test_fermi_conservation_tolerance():
     assert abs(total - p.N0) <= 1e-12 * p.N0
 
 
+_spectra = st.lists(
+    st.tuples(st.floats(-50.0, 500.0), st.integers(1, 4)),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=_spectra, shuffle=st.randoms(use_true_random=False),
+       sort=st.booleans(), fermi_dirac=st.booleans(),
+       f0_exp=st.floats(-4.0, 3.0), mu_exp=st.floats(-2.7, 1.0),
+       N0_exp=st.floats(-2.0, 5.0),
+       M=st.one_of(st.just(math.inf), st.floats(0.5, 200.0)))
+def test_fermi_conserves_or_raises(levels, shuffle, sort, fermi_dirac,
+                                   f0_exp, mu_exp, N0_exp, M):
+    # degenerate clusters: each drawn level repeated 1 to 4 times
+    eps = [lam for lam, count in levels for _ in range(count)]
+    if sort:
+        eps.sort()
+    else:
+        shuffle.shuffle(eps)
+    p = DistributionParams(kind="fermi_dirac" if fermi_dirac
+                           else "boltzmann", f0=10.0 ** f0_exp,
+                           mu=10.0 ** mu_exp, N0=10.0 ** N0_exp)
+    with np.errstate(over="ignore"):
+        try:
+            y = solve_fermi(eps, p, M)
+        except (InfeasibleOccupationError, ConvergenceError):
+            return
+        total = float(np.sum(truncated_distribution(
+            p, M, np.asarray(eps) - y)))
+    assert abs(total - p.N0) <= FERMI_REL_TOL * p.N0
+
+
 def test_fermi_infeasible():
     fd = DistributionParams(kind="fermi_dirac", f0=1.0, mu=1.0, N0=100.0)
     with pytest.raises(InfeasibleOccupationError):
@@ -143,6 +197,24 @@ def test_determine_occupation_conserves(mesh8, params):
     assert np.all(np.diff(o) <= 1e-16)
     # topmost computed level lies strictly beyond the window
     assert spectral.eigenvalues[-1] - occ.fermi_level > occ.window + 1.0
+
+
+def test_saturated_budget_doubles_until_levels_hold_N0():
+    # Fermi-Dirac occupations saturate at f0 per level: 16 levels hold at
+    # most 32 < N0 electrons, so the budget doubles; at m = 4 even all 27
+    # interior levels hold only 54
+    fd = DistributionParams(kind="fermi_dirac", f0=2.0, mu=0.1, N0=100.0)
+    mesh = build_structured_mesh(8)
+    solver = SpectrumSolver(mesh, None)
+    spectral, occ = determine_occupation(
+        mesh, lambda L: solver.solve(None, L), fd, mesh_size(mesh))
+    assert spectral.count > 50
+    assert abs(occ.occupations.sum() - fd.N0) <= 1e-10 * fd.N0
+    small = build_structured_mesh(4)
+    solver = SpectrumSolver(small, None)
+    with pytest.raises(InfeasibleOccupationError):
+        determine_occupation(small, lambda L: solver.solve(None, L), fd,
+                             mesh_size(small))
 
 
 def test_window_monotone_under_refinement(params):
