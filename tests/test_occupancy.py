@@ -3,14 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spfem import fem
 from spfem.errors import (ConvergenceError, InfeasibleOccupationError,
                           TruncationOverflowError)
 from spfem.mesh import build_structured_mesh, mesh_size
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from spfem.occupancy import (FERMI_REL_TOL, DistributionParams,
                              OccupationState, build_density, cutoff_chi,
                              determine_occupation, distribution,
@@ -211,10 +210,10 @@ def test_saturated_budget_doubles_until_levels_hold_N0():
     assert spectral.count > 50
     assert abs(occ.occupations.sum() - fd.N0) <= 1e-10 * fd.N0
     small = build_structured_mesh(4)
-    solver = SpectrumSolver(small, None)
+    small_solver = SpectrumSolver(small, None)
     with pytest.raises(InfeasibleOccupationError):
-        determine_occupation(small, lambda L: solver.solve(None, L), fd,
-                             mesh_size(small))
+        determine_occupation(small, lambda L: small_solver.solve(None, L),
+                             fd, mesh_size(small))
 
 
 def test_window_monotone_under_refinement(params):
