@@ -132,7 +132,7 @@ def solve_fermi(eigenvalues, p, M=np.inf):
     tol = FERMI_REL_TOL * p.N0
     y0, g0, y1, g1 = lo, g_lo, hi, g_hi
     steps = 0
-    while not abs(g1) <= tol:
+    while not abs(g1) <= tol:  # a NaN sum is not converged
         y = 0.5 * (lo + hi)
         if hi - lo <= 1e-2:
             steps += 1
