@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericsError
+from .fem import slab_blocks
 from .lab import emit_csv, format_table, run_study
 from .mesh import build_structured_mesh, mesh_size, write_rows
 from .occupancy import DistributionParams
@@ -140,13 +141,15 @@ def dump_potential(field_, path, use_gzip=False):
 
 
 def dump_density(density, path, use_gzip=False):
-    """One 'x y z value' line per quadrature point (degree-2 rule)."""
+    """One 'x y z value' line per quadrature point (degree-2 rule),
+    written one slab block at a time."""
     mesh = density.mesh
     rule = tet_rule(2)
-    pts = mesh.physical_points(rule).reshape(-1, 3)
-    vals = density.element_values(mesh, rule).reshape(-1, 1)
     with _open_out(path, use_gzip) as f:
-        write_rows(f, np.hstack([pts, vals]))
+        for slabs in slab_blocks(mesh, rule):
+            pts = mesh.physical_points(rule, slabs).reshape(-1, 3)
+            vals = density.element_values(mesh, rule, slabs).reshape(-1, 1)
+            write_rows(f, np.hstack([pts, vals]))
 
 
 def _add_common(sub, mesh_key=None):

@@ -4,14 +4,23 @@ Dirichlet conditions are handled by eliminating boundary vertices, so
 all assembled operators act on interior degrees of freedom unless
 ``interior_only=False`` is requested.
 
-Local arrays are closed-form products over all elements at once: a
-weighted mass is (nt, nq) weights times the rule's (nq, 16) table of
-basis products, a load is (nt, nq) values times the (nq, 4) basis
-values.  The position of every local entry in the final CSR pattern is
+Quadrature runs over blocks of whole x-slabs of cells
+(``slab_blocks``), each holding at most ``BLOCK_POINTS`` quadrature
+points, so no transient grows with elements times points.  Cells are
+ordered with x slowest, so a block is a contiguous range of elements.
+Field-like objects evaluate on one block at a time
+(``element_values(mesh, rule, slabs)``); a plain callable gets the
+block's physical points.  In a block a weighted mass is (nb, nq)
+weights times the rule's (nq, 16) table of basis products, a load is
+(nb, nq) values times the (nq, 4) basis values, and an error is a
+weighted sum per element.  Each block writes its rows into whole-mesh
+arrays, which are reduced once, as if there were one block.
+
+The position of every local entry in the final CSR pattern is
 computed once per mesh (and per ``interior_only``), so each matrix
 assembly is a single ``np.bincount`` and bit-reproducible for a fixed
 mesh.  The same positions expand a Gram given per vertex pair of the
-pattern into the 4x4 Grams of all elements.  These positions, kept in
+pattern into the 4x4 Grams of the elements.  These positions, kept in
 the mesh's ``_patterns``, are the only thing remembered between calls:
 fields are evaluated afresh at every assembly, and a caller that reuses
 one (a fixed doping load, say) keeps the assembled vector itself.
@@ -22,6 +31,17 @@ import scipy.sparse as sp
 
 from .linsolve import SparseSymMatrix
 from .quadrature import tet_rule
+
+# quadrature points in one block of x-slabs (at least one slab); the
+# whole m = 8 mesh is one block, even for the 24-point degree-6 rule
+BLOCK_POINTS = 1 << 17
+
+
+def slab_blocks(mesh, rule):
+    """Ranges of whole x-slabs holding at most BLOCK_POINTS of the
+    rule's points each, or one slab when a slab holds more."""
+    per_slab = 6 * mesh.m ** 2 * len(rule.weights)
+    return mesh.slab_blocks(BLOCK_POINTS // per_slab)
 
 
 class ScalarFunction:
@@ -76,19 +96,21 @@ class FeField:
     def interior(self):
         return self.coeffs[self.mesh.interior_vertices]
 
-    def element_values(self, mesh, rule):
+    def element_values(self, mesh, rule, slabs=None):
         if mesh is not self.mesh:
             raise ValueError("field evaluated on a foreign mesh")
-        local = self.coeffs[mesh.tets]                 # (nt, 4)
-        return local @ rule.points.T                   # (nt, nq)
+        local = self.coeffs[mesh.tets[mesh.slab_elements(slabs)]]  # (nb, 4)
+        return local @ rule.points.T                   # (nb, nq)
 
-    def element_gradients(self, mesh, rule):
+    def element_gradients(self, mesh, rule, slabs=None):
         if mesh is not self.mesh:
             raise ValueError("field evaluated on a foreign mesh")
-        local = self.coeffs[mesh.tets]
-        g = np.einsum("na,nad->nd", local, mesh.grads)  # constant per element
+        elements = mesh.slab_elements(slabs)
+        local = self.coeffs[mesh.tets[elements]]
+        # constant per element
+        g = np.einsum("na,nad->nd", local, mesh.grads[elements])
         return np.broadcast_to(g[:, None, :],
-                               (mesh.n_tets, len(rule.points), 3))
+                               (len(g), len(rule.points), 3))
 
     def __add__(self, other):
         return FeField(self.mesh, self.coeffs + other.coeffs)
@@ -100,23 +122,39 @@ class FeField:
         return FeField(self.mesh, float(scalar) * self.coeffs)
 
 
-def values_on_elements(obj, mesh, rule):
-    """(nt, nq) values of a field-like object at all quadrature points."""
+def values_on_elements(obj, mesh, rule, slabs=None, points=None):
+    """(nb, nq) values of a field-like object at the quadrature points of
+    the x-slabs ``slabs`` (all by default).  A plain callable is
+    evaluated at ``points``, the block's physical points, when given."""
     if hasattr(obj, "element_values"):
-        return obj.element_values(mesh, rule)
+        return obj.element_values(mesh, rule, slabs)
     if callable(obj):
-        return obj(mesh.physical_points(rule))
+        if points is None:
+            points = mesh.physical_points(rule, slabs)
+        return obj(points)
     raise TypeError(f"cannot evaluate {type(obj).__name__} on elements")
 
 
-def gradients_on_elements(obj, mesh, rule):
-    """(nt, nq, 3) gradients of a field-like object at quadrature points."""
+def gradients_on_elements(obj, mesh, rule, slabs=None, points=None):
+    """(nb, nq, 3) gradients of a field-like object at the quadrature
+    points of the x-slabs ``slabs``, as ``values_on_elements``."""
     if hasattr(obj, "element_gradients"):
-        return obj.element_gradients(mesh, rule)
+        return obj.element_gradients(mesh, rule, slabs)
     grad = getattr(obj, "grad", None)
     if grad is not None:
-        return np.asarray(grad(mesh.physical_points(rule)), dtype=float)
+        if points is None:
+            points = mesh.physical_points(rule, slabs)
+        return np.asarray(grad(points), dtype=float)
     raise TypeError(f"no gradient available for {type(obj).__name__}")
+
+
+def blockwise(mesh, rule, local, shape=()):
+    """(nt, *shape) array whose rows on each slab block are
+    ``local(slabs)``."""
+    out = np.empty((mesh.n_tets,) + shape)
+    for slabs in slab_blocks(mesh, rule):
+        out[mesh.slab_elements(slabs)] = local(slabs)
+    return out
 
 
 def _pattern(mesh, interior_only):
@@ -169,10 +207,12 @@ def pattern_gram(mesh, X, weights):
     return out
 
 
-def element_gram(mesh, pairs):
-    """(nt, 16) local 4x4 Grams from the per-entry values of
-    ``pattern_gram``."""
-    return pairs[_pattern(mesh, True)[0]].reshape(-1, 16)
+def element_gram(mesh, pairs, slabs=None):
+    """(nb, 16) local 4x4 Grams on the x-slabs ``slabs`` (all by
+    default) from the per-entry values of ``pattern_gram``."""
+    elements = mesh.slab_elements(slabs)
+    positions = _pattern(mesh, True)[0].reshape(-1, 16)[elements]
+    return pairs[positions]
 
 
 def basis_products(rule):
@@ -200,8 +240,10 @@ def assemble_weighted_mass(mesh, w, rule=None, interior_only=True):
     rule = rule or tet_rule(2)
     if rule.degree < 2:
         raise ValueError("weighted mass needs quadrature degree >= 2")
-    wvals = values_on_elements(w, mesh, rule)          # (nt, nq)
-    local = (wvals * rule.weights) @ basis_products(rule)  # (nt, 16)
+    table = basis_products(rule)                       # (nq, 16)
+    local = blockwise(mesh, rule, lambda slabs: (
+        values_on_elements(w, mesh, rule, slabs) * rule.weights) @ table,
+        (16,))
     local *= mesh.volumes[:, None]
     return _assemble(mesh, local, interior_only)
 
@@ -211,33 +253,50 @@ def assemble_load(mesh, g, rule=None):
     rule = rule or tet_rule(2)
     if rule.degree < 2:
         raise ValueError("load assembly needs quadrature degree >= 2")
-    gvals = values_on_elements(g, mesh, rule)          # (nt, nq)
-    local = (gvals * rule.weights) @ rule.points       # (nt, 4)
+    local = blockwise(mesh, rule, lambda slabs: (
+        values_on_elements(g, mesh, rule, slabs) * rule.weights)
+        @ rule.points, (4,))
     local *= mesh.volumes[:, None]
     full = np.bincount(mesh.tets.ravel(), weights=local.ravel(),
                        minlength=mesh.n_vertices)
     return full[mesh.interior_vertices]
 
 
+def _error_norms(mesh, fh, f, rule, values, gradients):
+    """L2 norm (``values``) and/or H1 seminorm (``gradients``) of
+    (fh - f), from per-element quadrature sums over the slab blocks.  A
+    block's physical points are built once, and only when a term is a
+    plain callable."""
+    needs = ["element_values"] * values + ["element_gradients"] * gradients
+    sums = np.empty((len(needs), mesh.n_tets))
+    for slabs in slab_blocks(mesh, rule):
+        elements = mesh.slab_elements(slabs)
+        points = None
+        if not all(hasattr(obj, attr) for attr in needs for obj in (fh, f)):
+            points = mesh.physical_points(rule, slabs)
+        if values:
+            diff = values_on_elements(fh, mesh, rule, slabs, points) \
+                - values_on_elements(f, mesh, rule, slabs, points)
+            sums[0, elements] = (diff * diff) @ rule.weights
+        if gradients:
+            diff = gradients_on_elements(fh, mesh, rule, slabs, points) \
+                - gradients_on_elements(f, mesh, rule, slabs, points)
+            sums[-1, elements] = np.einsum("nqd,nqd,q->n", diff, diff,
+                                           rule.weights)
+    return [float(np.sqrt(max(s @ mesh.volumes, 0.0))) for s in sums]
+
+
 def l2_norm_error(mesh, fh, f, rule=None):
     """L2 norm of (fh - f) by elementwise quadrature."""
-    rule = rule or tet_rule(5)
-    diff = values_on_elements(fh, mesh, rule) - values_on_elements(f, mesh, rule)
-    per_elem = (diff * diff) @ rule.weights
-    return float(np.sqrt(max(per_elem @ mesh.volumes, 0.0)))
+    return _error_norms(mesh, fh, f, rule or tet_rule(5), True, False)[0]
 
 
 def h1_semi_error(mesh, fh, f, rule=None):
     """H1 seminorm of (fh - f) by elementwise quadrature."""
-    rule = rule or tet_rule(5)
-    diff = gradients_on_elements(fh, mesh, rule) - gradients_on_elements(f, mesh, rule)
-    per_elem = np.einsum("nqd,nqd,q->n", diff, diff, rule.weights)
-    return float(np.sqrt(max(per_elem @ mesh.volumes, 0.0)))
+    return _error_norms(mesh, fh, f, rule or tet_rule(5), False, True)[0]
 
 
 def h1_error(mesh, fh, f, rule=None):
     """Full H1 norm of (fh - f)."""
-    rule = rule or tet_rule(5)
-    l2 = l2_norm_error(mesh, fh, f, rule)
-    semi = h1_semi_error(mesh, fh, f, rule)
+    l2, semi = _error_norms(mesh, fh, f, rule or tet_rule(5), True, True)
     return float(np.hypot(l2, semi))

@@ -9,6 +9,7 @@ lies on the cube surface.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,15 +66,81 @@ class Mesh:
     def n_interior(self):
         return len(self.interior_vertices)
 
-    def physical_points(self, rule):
-        """Physical coordinates of the rule's points on every element,
-        shape (nt, nq, 3): (cell corner + barycentric points times the
-        Kuhn corners) / m."""
+    def slab_elements(self, slabs=None):
+        """Slice of the elements of the x-slabs ``slabs`` (a range of
+        cell indices along x; None for all).  Cells are ordered with x
+        slowest, so slab i holds elements [6 m^2 i, 6 m^2 (i + 1))."""
+        if slabs is None:
+            return slice(None)
+        per_slab = 6 * self.m ** 2
+        return slice(per_slab * slabs.start, per_slab * slabs.stop)
+
+    def slab_blocks(self, slabs_per_block):
+        """Ranges of at most ``slabs_per_block`` consecutive x-slabs, in
+        order, covering the mesh."""
+        step = max(1, slabs_per_block)
+        return [range(s, min(s + step, self.m))
+                for s in range(0, self.m, step)]
+
+    def physical_points(self, rule, slabs=None):
+        """Physical coordinates of the rule's points on the elements of
+        the x-slabs ``slabs`` (all by default), shape (nb, nq, 3):
+        (cell corner + barycentric points times the Kuhn corners) / m."""
         m = self.m
-        cells = np.indices((m, m, m), dtype=float).reshape(3, -1).T
+        slabs = range(m) if slabs is None else slabs
+        cells = np.indices((len(slabs), m, m), dtype=float).reshape(3, -1).T
+        cells[:, 0] += slabs.start
         pts = cells[:, None, None, :] + rule.points @ _KUHN_CORNERS
-        pts /= m                                         # (m^3, 6, nq, 3)
+        pts /= m                                         # (nc, 6, nq, 3)
         return pts.reshape(-1, len(rule.points), 3)
+
+    def point_axes(self, rule, slabs=None):
+        """The points of ``physical_points(rule, slabs)`` as per-axis
+        coordinate tables and indices (``PointAxes``), in closed form.
+
+        Along each axis a point's coordinate is (c + u) / m, c its cell
+        index and u one of the rule's distinct Kuhn offsets on that axis
+        (6, 16 and 21 of them for degrees 2, 4 and 5); an (x, y) pair is
+        a cell column and one of the rule's distinct offset pairs.  The
+        coordinates are computed as in ``physical_points``, so they are
+        the same floats; a coordinate may repeat where two cells meet.
+        """
+        m = self.m
+        slabs = range(m) if slabs is None else slabs
+        offsets = (rule.points @ _KUHN_CORNERS).reshape(-1, 3)  # (6 nq, 3)
+        axes = [np.unique(offsets[:, d], return_inverse=True)
+                for d in range(3)]
+        starts = (slabs.start, 0, 0)
+        counts = (len(slabs), m, m)
+        coords = [((np.arange(c, dtype=float)[:, None] + s + u) / m).ravel()
+                  for (u, _), s, c in zip(axes, starts, counts)]
+        (ux, jx), (uy, jy), (uz, jz) = axes
+        kinds, pair_kind = np.unique(jx * len(uy) + jy, return_inverse=True)
+        kx, ky = np.divmod(kinds, len(uy))
+        column = np.arange(len(slabs) * m)                # cx m + cy
+        cx, cy = np.divmod(column, m)
+        pairs = np.stack([
+            (cx[:, None] * len(ux) + kx).ravel(),
+            (cy[:, None] * len(uy) + ky).ravel()], axis=1)
+        # points ordered by column, then cz, then (simplex, rule point)
+        pair_of = (column[:, None, None] * len(kinds)
+                   + pair_kind.ravel()[None, None, :])
+        z_index = np.arange(m)[:, None] * len(uz) + jz.ravel()[None, :]
+        pair_of = np.broadcast_to(pair_of, (len(column), m, len(jz)))
+        z_index = np.broadcast_to(z_index, pair_of.shape)
+        return PointAxes(coords, pairs, pair_of.ravel(), z_index.ravel())
+
+
+class PointAxes(NamedTuple):
+    """Points given per axis: ``coords`` holds one 1-D table of
+    coordinates per axis, ``pairs`` (P, 2) the x and y table indices of
+    each (x, y) pair, and per point ``pair_of`` its pair and ``z_index``
+    its z table index."""
+
+    coords: list
+    pairs: np.ndarray
+    pair_of: np.ndarray
+    z_index: np.ndarray
 
 
 _KUHN_PERMS = list(itertools.permutations(range(3)))
@@ -152,12 +219,14 @@ def interior_prolongation(m):
 
 
 def mesh_size(mesh):
-    """Largest element diameter (max pairwise vertex distance)."""
-    coords = mesh.vertices[mesh.tets]
+    """Largest element diameter (max pairwise vertex distance), taken
+    slab by slab."""
     h = 0.0
-    for a, b in itertools.combinations(range(4), 2):
-        d = np.linalg.norm(coords[:, a, :] - coords[:, b, :], axis=1)
-        h = max(h, d.max())
+    for slabs in mesh.slab_blocks(1):
+        coords = mesh.vertices[mesh.tets[mesh.slab_elements(slabs)]]
+        for a, b in itertools.combinations(range(4), 2):
+            d = np.linalg.norm(coords[:, a, :] - coords[:, b, :], axis=1)
+            h = max(h, d.max())
     return float(h)
 
 

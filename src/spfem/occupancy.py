@@ -248,8 +248,9 @@ class DensityField:
         self.mesh = spectral.mesh
         self._pairs = None
 
-    def element_values(self, mesh, rule):
-        """(nt, nq) density at quadrature points, P^T G P per point."""
+    def element_values(self, mesh, rule, slabs=None):
+        """(nb, nq) density at the quadrature points of the x-slabs
+        ``slabs`` (all by default), P^T G P per point."""
         if mesh is not self.mesh:
             raise ValueError("density evaluated on a foreign mesh")
         if self._pairs is None:
@@ -257,14 +258,15 @@ class DensityField:
                                            :self.n_active]
             self._pairs = fem.pattern_gram(
                 mesh, X, self.occupations[:self.n_active])
-        return fem.element_gram(mesh, self._pairs) \
+        return fem.element_gram(mesh, self._pairs, slabs) \
             @ fem.basis_products(rule).T
 
     def integral(self):
         """Exact integral (degree-2 quadrature of a piecewise quadratic)."""
         rule = tet_rule(2)
-        vals = self.element_values(self.mesh, rule)
-        return float((vals @ rule.weights) @ self.mesh.volumes)
+        per_element = fem.blockwise(self.mesh, rule, lambda slabs: (
+            self.element_values(self.mesh, rule, slabs) @ rule.weights))
+        return float(per_element @ self.mesh.volumes)
 
     def evaluate(self, points):
         """Density at points of the closed unit cube.

@@ -11,14 +11,18 @@ terms only, so each is accurate to a requested relative tolerance.
 Every mode sin(i pi x) sin(j pi y) sin(k pi z) is a product of one
 sine per axis, so the density series is a contraction of one n^3
 coefficient tensor (n the largest mode index) with three per-axis
-tables of sin^2.  A block of points evaluates those tables at its
-distinct coordinates only and contracts one axis at a time: over i
-once per distinct x, over j once per distinct (x, y) pair, over k once
-per point.  On the quadrature points of the Kuhn mesh the coordinates
-repeat, so the cost per point is O(n), not O(modes); distinct points
-make it a pointwise GEMM.  Blocks are sized in table entries
-(``SERIES_CHUNK_ENTRIES``), so the (x, y) tables stay bounded however
-large n is.
+tables of sin^2.  The points come as per-axis coordinate tables with an
+index per point (``mesh.PointAxes``), and the contraction runs one axis
+at a time: over i once per x coordinate, over j once per (x, y) pair,
+over k once per point.  On a mesh the series is a field-like object:
+``element_values`` takes the tables of a block of x-slabs in closed
+form from ``Mesh.point_axes`` (a coordinate is (cell + offset) / m over
+the rule's few Kuhn offsets per axis), so the cost per point is O(n)
+and nothing is sorted.  Arbitrary points get their tables from
+``np.unique`` over blocks of points; distinct points make it a
+pointwise GEMM.  Blocks of pairs and of points are sized in table
+entries (``SERIES_CHUNK_ENTRIES``), so the gathered tables stay bounded
+however large n is.
 """
 
 import math
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .fem import ScalarFunction
+from .fem import ScalarFunction, values_on_elements
+from .mesh import PointAxes
 from .occupancy import BOLTZMANN, FERMI_REL_TOL, distribution, solve_fermi
 from .spectrum import (PI2, CubeMode, cube_eigensequence,  # noqa: F401
                        cube_shells)
@@ -127,35 +132,65 @@ class SeriesDensity:
                     self.modes_k - 1] = 8.0 * self.weights
 
     def __call__(self, points):
+        """The series at points (..., 3), or flat at the points of a
+        ``PointAxes``."""
+        if isinstance(points, PointAxes):
+            return self._contract(points)
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, 3)
         out = np.empty(len(flat))
-        # in blocks of points, so that each (x, y) table of a block, n^2
-        # entries per distinct x or pair, holds at most SERIES_CHUNK_ENTRIES
+        # in blocks of points, so that each table of a block, n^2 entries
+        # per distinct x or pair, holds at most SERIES_CHUNK_ENTRIES
         n = len(self.coeffs)
         step = max(1, SERIES_CHUNK_ENTRIES // (n * n))
         for start in range(0, len(flat), step):
-            out[start:start + step] = self._sum(flat[start:start + step])
+            out[start:start + step] = self._contract(
+                _distinct_axes(flat[start:start + step]))
         return out.reshape(points.shape[:-1])
 
-    def _sum(self, flat):
+    def element_values(self, mesh, rule, slabs=None):
+        """(nb, nq) series at the quadrature points of the x-slabs
+        ``slabs`` (all by default), indexed in closed form."""
+        return self(mesh.point_axes(rule, slabs)).reshape(
+            -1, len(rule.weights))
+
+    def _contract(self, axes):
         """sum_ijk coeffs[ijk] sin^2(i pi x) sin^2(j pi y) sin^2(k pi z),
-        contracted one axis at a time: over i once per distinct x, over j
-        once per distinct (x, y) pair, over k once per point."""
+        contracted one axis at a time: over i once per x coordinate, over
+        j once per (x, y) pair, over k once per point; pairs and points
+        go in blocks that gather at most SERIES_CHUNK_ENTRIES entries."""
         n = len(self.coeffs)
         freq = np.arange(1, n + 1) * math.pi
-        tables, index = [], []
-        for d in range(3):
-            values, inverse = np.unique(flat[:, d], return_inverse=True)
-            tables.append(np.sin(np.outer(values, freq)) ** 2)  # (N_d, n)
-            index.append(inverse)
-        tx, ty, tz = tables
-        ix, iy, iz = index
-        pairs, pair_of = np.unique(ix * len(ty) + iy, return_inverse=True)
-        px, py = np.divmod(pairs, len(ty))
+        tx, ty, tz = (np.sin(np.outer(c, freq)) ** 2 for c in axes.coords)
         over_i = (tx @ self.coeffs.reshape(n, n * n)).reshape(-1, n, n)
-        over_ij = np.matmul(ty[py, None, :], over_i[px])[:, 0]   # (P, n)
-        return np.einsum("pk,pk->p", over_ij[pair_of], tz[iz])
+        over_ij = np.empty((len(axes.pairs), n))
+        step = max(1, SERIES_CHUNK_ENTRIES // (n * n))
+        for start in range(0, len(over_ij), step):
+            px, py = axes.pairs[start:start + step].T
+            over_ij[start:start + step] = np.matmul(
+                ty[py, None, :], over_i[px])[:, 0]
+        out = np.empty(len(axes.pair_of))
+        step = max(1, SERIES_CHUNK_ENTRIES // n)
+        for start in range(0, len(out), step):
+            block = slice(start, start + step)
+            out[block] = np.einsum("pk,pk->p", over_ij[axes.pair_of[block]],
+                                   tz[axes.z_index[block]])
+        return out
+
+
+def _distinct_axes(flat):
+    """``PointAxes`` of points (np, 3) over their distinct coordinates and
+    (x, y) pairs, found by sorting."""
+    coords, index = [], []
+    for d in range(3):
+        values, inverse = np.unique(flat[:, d], return_inverse=True)
+        coords.append(values)
+        index.append(inverse.ravel())
+    ix, iy, iz = index
+    ny = len(coords[1])
+    pairs, pair_of = np.unique(ix * ny + iy, return_inverse=True)
+    return PointAxes(coords, np.stack(np.divmod(pairs, ny), axis=1),
+                     pair_of.ravel(), iz)
 
 
 def _mode_by_mode(series, points):
@@ -222,6 +257,23 @@ def _example2_fields():
     return ScalarFunction(v0, grad=v0_grad), ScalarFunction(lap_v0)
 
 
+class DopingProfile:
+    """n_D = n - lap V0 for the series n and the applied potential V0, as
+    a field-like object: on a mesh the series part is indexed in closed
+    form."""
+
+    def __init__(self, series, laplacian_V0):
+        self.series = series
+        self.laplacian_V0 = laplacian_V0
+
+    def __call__(self, points):
+        return self.series(points) - self.laplacian_V0(points)
+
+    def element_values(self, mesh, rule, slabs=None):
+        return (self.series.element_values(mesh, rule, slabs)
+                - values_on_elements(self.laplacian_V0, mesh, rule, slabs))
+
+
 @dataclass
 class ManufacturedProblem:
     """Exact solution set for one benchmark configuration.
@@ -238,7 +290,7 @@ class ManufacturedProblem:
     laplacian_V0: ScalarFunction
     V_exact: ScalarFunction
     n_exact: SeriesDensity
-    n_D: ScalarFunction
+    n_D: DopingProfile
 
     def residual_check(self, points):
         """|(-lap V_exact) - n + n_D| with n from a finer series: certified
@@ -271,9 +323,6 @@ def manufactured_problem(example, p, rel_tol=1e-8):
     def v_exact_grad(pts):
         return -V0.grad(pts)
 
-    def doping(pts):
-        return series(pts) - lap_V0(pts)
-
     return ManufacturedProblem(
         example=example,
         params=p,
@@ -281,5 +330,5 @@ def manufactured_problem(example, p, rel_tol=1e-8):
         laplacian_V0=lap_V0,
         V_exact=ScalarFunction(v_exact, grad=v_exact_grad),
         n_exact=series,
-        n_D=ScalarFunction(doping),
+        n_D=DopingProfile(series, lap_V0),
     )

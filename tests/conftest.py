@@ -6,7 +6,7 @@ import pytest
 from spfem.fem import ScalarFunction, values_on_elements
 from spfem.lab import run_study
 from spfem.mesh import build_structured_mesh
-from spfem.occupancy import BOLTZMANN, DistributionParams
+from spfem.occupancy import DistributionParams
 from spfem.scf import ScfConfig
 
 PI = math.pi
@@ -44,22 +44,23 @@ def example2_study(params):
     return run_study(2, params, (4, 8, 16), ScfConfig(), return_reports=True)
 
 
+def per_electron(p):
+    """The model ``p`` divided by its electron count: f0/N0, N0 = 1.
+
+    For Boltzmann and Fermi-Dirac weights alike, f0/N0 sum F = 1 holds
+    at the level where f0 sum F = N0 does, so this keeps the Fermi
+    level, the truncation window and the kept levels, and divides every
+    occupation (hence the density) by N0;
+    ``test_per_electron_scaling_identity`` pins that.  It is not
+    f0 = 1, N0 = 1, which lowers the Fermi level.
+    """
+    return DistributionParams(p.kind, f0=p.f0 / p.N0, mu=p.mu, N0=1.0)
+
+
 @pytest.fixture(scope="session")
 def per_electron_params(params):
-    """The ``params`` model divided by its electron count: f0/N0, N0 = 1.
-
-    With Boltzmann weights this keeps the Fermi level, the truncation
-    window and the kept levels, and divides every occupation (hence the
-    density) by N0; ``test_per_electron_scaling_identity`` pins that.
-    It is not f0 = 1, N0 = 1, which lowers the Fermi level by
-    ln(N0)/mu.
-    """
-    if params.kind != BOLTZMANN:
-        raise ValueError(
-            f"per-electron scaling is pinned for {BOLTZMANN!r} weights "
-            f"only, not {params.kind!r}")
-    return DistributionParams(params.kind, f0=params.f0 / params.N0,
-                              mu=params.mu, N0=1.0)
+    """The ``params`` model per electron (``per_electron``)."""
+    return per_electron(params)
 
 
 @pytest.fixture(scope="session")
@@ -80,8 +81,8 @@ class Combination:
     def __init__(self, terms):
         self.terms = [(float(c), f) for c, f in terms]
 
-    def element_values(self, mesh, rule):
-        return sum(c * values_on_elements(f, mesh, rule)
+    def element_values(self, mesh, rule, slabs=None):
+        return sum(c * values_on_elements(f, mesh, rule, slabs)
                    for c, f in self.terms)
 
 

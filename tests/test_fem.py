@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,8 @@ import scipy.sparse as sp
 from conftest import Combination, sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh
+from spfem.occupancy import DensityField, DistributionParams
+from spfem.oracle import _mode_by_mode, manufactured_problem
 from spfem.quadrature import tet_rule
 
 
@@ -219,3 +223,64 @@ def test_load_matches_einsum_scatter(mesh4):
     ref = full[mesh4.interior_vertices]
     b = fem.assemble_load(mesh4, g, rule)
     assert np.abs(b - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 16])
+def test_one_slab_blocks_match_whole_mesh(m, monkeypatch):
+    mesh = build_structured_mesh(m)
+    problem = manufactured_problem(1, DistributionParams(mu=0.04))
+    f = sine_product()
+    fh = fem.FeField.interpolate(mesh, f, dirichlet=True)
+    coeffs = np.random.default_rng(m).standard_normal((mesh.n_vertices, 3))
+    coeffs[mesh.boundary_mask] = 0.0
+    spectral = SimpleNamespace(mesh=mesh, coefficients=coeffs, count=3)
+    density = DensityField(spectral, [2.0, 1.0, 0.5], 4)
+    rule4, rule5 = tet_rule(4), tet_rule(5)
+
+    def evaluate():
+        return [
+            fem.assemble_load(mesh, problem.n_D, rule4),
+            fem.assemble_weighted_mass(mesh, f, rule4,
+                                       interior_only=False).csr.data,
+            fem.assemble_weighted_mass(mesh, density, rule4).csr.data,
+            fem.l2_norm_error(mesh, fh, f, rule5),
+            fem.h1_semi_error(mesh, fh, f, rule5),
+            fem.h1_error(mesh, fh, f, rule5),
+            fem.l2_norm_error(mesh, density, problem.n_exact, rule5),
+            density.integral(),
+            fem.blockwise(mesh, rule5, lambda slabs: density.element_values(
+                mesh, rule5, slabs), (15,)),
+        ]
+
+    monkeypatch.setattr(fem, "BLOCK_POINTS", 24 * mesh.n_tets)
+    assert len(fem.slab_blocks(mesh, tet_rule(6))) == 1
+    whole = evaluate()
+    np.testing.assert_array_equal(whole[-1],
+                                  density.element_values(mesh, rule5))
+    monkeypatch.setattr(fem, "BLOCK_POINTS", 1)
+    assert len(fem.slab_blocks(mesh, tet_rule(2))) == m
+    for got, want in zip(evaluate(), whole):
+        want = np.asarray(want)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max(initial=0))
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.04])
+@pytest.mark.parametrize("m", [1, 3, 5, 16])
+def test_slab_indexed_series_matches_mode_by_mode(m, mu, monkeypatch):
+    monkeypatch.setattr(fem, "BLOCK_POINTS", 1)
+    mesh = build_structured_mesh(m)
+    series = manufactured_problem(1, DistributionParams(mu=mu)).n_exact
+    rule = tet_rule(4)
+    got = fem.values_on_elements(series, mesh, rule)
+    blocked = fem.blockwise(mesh, rule, lambda slabs: fem.values_on_elements(
+        series, mesh, rule, slabs), (len(rule.weights),))
+    ref = _mode_by_mode(series, mesh.physical_points(rule))
+    for vals in (got, blocked):
+        np.testing.assert_allclose(vals, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def test_default_blocks_cover_the_m8_mesh_at_once(mesh8):
+    assert len(fem.slab_blocks(mesh8, tet_rule(6))) == 1
+    assert len(fem.slab_blocks(build_structured_mesh(16), tet_rule(5))) > 1

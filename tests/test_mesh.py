@@ -50,6 +50,48 @@ def test_mesh_size(m, h):
     assert mesh_size(build_structured_mesh(m)) == pytest.approx(h, rel=1e-14)
 
 
+def _whole_mesh_size(mesh):
+    """Reference: the largest edge over all elements gathered at once."""
+    coords = mesh.vertices[mesh.tets]
+    h = 0.0
+    for a, b in itertools.combinations(range(4), 2):
+        d = np.linalg.norm(coords[:, a, :] - coords[:, b, :], axis=1)
+        h = max(h, d.max())
+    return float(h)
+
+
+def test_slab_mesh_size_is_the_whole_mesh_maximum():
+    # bit for bit, also where it is not the closed form sqrt(3) / m
+    # (m = 20 is one such mesh)
+    for m in range(1, 21):
+        mesh = build_structured_mesh(m)
+        assert mesh_size(mesh) == _whole_mesh_size(mesh)
+    assert mesh_size(build_structured_mesh(20)) != math.sqrt(3) / 20
+
+
+@pytest.mark.parametrize("degree,offsets", [(2, 6), (4, 16), (5, 21)])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_slab_points_and_axes_are_the_whole_mesh_points(m, degree, offsets):
+    mesh = build_structured_mesh(m)
+    rule = tet_rule(degree)
+    whole = mesh.physical_points(rule)
+    for slabs in [range(m), range(0, 1), range(m - 1, m),
+                  range(m // 2, m)]:
+        pts = mesh.physical_points(rule, slabs)
+        np.testing.assert_array_equal(pts,
+                                      whole[mesh.slab_elements(slabs)])
+        axes = mesh.point_axes(rule, slabs)
+        x, y, z = axes.coords
+        rebuilt = np.stack([x[axes.pairs[axes.pair_of, 0]],
+                            y[axes.pairs[axes.pair_of, 1]],
+                            z[axes.z_index]], axis=1)
+        np.testing.assert_array_equal(rebuilt, pts.reshape(-1, 3))
+        assert [len(c) for c in axes.coords] == [
+            len(slabs) * offsets, m * offsets, m * offsets]
+    assert [len(b) for b in mesh.slab_blocks(2)] == [2] * (m // 2) \
+        + [1] * (m % 2)
+
+
 def _edge_inradius_ratio(coords):
     edges = [np.linalg.norm(coords[a] - coords[b])
              for a, b in itertools.combinations(range(4), 2)]

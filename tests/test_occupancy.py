@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_electron
 from spfem import fem
 from spfem.errors import (ConvergenceError, InfeasibleOccupationError,
                           TruncationOverflowError)
@@ -409,18 +410,25 @@ def test_density_invariant_under_degenerate_rotation(mesh8, params):
     assert diff <= 1e-6
 
 
-def test_per_electron_scaling_identity(mesh8, params, per_electron_params):
+@pytest.mark.parametrize("base", [
+    DistributionParams(),
+    # f0 = 0.02 per electron: 50 levels hold one electron, feasible on
+    # the m = 8 mesh
+    DistributionParams("fermi_dirac", f0=2.0, mu=0.1, N0=100.0),
+], ids=["boltzmann", "fermi_dirac"])
+def test_per_electron_scaling_identity(mesh8, base):
     # acceptance criteria 1 and 2 run at (f0/N0, N0 = 1) as the N0 = 100
-    # model divided by N0; with Boltzmann weights that must keep the Fermi
-    # level and the kept levels and scale every occupation by 1/N0
+    # model divided by N0; that must keep the Fermi level and the kept
+    # levels and scale every occupation by 1/N0
+    per_electron_params = per_electron(base)
     solver = SpectrumSolver(mesh8, None)
     h = mesh_size(mesh8)
     _, occ = determine_occupation(
-        mesh8, lambda L: solver.solve(None, L), params, h)
+        mesh8, lambda L: solver.solve(None, L), base, h)
     _, per = determine_occupation(
         mesh8, lambda L: solver.solve(None, L), per_electron_params, h)
     assert per.window == occ.window
     assert per.fermi_level == pytest.approx(occ.fermi_level, rel=1e-12)
     assert per.level_count == occ.level_count
-    np.testing.assert_allclose(params.N0 * per.occupations, occ.occupations,
+    np.testing.assert_allclose(base.N0 * per.occupations, occ.occupations,
                                rtol=1e-12, atol=0.0)

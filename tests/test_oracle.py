@@ -275,3 +275,19 @@ def test_series_memory_is_bounded_by_block_entries():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_slab_series_memory_is_bounded_by_block_entries(mesh16):
+    # at n = 55 a block of five m = 16 slabs at the degree-5 rule has
+    # 5280 (x, y) pairs, whose n^2 tables gathered at once take 128 MB
+    series = SeriesDensity(DistributionParams(mu=1e-3))
+    zero = fem.FeField.zero(mesh16)
+    rule = tet_rule(5)
+    assert len(fem.slab_blocks(mesh16, rule)) == 4
+    tracemalloc.start()
+    try:
+        fem.l2_norm_error(mesh16, zero, series, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
