@@ -40,8 +40,8 @@ BLOCK_POINTS = 1 << 17
 def slab_blocks(mesh, rule):
     """Ranges of whole x-slabs holding at most BLOCK_POINTS of the
     rule's points each, or one slab when a slab holds more."""
-    per_slab = 6 * mesh.m ** 2 * len(rule.weights)
-    return mesh.slab_blocks(BLOCK_POINTS // per_slab)
+    step = max(1, BLOCK_POINTS // (6 * mesh.m ** 2 * len(rule.weights)))
+    return [range(s, min(s + step, mesh.m)) for s in range(0, mesh.m, step)]
 
 
 class ScalarFunction:
@@ -278,6 +278,7 @@ def _error_norms(mesh, fh, f, rule, values, gradients):
             diff = values_on_elements(fh, mesh, rule, slabs, points) \
                 - values_on_elements(f, mesh, rule, slabs, points)
             sums[0, elements] = (diff * diff) @ rule.weights
+            del diff            # not held while the gradients are built
         if gradients:
             diff = gradients_on_elements(fh, mesh, rule, slabs, points) \
                 - gradients_on_elements(f, mesh, rule, slabs, points)

@@ -75,13 +75,6 @@ class Mesh:
         per_slab = 6 * self.m ** 2
         return slice(per_slab * slabs.start, per_slab * slabs.stop)
 
-    def slab_blocks(self, slabs_per_block):
-        """Ranges of at most ``slabs_per_block`` consecutive x-slabs, in
-        order, covering the mesh."""
-        step = max(1, slabs_per_block)
-        return [range(s, min(s + step, self.m))
-                for s in range(0, self.m, step)]
-
     def physical_points(self, rule, slabs=None):
         """Physical coordinates of the rule's points on the elements of
         the x-slabs ``slabs`` (all by default), shape (nb, nq, 3):
@@ -222,8 +215,8 @@ def mesh_size(mesh):
     """Largest element diameter (max pairwise vertex distance), taken
     slab by slab."""
     h = 0.0
-    for slabs in mesh.slab_blocks(1):
-        coords = mesh.vertices[mesh.tets[mesh.slab_elements(slabs)]]
+    for i in range(mesh.m):
+        coords = mesh.vertices[mesh.tets[mesh.slab_elements(range(i, i + 1))]]
         for a, b in itertools.combinations(range(4), 2):
             d = np.linalg.norm(coords[:, a, :] - coords[:, b, :], axis=1)
             h = max(h, d.max())

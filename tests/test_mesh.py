@@ -88,8 +88,6 @@ def test_slab_points_and_axes_are_the_whole_mesh_points(m, degree, offsets):
         np.testing.assert_array_equal(rebuilt, pts.reshape(-1, 3))
         assert [len(c) for c in axes.coords] == [
             len(slabs) * offsets, m * offsets, m * offsets]
-    assert [len(b) for b in mesh.slab_blocks(2)] == [2] * (m // 2) \
-        + [1] * (m % 2)
 
 
 def _edge_inradius_ratio(coords):
