@@ -24,15 +24,17 @@ report = fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, p),
 # iteration; it stays well below 1 while the solve converges.  Each
 # sweep's eigensolves run at a tolerance that follows the previous
 # increment, down to eig_tol, for a budget trimmed to the levels that
-# reach the window ("solved"; "kept" are the occupied ones plus one);
-# "eigs" counts the sweep's eigensolves, one more per budget doubling
+# reach the window and end at a gap of the spectrum ("solved"; "kept"
+# are the occupied ones plus one); "eigs" counts the sweep's
+# eigensolves, one more per budget doubling, and "its" their LOBPCG
+# iterations (0 here: m = 8 takes the dense path)
 print("sweep   H1 increment   ratio      Fermi level   kept   eig tol  "
-      "solved  eigs")
+      "solved  eigs   its")
 for rec in report.iterations:
     print(f"{rec.iteration:5d}   {rec.increment_h1:12.4e}   "
           f"{rec.increment_ratio:7.3f}   {rec.fermi_level:12.6f}   "
           f"{rec.level_count:4d}   {rec.eig_tol:7.1e}  {rec.levels:6d}  "
-          f"{rec.eig_solves:4d}")
+          f"{rec.eig_solves:4d}  {rec.eig_iterations:4d}")
 print(f"\nconverged: {report.converged}, "
       f"self-consistency residual {report.self_consistency_h1:.2e}")
 

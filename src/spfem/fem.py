@@ -107,8 +107,9 @@ class FeField:
             raise ValueError("field evaluated on a foreign mesh")
         elements = mesh.slab_elements(slabs)
         local = self.coeffs[mesh.tets[elements]]
+        kinds = np.arange(mesh.n_tets)[elements] % 6
         # constant per element
-        g = np.einsum("na,nad->nd", local, mesh.grads[elements])
+        g = np.einsum("na,nad->nd", local, mesh.grads[kinds])
         return np.broadcast_to(g[:, None, :],
                                (len(g), len(rule.points), 3))
 
@@ -223,8 +224,9 @@ def basis_products(rule):
 
 def assemble_stiffness(mesh, interior_only=True):
     """Dirichlet Laplacian stiffness matrix (gradient-gradient form)."""
-    local = np.einsum("nad,nbd->nab", mesh.grads, mesh.grads)
-    local *= mesh.volumes[:, None, None]
+    per_kind = np.einsum("kad,kbd->kab", mesh.grads, mesh.grads)
+    local = np.tile(per_kind, (mesh.m ** 3, 1, 1)) \
+        * mesh.volumes[:, None, None]
     return _assemble(mesh, local, interior_only)
 
 

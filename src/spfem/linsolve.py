@@ -69,6 +69,7 @@ class EigenResult:
     values: np.ndarray          # (L,), ascending
     vectors: np.ndarray         # (n, L), B-orthonormal columns
     residual_norms: np.ndarray  # (L,), ||A x - e B x|| / ||x||_B
+    iterations: int             # LOBPCG iterations over all runs; 0 if dense
 
 
 def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None):
@@ -197,14 +198,18 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     solve the perturbed cube modes of ``spectrum.cube_start``.
     LOBPCG is asked for tol/10; a block still above tol after the
     Rayleigh-Ritz step restarts from where it stopped, at most
-    LOBPCG_RUNS runs in all.  Both paths end in a Rayleigh-Ritz step and
-    a residual check on the pencil itself.  A ValueError from lobpcg,
-    such as a rank-deficient start block, becomes a ConvergenceError.
+    LOBPCG_RUNS runs in all.  Every LOBPCG iteration that takes a step
+    applies the preconditioner once, and those applications, summed
+    over the runs, are the result's ``iterations``.  Both paths end in a
+    Rayleigh-Ritz step and a residual check on the pencil itself.  A
+    ValueError from lobpcg, such as a rank-deficient start block,
+    becomes a ConvergenceError.
     """
     n = A.n
     if not 1 <= L <= n:
         raise ValueError(f"need 1 <= L <= {n}, got L={L}")
 
+    iterations = 0
     if dense_path(n, L, dense_cutoff):
         if B_dense is None:
             B_dense = B.toarray()
@@ -214,6 +219,11 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     else:
         if preconditioner is None:
             preconditioner = shifted_vcycle(A, B)
+
+        def precondition(R):
+            nonlocal iterations
+            iterations += 1
+            return preconditioner.solve(R)
         X = np.random.default_rng(seed).standard_normal((n, L))
         if start is not None:
             k = min(start.shape[1], L)
@@ -225,7 +235,7 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
                 warnings.simplefilter("ignore", UserWarning)
                 try:
                     _, X = spla.lobpcg(A.csr, X, B=B.csr,
-                                       M=preconditioner.solve, tol=0.1 * tol,
+                                       M=precondition, tol=0.1 * tol,
                                        maxiter=LOBPCG_MAXITER, largest=False)
                 except ValueError as exc:
                     # e.g. "Linearly dependent initial approximations"
@@ -240,4 +250,5 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
         raise ConvergenceError(
             f"eigensolver residuals exceed tol={tol:g}: max "
             f"{resid.max():.3e}", residual=resid)
-    return EigenResult(values=w, vectors=X, residual_norms=resid)
+    return EigenResult(values=w, vectors=X, residual_norms=resid,
+                       iterations=iterations)

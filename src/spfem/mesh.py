@@ -34,8 +34,9 @@ class Mesh:
     interior_vertices : (n_interior,) int array
         Vertex ids of the interior dofs, ascending.
     volumes : (nt,) float array
-    grads : (nt, 4, 3) float array
-        Constant gradients of the four P1 basis functions per element.
+    grads : (6, 4, 3) float array
+        Constant gradients of the four P1 basis functions on each of the
+        six Kuhn simplices; element e has those of ``grads[e % 6]``.
     """
 
     def __init__(self, m, vertices, tets, boundary_mask):
@@ -51,7 +52,7 @@ class Mesh:
         # 1/m: volume 1/(6 m^3), gradients m times the reference ones
         # (integers, so exact in floating point)
         self.volumes = np.full(len(tets), 1.0 / (6 * m ** 3))
-        self.grads = np.tile(_KUHN_GRADS * m, (m ** 3, 1, 1))
+        self.grads = _KUHN_GRADS * m
         self._patterns = {}        # CSR assembly patterns, filled by fem
 
     @property

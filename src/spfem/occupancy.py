@@ -169,10 +169,10 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
 
     ``solve`` maps a level count L to a SpectralSet.  The budget starts
     at ``L0``, by default max(16, ceil((2|ln h|)^{3/2})).  The SCF loop
-    passes its own: on the first sweep the continuum levels that reach
-    the window (``scf.first_level_budget``), which count high because
-    the discrete levels lie above the continuum ones, and after it the
-    budget it trimmed from its previous sweep.  It doubles while the
+    passes its own (``scf.level_budget``): the levels that reach the
+    window and the end of their cluster, counted on the first sweep from
+    estimates of the levels (``scf.estimated_level_budget``) and after
+    it from the previous sweep's levels.  It doubles while the
     levels cannot hold N0 (a Fermi-Dirac sum saturates at f0 L) and
     until the topmost computed level sits more than one unit beyond the
     truncation window, at which point the tail occupations vanish

@@ -21,15 +21,21 @@ Steihaug, SIAM J. Numer. Anal. 19, 1982) keeps the outer convergence
 when the inner accuracy is proportional to the outer residual, so a
 sweep's eigen tolerance is ``EIG_FORCING`` times the previous H1
 increment, clipped to [eig_tol, ``EIG_TOL_MAX``] (``sweep_eig_tol``);
-the first sweep, from an unrelated start, gets ``EIG_TOL_MAX``.  The
-first sweep's level budget is the count of continuum levels s pi^2
-that reach one unit past the window, to the end of their shell
-(``first_level_budget``), so it does not double up from a guess; its
-eigensolve starts from the cube modes themselves (``SpectrumSolver``).
-The level budget of each later sweep is ``LEVEL_MARGIN`` times the
-levels of its predecessor that reach one unit past the window, moved
-up to the next relative gap above ``LEVEL_GAP`` (``next_level_budget``);
-the levels beyond carry occupation exactly 0.
+the first sweep, from an unrelated start, gets ``EIG_TOL_MAX``.  A
+sweep's level budget reaches ``need``, the first level more than
+window + 1 above the Fermi level, and ends at the first relative gap
+above ``LEVEL_GAP`` at or after it (``level_budget``): the top columns
+of a LOBPCG block converge at a rate set by the relative gap to the
+first level outside it (Knyazev, SIAM J. Sci. Comput. 23, 2001), and
+the Kuhn mesh splits each shell of the cube's spectrum into clusters a
+few per cent apart.  Each later sweep applies the rule to
+its predecessor's levels; the levels beyond ``need`` carry occupation
+exactly 0.  The first sweep applies it to estimates: the Ritz values
+of the reference pencil on the span of twice as many grid modes of the
+cube as there are continuum levels s pi^2 to the window's end
+(``estimated_level_budget``), so it does not double up from a guess;
+its eigensolve starts from the cube modes themselves
+(``SpectrumSolver``).
 The loop stops on a relative H1 increment, only on a sweep whose
 eigen residuals meet eig_tol, and never raises on plain
 non-convergence (the report carries the flag), while structural
@@ -58,12 +64,11 @@ ANDERSON_DEPTH = 5
 # increment, at most EIG_TOL_MAX and at least the configured eig_tol
 EIG_TOL_MAX = 1e-5
 EIG_FORCING = 1e-3
-# the next level budget is LEVEL_MARGIN times the levels reaching the
-# end of the cutoff, so the spectrum may drift without a budget doubling,
-# extended to the next level more than LEVEL_GAP above its predecessor
-# (relative), so that no block ends inside a cluster
-LEVEL_MARGIN = 1.25
-LEVEL_GAP = 0.02
+# a level budget ends at a level more than LEVEL_GAP (relative) below
+# the next one, so that no block ends inside a cluster: at m = 16 the
+# splits within a shell measured 1.8-3.3 %, the gaps between clusters
+# 7.8-16 %
+LEVEL_GAP = 0.04
 
 
 @dataclass
@@ -110,6 +115,7 @@ class IterationRecord:
     eig_tol: float                # tolerance of the sweep's eigensolves
     levels: int                   # levels the sweep's eigensolve computed
     eig_solves: int               # eigensolves of the sweep: 1 + doublings
+    eig_iterations: int           # LOBPCG iterations of those eigensolves
 
 
 @dataclass
@@ -138,39 +144,38 @@ def sweep_eig_tol(eig_tol, increment):
     return max(eig_tol, min(EIG_TOL_MAX, EIG_FORCING * increment))
 
 
-def first_level_budget(p, h, cap):
-    """Level budget of the first sweep from the continuum spectrum
-    s pi^2 of the cube: the levels up to the first one more than
-    window + 1 above their Fermi level, up to the end of its degenerate
-    cluster.  The discrete levels lie above the continuum ones, so the
-    count errs high.  None (``determine_occupation``'s default) when the
-    window does not fit in ``cap`` levels."""
-    lam = np.array([mode.lam for mode in cube_eigensequence(cap)])
-    window = truncation_bound(h, p)
-    try:
-        fermi = solve_fermi(lam, p, window)
-    except InfeasibleOccupationError:
-        return None
+def level_budget(lam, fermi, window):
+    """Level budget for the ascending levels ``lam``: up to ``need``,
+    the first level more than window + 1 above ``fermi``, then on to the
+    first relative gap above LEVEL_GAP at or after it; all of lam when
+    no such gap follows, None when no level lies past window + 1."""
     beyond = np.flatnonzero(lam - fermi > window + 1.0)
     if beyond.size == 0:
         return None
-    return int(np.searchsorted(lam, lam[beyond[0]], side="right"))
+    need = int(beyond[0]) + 1
+    gap = np.diff(lam[need - 1:]) > LEVEL_GAP * np.abs(lam[need:])
+    return need + int(np.argmax(gap)) if gap.any() else len(lam)
 
 
-def next_level_budget(spectral, occ):
-    """Level budget for the next sweep: LEVEL_MARGIN times the levels up
-    to the first one more than window + 1 above the Fermi level, which
-    ``determine_occupation`` guarantees among the computed ones, moved
-    up to the next relative gap above LEVEL_GAP, and at most the levels
-    computed now."""
-    lam = spectral.eigenvalues
-    beyond = lam - occ.fermi_level > occ.window + 1.0
-    need = int(np.argmax(beyond)) + 1
-    L = math.ceil(LEVEL_MARGIN * need)
-    if L >= spectral.count:
-        return spectral.count
-    gap = np.diff(lam[L - 1:]) > LEVEL_GAP * np.abs(lam[L:])
-    return L + int(np.argmax(gap)) if gap.any() else spectral.count
+def estimated_level_budget(solver, p, h, cap):
+    """Level budget of the first sweep: ``level_budget`` of the
+    ``solver``'s mode estimates (``SpectrumSolver.mode_estimates``),
+    taken from twice as many grid modes as the ``level_budget`` of the
+    continuum levels s pi^2.  None (``determine_occupation``'s default)
+    when the window does not fit in ``cap`` continuum levels or in the
+    estimates, or when a Fermi-Dirac sum over them cannot hold N0."""
+    window = truncation_bound(h, p)
+
+    def budget(lam):
+        try:
+            return level_budget(lam, solve_fermi(lam, p, window), window)
+        except InfeasibleOccupationError:
+            return None
+    continuum = budget(np.array([mode.lam
+                                 for mode in cube_eigensequence(cap)]))
+    if continuum is None:
+        return None
+    return budget(solver.mode_estimates(2 * continuum))
 
 
 def _h1(K, M, vec):
@@ -220,14 +225,15 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     doping = fem.assemble_load(mesh, model.n_D, rule)
 
     def occupation_at(u, L0, tol):
-        budgets = []
+        iterations = []       # per eigensolve
 
         def solve(L):
-            budgets.append(L)
-            return solver.solve(u, L, tol)
+            spectral = solver.solve(u, L, tol)
+            iterations.append(spectral.iterations)
+            return spectral
         spectral, occ = determine_occupation(mesh, solve, p, h,
                                              L_max=cfg.L_max, L0=L0)
-        return spectral, occ, build_density(spectral, occ), len(budgets)
+        return spectral, occ, build_density(spectral, occ), iterations
 
     def potential_of(density):
         load = fem.assemble_load(mesh, density, rule) - doping
@@ -236,15 +242,16 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     V = V_init if V_init is not None else fem.FeField.zero(mesh)
     records = []
     converged = False
-    # the first level budget comes from the continuum spectrum, each
-    # later one is trimmed from the previous sweep
-    L0 = first_level_budget(p, h, min(cfg.L_max, mesh.n_interior))
+    # the first level budget comes from estimates of the levels, each
+    # later one from the previous sweep's levels
+    L0 = estimated_level_budget(solver, p, h,
+                                min(cfg.L_max, mesh.n_interior))
     prev = math.inf   # H1 increment of the previous sweep
     mixer = _Anderson(cfg.damping)
     for k in range(1, cfg.max_iter + 1):
         tol = sweep_eig_tol(cfg.eig_tol, prev)
-        spectral, occ, density, solves = occupation_at(V, L0, tol)
-        L0 = next_level_budget(spectral, occ)
+        spectral, occ, density, iterations = occupation_at(V, L0, tol)
+        L0 = level_budget(spectral.eigenvalues, occ.fermi_level, occ.window)
         x = V.interior()
         x_new = mixer.step(x, potential_of(density).interior())
         inc = _h1(K, M, x_new - x)
@@ -258,7 +265,8 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
             density_integral_error=abs(density.integral() - p.N0),
             eig_tol=tol,
             levels=spectral.count,
-            eig_solves=solves,
+            eig_solves=len(iterations),
+            eig_iterations=sum(iterations),
         ))
         V = fem.FeField.from_interior(mesh, x_new)
         # a loose sweep may not stop the loop, though the dense path

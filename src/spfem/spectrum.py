@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import fem
 from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
@@ -73,22 +74,18 @@ def cube_eigensequence(count):
     return [CubeMode(*ijk) for ijk in zip(I, J, K)]
 
 
-def cube_start(mesh, L, seed=0):
-    """(n_interior, L) start block: the lowest L cube modes whose indices
-    are all below m (an index m vanishes on the grid, and 2m - i aliases
-    i), at the interior vertices.  The columns that fall in the last
-    shell of equal i^2 + j^2 + k^2 are random combinations of the whole
-    shell, so a block that ends inside a shell picks no mode of it
-    over another.  Each column then gets a standard normal perturbation
-    of START_NOISE times its norm.  Both draws come from ``seed``.
+def grid_modes(m, L):
+    """The lowest cube modes whose indices are all below m (an index m
+    vanishes on the grid, and 2m - i aliases i), at the interior
+    vertices of the Kuhn mesh with m cells per axis, through the end of
+    the shell of equal i^2 + j^2 + k^2 that holds the L-th of them.
+    Returns the (n_interior, hi) block and lo, the number of its columns
+    below that last shell.
 
     Interior vertex (a, b, c)/m, a, b, c = 1..m-1, z fastest, holds
     2 sqrt(2) S[i, a] S[j, b] S[k, c] with the sine table
     S[i, a] = sin(i pi a / m).
     """
-    m = mesh.m
-    if not 1 <= L <= mesh.n_interior:
-        raise ValueError(f"need 1 <= L <= {mesh.n_interior}, got L={L}")
     shells, I, J, K = cube_shells(3 * (m - 1) ** 2)   # holds every grid mode
     grid = np.maximum(np.maximum(I, J), K) < m
     shells = shells[grid]
@@ -99,7 +96,21 @@ def cube_start(mesh, L, seed=0):
     S = np.sin(math.pi / m * np.outer(idx, idx))     # S[i - 1, a - 1]
     X = (2.0 * math.sqrt(2.0) * S[I][:, :, None, None]
          * S[J][:, None, :, None] * S[K][:, None, None, :])
-    X = X.reshape(hi, -1).T
+    return X.reshape(hi, -1).T, lo
+
+
+def cube_start(mesh, L, seed=0):
+    """(n_interior, L) start block: the lowest L grid modes
+    (``grid_modes``).  The columns that fall in the last shell of equal
+    i^2 + j^2 + k^2 are random combinations of the whole shell, so a
+    block that ends inside a shell picks no mode of it over another.
+    Each column then gets a standard normal perturbation of START_NOISE
+    times its norm.  Both draws come from ``seed``.
+    """
+    if not 1 <= L <= mesh.n_interior:
+        raise ValueError(f"need 1 <= L <= {mesh.n_interior}, got L={L}")
+    X, lo = grid_modes(mesh.m, L)
+    hi = X.shape[1]
     rng = np.random.default_rng(seed)
     X = np.column_stack(
         [X[:, :lo], X[:, lo:] @ rng.standard_normal((hi - lo, L - lo))])
@@ -117,6 +128,7 @@ class SpectralSet:
     coefficients: np.ndarray       # (nv, L), boundary rows zero
     residual_norms: np.ndarray
     mesh: object = field(repr=False, default=None)
+    iterations: int = 0            # LOBPCG iterations; 0 on the dense path
 
     @property
     def count(self):
@@ -165,9 +177,10 @@ class SpectrumSolver:
     seeded random columns appended when L grows, and its leading L
     columns taken when L shrinks).  The first sparse solve starts from
     ``cube_start``, the perturbed cube modes, seeded by ``seed``; the
-    dense path needs no start block.  Each ``solve`` runs to its own
-    ``tol`` when given, else to the solver's: the SCF loop asks for
-    loose early sweeps and ``tol`` itself at the end.
+    dense path needs no start block.  ``mode_estimates`` estimates the
+    levels of the reference pencil before any solve.  Each ``solve``
+    runs to its own ``tol`` when given, else to the solver's: the SCF
+    loop asks for loose early sweeps and ``tol`` itself at the end.
     """
 
     def __init__(self, mesh, V0, tol=DEFAULT_EIG_TOL, seed=0,
@@ -206,4 +219,15 @@ class SpectrumSolver:
         coeffs = np.zeros((mesh.n_vertices, L))
         coeffs[mesh.interior_vertices] = result.vectors
         return SpectralSet(result.values, coeffs, result.residual_norms,
-                           mesh=mesh)
+                           mesh=mesh, iterations=result.iterations)
+
+    def mode_estimates(self, count):
+        """Ritz values of the reference pencil on the span of the lowest
+        ``count`` grid modes (``grid_modes``, through the end of their
+        last shell), ascending: estimates of the lowest levels before
+        any eigensolve, each an upper bound of its level, that split
+        the cube's shells as the Kuhn mesh does.  The mode block is
+        freed on return."""
+        A0, B = self.reference
+        X, _ = grid_modes(self.mesh.m, min(count, self.mesh.n_interior))
+        return sla.eigh(X.T @ (A0 @ X), X.T @ (B @ X), eigvals_only=True)

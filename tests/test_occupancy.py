@@ -18,7 +18,7 @@ from spfem.occupancy import (FERMI_REL_TOL, DistributionParams,
                              truncation_bound)
 from spfem.oracle import continuous_fermi, cube_eigensequence
 from spfem.quadrature import tet_rule
-from spfem.scf import next_level_budget
+from spfem.scf import level_budget
 from spfem.spectrum import SpectrumSolver
 
 
@@ -285,11 +285,11 @@ def test_carried_level_budget_matches_default(mesh8, params):
 
 def test_trimmed_level_budget_matches_default(mesh8, params):
     # the SCF trims the next budget to the levels reaching the end of
-    # the cutoff, with a margin; the levels it drops have zero occupation
+    # the cutoff, up to a gap; the levels it drops have zero occupation
     solver = SpectrumSolver(mesh8, None)
     s_def, occ_def = determine_occupation(
         mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8))
-    L0 = next_level_budget(s_def, occ_def)
+    L0 = level_budget(s_def.eigenvalues, occ_def.fermi_level, occ_def.window)
     assert L0 < 16 == s_def.count
     s_trim, occ_trim = determine_occupation(
         mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8),

@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import Combination, sine_product
 from spfem import fem, scf
 from spfem.mesh import build_structured_mesh, mesh_size
 from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DistributionParams,
-                             OccupationState, build_density,
+                             build_density,
                              determine_occupation, solve_fermi,
                              truncation_bound)
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
 from spfem.scf import (EIG_TOL_MAX, LEVEL_GAP, ScfConfig, ScfModel, _Anderson,
-                       first_level_budget, fixed_point_solve,
-                       next_level_budget, poisson_solve, sweep_eig_tol)
-from spfem.spectrum import SpectralSet, SpectrumSolver, cube_eigensequence
+                       estimated_level_budget, fixed_point_solve,
+                       level_budget, poisson_solve, sweep_eig_tol)
+from spfem.spectrum import SpectrumSolver, cube_eigensequence
 
 PI = math.pi
 
@@ -237,49 +238,69 @@ def test_inexact_sweeps_keep_the_fixed_point(example, params, monkeypatch):
     assert _h1_norm(K, M, v - tight.potential.interior()) <= 1e-7 * norm
 
 
-def test_first_level_budget_reaches_the_continuum_window():
-    # benchmark 1 at m = 16 with mu = 0.04, the widest window measured
-    p = DistributionParams(mu=0.04)
-    h = mesh_size(build_structured_mesh(16))
-    L0 = first_level_budget(p, h, 512)
-    lam = np.array([mode.lam for mode in cube_eigensequence(512)])
-    window = truncation_bound(h, p)
-    fermi = solve_fermi(lam, p, window)
-    # the level past window + 1 is in, with the rest of its shell
-    first = int(np.argmax(lam - fermi > window + 1.0))
-    assert lam[first] == lam[L0 - 1] < lam[L0]
-    assert L0 == 38
-    # no place for the window inside the cap: the default budget
-    assert first_level_budget(p, h, first) is None
+def test_estimated_level_budget_holds_the_oracle_window(mesh8, params):
+    # benchmark 1's V0 on mesh8, against the dense spectrum of the
+    # reference pencil the estimates are taken in; at mu = 0.04 the
+    # window reaches the modes the mesh splits most
+    problem = manufactured_problem(1, params)
+    solver = SpectrumSolver(mesh8, problem.V0)
+    h = mesh_size(mesh8)
+    A, B = solver.reference
+    lam = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    for p in (params, DistributionParams(mu=0.04)):
+        L0 = estimated_level_budget(solver, p, h, 512)
+        window = truncation_bound(h, p)
+        fermi = solve_fermi(lam, p, window)
+        need = int(np.argmax(lam - fermi > window + 1.0)) + 1
+        assert need <= L0
+        assert lam[L0] - lam[L0 - 1] > LEVEL_GAP * lam[L0]
+    # no place for the continuum window inside the cap: the default budget
+    window = truncation_bound(h, params)
+    cont = np.array([mode.lam for mode in cube_eigensequence(512)])
+    first = int(np.argmax(cont - solve_fermi(cont, params, window)
+                          > window + 1.0))
+    assert estimated_level_budget(solver, params, h, first) is None
     slow = DistributionParams(f0=4.4e-6, mu=2.2e-3)
-    assert first_level_budget(slow, h, 64) is None
+    assert estimated_level_budget(solver, slow, h, 64) is None
     saturated = DistributionParams(FERMI_DIRAC, f0=1.0, N0=100.0)
-    assert first_level_budget(saturated, h, 64) is None
+    assert estimated_level_budget(solver, saturated, h, 64) is None
 
 
 def test_level_budget_ends_at_a_gap():
     lam = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 50.5, 50.6, 70.0, 80.0])
-    spectral = SpectralSet(lam, np.zeros((1, len(lam))), np.zeros(len(lam)))
-    occ = OccupationState(window=20.0, fermi_level=18.0,
-                          occupations=np.zeros(len(lam)), level_count=3)
-    # need 4 (40 > 18 + 21), 1.25 * 4 -> 5, which cuts 50 / 50.5 / 50.6
-    assert next_level_budget(spectral, occ) == 7
+    # need 4 (40 > 18 + 21), and 40 -> 50 is a 20 % gap
+    assert level_budget(lam, 18.0, 20.0) == 4
+    assert (lam[4] - lam[3]) > LEVEL_GAP * lam[4]
+    # need 5 (50 > 28 + 21) falls in the cluster 50 / 50.5 / 50.6: the
+    # block ends after the cluster
+    assert level_budget(lam, 28.0, 20.0) == 7
     assert (lam[7] - lam[6]) > LEVEL_GAP * lam[7]
-    # no gap above the margin: every computed level
-    assert next_level_budget(SpectralSet(lam[:7], np.zeros((1, 7)),
-                                         np.zeros(7)), occ) == 7
+    # no gap at or after need: every level
+    assert level_budget(lam[:7], 28.0, 20.0) == 7
+    # no level past window + 1
+    assert level_budget(lam, 70.0, 20.0) is None
+
+
+def _sweep_solves(mesh, p):
+    problem = manufactured_problem(1, p)
+    report = fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, p))
+    assert report.converged
+    return [rec.eig_solves for rec in report.iterations]
 
 
 def test_first_sweep_runs_one_eigensolve():
     # m = 12 with mu = 0.04: the sparse path, where the budget doubled
-    # 16 -> 32 in the first sweep before it came from the continuum
-    p = DistributionParams(mu=0.04)
-    mesh = build_structured_mesh(12)
-    problem = manufactured_problem(1, p)
-    report = fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, p))
-    assert report.converged
-    assert report.iterations[0].eig_solves == 1
-    assert all(rec.eig_solves >= 1 for rec in report.iterations)
+    # 16 -> 32 in the first sweep before it came from estimates
+    solves = _sweep_solves(build_structured_mesh(12),
+                           DistributionParams(mu=0.04))
+    assert solves == [1] * len(solves)
+
+
+def test_no_sweep_doubles_its_budget_at_large_n0():
+    # N0 = 1000 moves the Fermi level up between sweeps
+    solves = _sweep_solves(build_structured_mesh(12),
+                           DistributionParams(N0=1000.0))
+    assert solves == [1] * len(solves)
 
 
 def test_large_n0_inexact_sweeps_keep_the_fixed_point(monkeypatch):

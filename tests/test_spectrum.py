@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from conftest import Combination, sine_product
 import spfem
-from spfem import fem, oracle, spectrum
+from spfem import fem, linsolve, oracle, spectrum
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import manufactured_problem
@@ -245,6 +245,33 @@ def test_cube_start_is_the_perturbed_cube_modes(mesh8, monkeypatch):
     # indices m and above vanish or alias on the grid and are skipped
     tiny = build_structured_mesh(3)
     assert np.linalg.matrix_rank(cube_start(tiny, 8)) == 8
+
+
+def test_mode_estimates_are_ritz_values_of_grid_modes(mesh8):
+    # 6 modes end inside the 9 pi^2 shell, so the estimates take all 7;
+    # they bound the levels from above and split the 6 pi^2 shell 2 + 1
+    # as the Kuhn mesh does
+    V0 = manufactured_problem(1, DistributionParams()).V0
+    solver = SpectrumSolver(mesh8, V0)
+    est = solver.mode_estimates(6)
+    A, B = solver.reference
+    lam = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)[:7]
+    assert len(est) == 7
+    assert np.all(est >= lam * (1.0 - 1e-12))
+    np.testing.assert_allclose(est, lam, rtol=0.03)
+    assert est[2] - est[1] <= 1e-12 * est[2]
+    assert est[3] - est[2] > 0.05 * est[3]
+
+
+def test_solve_counts_lobpcg_iterations(mesh8, monkeypatch):
+    # one V-cycle application per LOBPCG iteration; none on the dense path
+    assert SpectrumSolver(mesh8, None).solve(None, 6).iterations == 0
+    calls = []
+    cycle = linsolve.VCycle.solve
+    monkeypatch.setattr(linsolve.VCycle, "solve",
+                        lambda self, b: calls.append(1) or cycle(self, b))
+    s = SpectrumSolver(mesh8, None, dense_cutoff=0).solve(None, 6)
+    assert s.iterations == len(calls) > 0
 
 
 @pytest.mark.parametrize("example", [None, 1])
