@@ -107,9 +107,10 @@ class FeField:
             raise ValueError("field evaluated on a foreign mesh")
         elements = mesh.slab_elements(slabs)
         local = self.coeffs[mesh.tets[elements]]
-        kinds = np.arange(mesh.n_tets)[elements] % 6
-        # constant per element
-        g = np.einsum("na,nad->nd", local, mesh.grads[kinds])
+        # constant per element; a block starts at a cell, so its element
+        # e is Kuhn simplex e % 6
+        g = np.einsum("na,nad->nd", local,
+                      mesh.grads[np.arange(len(local)) % 6])
         return np.broadcast_to(g[:, None, :],
                                (len(g), len(rule.points), 3))
 
@@ -225,8 +226,8 @@ def basis_products(rule):
 def assemble_stiffness(mesh, interior_only=True):
     """Dirichlet Laplacian stiffness matrix (gradient-gradient form)."""
     per_kind = np.einsum("kad,kbd->kab", mesh.grads, mesh.grads)
-    local = np.tile(per_kind, (mesh.m ** 3, 1, 1)) \
-        * mesh.volumes[:, None, None]
+    local = np.tile(per_kind, (mesh.m ** 3, 1, 1))
+    local *= mesh.volumes[:, None, None]
     return _assemble(mesh, local, interior_only)
 
 
