@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linsolve import SparseSymMatrix
+from .mesh import _KUHN_CORNERS
 from .quadrature import tet_rule
 
 # quadrature points in one block of x-slabs (at least one slab); the
@@ -159,28 +160,50 @@ def blockwise(mesh, rule, local, shape=()):
     return out
 
 
+# the 15 grid steps d in {0,1}^3 or {0,-1}^3 that join two vertices of a
+# Kuhn simplex, lexicographic (so ascending in flat offset on a z-fastest
+# grid), and the (6, 4, 4) index of the step from local vertex a to b
+_CUBE = np.indices((2, 2, 2)).reshape(3, -1).T
+_KUHN_STEPS = np.concatenate([-_CUBE[::-1], _CUBE[1:]])
+_KUHN_STEP_OF = np.searchsorted(
+    (_KUHN_STEPS + 1) @ [9, 3, 1],
+    (_KUHN_CORNERS[:, None] - _KUHN_CORNERS[:, :, None] + 1) @ [9, 3, 1])
+
+
 def _pattern(mesh, interior_only):
     """CSR pattern of the assembled operators and, for each of the
     (nt, 4, 4) local entries, its position in the CSR data.
 
-    Computed once per mesh and ``interior_only``.  Entries coupling a
+    Computed once per mesh and ``interior_only``, in closed form: the
+    dofs form an N^3 grid (N = m - 1 interior, m + 1 all vertices), row
+    v couples to v + d for each Kuhn step d that stays on the grid, and
+    a per-row slot table gives each step's position.  Entries coupling a
     boundary vertex (``interior_only``) map to the extra slot nnz, which
     assembly drops.
     """
     pattern = mesh._patterns.get(interior_only)
     if pattern is not None:
         return pattern
-    ids = mesh.interior_index[mesh.tets] if interior_only else mesh.tets
-    n = mesh.n_interior if interior_only else mesh.n_vertices
-    rows = np.repeat(ids, 4, axis=1).ravel()   # entry (a, b) at 4a + b
-    cols = np.tile(ids, (1, 4)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    keys, slots = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
-    positions = np.full(len(rows), len(keys), dtype=np.int32)
-    positions[keep] = slots.ravel()
+    N = mesh.m - 1 if interior_only else mesh.m + 1
+    n = N ** 3
+    c = np.arange(N)
+    on_grid = np.stack([c >= 1, c >= 0, c <= N - 2], axis=1)  # by d + 1
+    x, y, z = (on_grid[:, _KUHN_STEPS[:, axis] + 1] for axis in range(3))
+    valid = (x[:, None, None] & y[None, :, None]
+             & z[None, None, :]).reshape(n, len(_KUHN_STEPS))
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    pattern = (positions, (keys % n).astype(np.int32), indptr, n)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    nnz = int(indptr[-1])
+    # slot of row v's step d; a step off the grid, and row -1 (a
+    # boundary vertex), take the dropped slot nnz
+    slots = np.full((n + 1, len(_KUHN_STEPS)), nnz, dtype=np.int32)
+    slots[:-1][valid] = np.arange(nnz, dtype=np.int32)
+    offsets = _KUHN_STEPS @ [N * N, N, 1]
+    indices = (np.arange(n, dtype=np.int32)[:, None]
+               + offsets.astype(np.int32))[valid]
+    ids = mesh.interior_index[mesh.tets] if interior_only else mesh.tets
+    positions = slots[ids.reshape(-1, 6, 4, 1), _KUHN_STEP_OF].ravel()
+    pattern = (positions, indices, indptr, n)
     mesh._patterns[interior_only] = pattern
     return pattern
 

@@ -1,7 +1,6 @@
 """Sparse symmetric storage, preconditioned CG, and a generalized
-symmetric eigensolver (dense, or LOBPCG preconditioned by a multigrid
-V-cycle on the nested Kuhn meshes) for the lowest part of the
-spectrum."""
+symmetric eigensolver (dense, or LOBPCG with the caller's
+preconditioner) for the lowest part of the spectrum."""
 
 import warnings
 from dataclasses import dataclass
@@ -12,7 +11,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
-from .mesh import interior_prolongation
 
 DEFAULT_PCG_TOL = 1e-11
 DEFAULT_EIG_TOL = 1e-9
@@ -22,12 +20,6 @@ DENSE_CUTOFF = 400
 # iterations recovers within one or two runs
 LOBPCG_MAXITER = 40
 LOBPCG_RUNS = 5
-# the V-cycle coarsens while the level has more dofs than MG_COARSE_SIZE;
-# each level runs MG_SWEEPS Jacobi sweeps, weight MG_OMEGA, on either side
-# of its coarse correction
-MG_COARSE_SIZE = 1000
-MG_SWEEPS = 2
-MG_OMEGA = 2.0 / 3.0
 
 
 class SparseSymMatrix:
@@ -56,13 +48,6 @@ class SparseSymMatrix:
     def structurally_symmetric(self):
         return (self.csr != self.csr.T).nnz == 0
 
-    def gershgorin_lower_bound(self):
-        """min_i (a_ii - sum_{j != i} |a_ij|), a crude bound on the
-        smallest eigenvalue."""
-        diag = self.diagonal()
-        abs_rowsum = np.asarray(np.abs(self.csr).sum(axis=1)).ravel()
-        return float(np.min(diag - (abs_rowsum - np.abs(diag))))
-
 
 @dataclass
 class EigenResult:
@@ -72,8 +57,10 @@ class EigenResult:
     iterations: int             # LOBPCG iterations over all runs; 0 if dense
 
 
-def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None,
+              preconditioner=None):
+    """Preconditioned conjugate gradients for SPD systems, with
+    ``preconditioner.solve`` (Jacobi when none is given).
 
     Stops when ||A x - b|| <= tol * ||b||; raises ConvergenceError with
     the final residual if the iteration budget runs out.
@@ -87,11 +74,15 @@ def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n)
-    inv_diag = 1.0 / A.diagonal()
-    jacobi = spla.LinearOperator((n, n), matvec=lambda r: inv_diag * r,
-                                 dtype=float)
-    x, info = spla.cg(A.csr, b, rtol=tol, atol=0.0, maxiter=max_iter,
-                      M=jacobi)
+    if preconditioner is not None:
+        matvec = preconditioner.solve
+    else:
+        inv_diag = 1.0 / A.diagonal()
+
+        def matvec(r):
+            return inv_diag * r
+    M = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    x, info = spla.cg(A.csr, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M)
     if info == 0:
         return x
     # cg reports a budget exit even when its last step met the tolerance
@@ -126,62 +117,6 @@ def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
     return n <= dense_cutoff or L > n - 2
 
 
-class VCycle:
-    """Symmetric multigrid V-cycle for an SPD matrix S, applied by
-    ``solve`` to (n,) vectors or (n, k) blocks.
-
-    Level 0 is S and level l + 1 is the Galerkin operator P^T S_l P of
-    P = ``prolongations[l]``.  Every level but the coarsest runs
-    MG_SWEEPS damped Jacobi sweeps from zero, the coarse correction, and
-    MG_SWEEPS more sweeps, so the cycle is a symmetric operator; the
-    coarsest level is solved with its SuperLU factor.  With no
-    prolongations the cycle is that exact LU solve.
-    """
-
-    def __init__(self, S, prolongations):
-        self.levels = []             # (S_l, MG_OMEGA / diag(S_l), P_l)
-        for P in prolongations:
-            self.levels.append((S, MG_OMEGA / S.diagonal(), P))
-            S = (P.T @ S @ P).tocsr()
-        self.coarse = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        self.sizes = [lvl[0].shape[0] for lvl in self.levels] + [S.shape[0]]
-
-    def solve(self, b):
-        return self._cycle(0, b)
-
-    def _cycle(self, level, b):
-        if level == len(self.levels):
-            return self.coarse.solve(b)
-        S, wdinv, P = self.levels[level]
-        if b.ndim == 2:
-            wdinv = wdinv[:, None]
-        x = wdinv * b
-        for _ in range(MG_SWEEPS - 1):
-            x += wdinv * (b - S @ x)
-        x += P @ self._cycle(level + 1, P.T @ (b - S @ x))
-        for _ in range(MG_SWEEPS):
-            x += wdinv * (b - S @ x)
-        return x
-
-
-def shifted_vcycle(A, B, m=None):
-    """V-cycle for S = A + sB with s = max(0, -gershgorin(A)) + 1, the
-    preconditioner of the iterative eigensolve for pencils near (A, B).
-
-    A and B act on the interior dofs of the Kuhn mesh with m cells per
-    axis; the hierarchy halves m while m is even and the level has more
-    than MG_COARSE_SIZE dofs.  Odd m, small meshes and m=None build no
-    level, and the cycle is the LU of S.
-    """
-    s = max(0.0, -A.gershgorin_lower_bound()) + 1.0
-    S = A.csr + s * B.csr
-    prolongations = []
-    while m is not None and m % 2 == 0 and (m - 1) ** 3 > MG_COARSE_SIZE:
-        prolongations.append(interior_prolongation(m))
-        m //= 2
-    return VCycle(S, prolongations)
-
-
 def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
                       dense_cutoff=DENSE_CUTOFF, preconditioner=None,
                       start=None, B_dense=None):
@@ -190,20 +125,21 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     A is symmetric (possibly indefinite), B is SPD.  Small problems
     (``dense_path``) take a dense solve, against ``B_dense`` when the
     caller holds B densified.  Otherwise LOBPCG runs with the
-    preconditioner ``preconditioner.solve`` (``shifted_vcycle(A, B)``
-    when none is given, typically the V-cycle of a nearby reference
-    pencil).  Its start block is the columns of ``start`` (n, k),
-    followed by standard normal columns drawn from ``seed`` up to L;
-    ``SpectrumSolver`` passes its previous block, or on its first sparse
-    solve the perturbed cube modes of ``spectrum.cube_start``.
-    LOBPCG is asked for tol/10; a block still above tol after the
-    Rayleigh-Ritz step restarts from where it stopped, at most
-    LOBPCG_RUNS runs in all.  Every LOBPCG iteration that takes a step
-    applies the preconditioner once, and those applications, summed
-    over the runs, are the result's ``iterations``.  Both paths end in a
-    Rayleigh-Ritz step and a residual check on the pencil itself.  A
-    ValueError from lobpcg, such as a rank-deficient start block,
-    becomes a ConvergenceError.
+    preconditioner ``preconditioner.solve``, or unpreconditioned when
+    none is given; ``SpectrumSolver`` passes the exact inverse of the
+    stiffness (``spectrum.SineInverse``).  Its start block is the
+    columns of ``start`` (n, k), followed by standard normal columns
+    drawn from ``seed`` up to L; ``SpectrumSolver`` passes its previous
+    block, or on its first sparse solve the perturbed cube modes of
+    ``spectrum.cube_start``.  LOBPCG is asked for tol/10; a block still
+    above tol after the Rayleigh-Ritz step restarts from where it
+    stopped, at most LOBPCG_RUNS runs in all.  Every LOBPCG iteration
+    that takes a step applies the preconditioner (the identity when
+    there is none) once, and those applications, summed over the runs,
+    are the result's ``iterations``.  Both paths end in a Rayleigh-Ritz
+    step and a residual check on the pencil itself.  A ValueError from
+    lobpcg, such as a rank-deficient start block, becomes a
+    ConvergenceError.
     """
     n = A.n
     if not 1 <= L <= n:
@@ -217,13 +153,10 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
         w, X = _rayleigh_ritz(A, B, X)
         resid = _residual_norms(A, B, w, X)
     else:
-        if preconditioner is None:
-            preconditioner = shifted_vcycle(A, B)
-
         def precondition(R):
             nonlocal iterations
             iterations += 1
-            return preconditioner.solve(R)
+            return R if preconditioner is None else preconditioner.solve(R)
         X = np.random.default_rng(seed).standard_normal((n, L))
         if start is not None:
             k = min(start.shape[1], L)

@@ -12,9 +12,8 @@ first sweep, with no history, is the damped update
 (1 - damping) V + damping A(V).  Plain Picard iteration needs A to be
 a contraction; Anderson mixing only needs I - A' to be invertible near
 the fixed point, which is what the error theory assumes.
-Sweeps share one spectral solver (its preconditioner and last
-eigenvector block), which shares the loop's stiffness and mass
-matrices.
+Sweeps share one spectral solver (its last eigenvector block), which
+shares the loop's stiffness and mass matrices.
 Each sweep's eigenproblem is solved only as accurately and as wide as
 the iteration needs.  Inexact Newton theory (Dembo, Eisenstat &
 Steihaug, SIAM J. Numer. Anal. 19, 1982) keeps the outer convergence
@@ -56,7 +55,7 @@ from .mesh import mesh_size
 from .occupancy import (build_density, determine_occupation, solve_fermi,
                         truncation_bound)
 from .quadrature import tet_rule
-from .spectrum import SpectrumSolver, cube_eigensequence
+from .spectrum import SineInverse, SpectrumSolver, cube_eigensequence
 
 # number of previous sweeps whose differences enter the Anderson step
 ANDERSON_DEPTH = 5
@@ -131,9 +130,11 @@ class ScfReport:
 def poisson_solve(mesh, load, tol=DEFAULT_PCG_TOL, stiffness=None):
     """Galerkin solution of the Dirichlet Poisson problem for an
     assembled interior load vector (``fem.assemble_load`` of the
-    right-hand side)."""
+    right-hand side): CG preconditioned by the exact inverse of the
+    stiffness (``SineInverse``), which meets ``tol`` in one step and
+    keeps CG's residual check."""
     K = stiffness if stiffness is not None else fem.assemble_stiffness(mesh)
-    x = pcg_solve(K, load, tol=tol)
+    x = pcg_solve(K, load, tol=tol, preconditioner=SineInverse(mesh.m))
     return fem.FeField.from_interior(mesh, x)
 
 

@@ -7,9 +7,11 @@ A = (stiffness + weighted_mass(V0)) + weighted_mass(u) against the mass
 matrix B, the bracket assembled once per solver, and
 eigenfunctions are normalized in the L2 (mass-matrix) norm, which the
 generalized eigensolver delivers directly.  The iterative eigensolve is
-preconditioned by one multigrid V-cycle per solver on the shifted
-reference pencil, and its first block is the cube's lowest modes at the
-interior vertices (``cube_start``).
+preconditioned by the exact inverse of the stiffness, which the grid
+sine modes diagonalize (``SineInverse``: the kinetic-energy
+preconditioner of LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001), and
+its first block is the cube's lowest modes at the interior vertices
+(``cube_start``).
 """
 
 import math
@@ -20,14 +22,14 @@ import scipy.linalg as sla
 
 from . import fem
 from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
-                       dense_path, lowest_eigenpairs, shifted_vcycle)
+                       dense_path, lowest_eigenpairs)
 from .quadrature import tet_rule
 
 PI2 = math.pi ** 2
 # relative size of the seeded perturbation added to every column of the
-# cube-mode start block: the Kuhn mesh, V0 and the V-cycle share the
-# cube's symmetries, so an exact mode block would never reach a level
-# of a symmetry class it lacks
+# cube-mode start block: the Kuhn mesh, V0 and the sine-transform
+# preconditioner share the cube's symmetries, so an exact mode block
+# would never reach a level of a symmetry class it lacks
 START_NOISE = 1e-2
 
 
@@ -74,6 +76,46 @@ def cube_eigensequence(count):
     return [CubeMode(*ijk) for ijk in zip(I, J, K)]
 
 
+def sine_table(m):
+    """(m - 1, m - 1) table S[i - 1, a - 1] = sin(i pi a / m), i, a =
+    1..m-1: the grid sine modes along one axis.  S is symmetric and
+    S S = (m / 2) I."""
+    idx = np.arange(1, m)
+    return np.sin(math.pi / m * np.outer(idx, idx))
+
+
+class SineInverse:
+    """Exact inverse of the interior P1 stiffness K of the Kuhn mesh with
+    m cells per axis, applied by ``solve`` to (n,) vectors or (n, k)
+    blocks: K is 1/m times the 7-point Laplacian of the (m - 1)^3
+    interior grid (its diagonal couplings are exact zeros), so the grid
+    sine modes diagonalize it with eigenvalues
+    sum_d (2 - 2 cos(pi i_d / m)) / m.  The fast Poisson solver of
+    Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970), with matrix
+    products for the transforms.
+    """
+
+    def __init__(self, m):
+        self.m = m
+        self.S = sine_table(m)
+        d = (2.0 - 2.0 * np.cos(math.pi / m * np.arange(1, m))) / m
+        lam = d[:, None, None] + d[None, :, None] + d[None, None, :]
+        # S S = (m / 2) I, so each pair of transforms is scaled by 2 / m
+        self.scale = ((2.0 / m) ** 3 / lam).reshape(-1, 1)
+
+    def _transform(self, x):
+        """S along each grid axis of the (n, L) block x (z fastest)."""
+        k, L = self.m - 1, x.shape[1]
+        x = self.S @ x.reshape(k, -1)                  # along x
+        x = self.S @ x.reshape(k, k, k * L)            # along y
+        return (self.S @ x.reshape(k, k, k, L)).reshape(-1, L)   # along z
+
+    def solve(self, b):
+        x = self._transform(np.reshape(b, (len(b), -1)))
+        x *= self.scale
+        return self._transform(x).reshape(np.shape(b))
+
+
 def grid_modes(m, L):
     """The lowest cube modes whose indices are all below m (an index m
     vanishes on the grid, and 2m - i aliases i), at the interior
@@ -84,7 +126,7 @@ def grid_modes(m, L):
 
     Interior vertex (a, b, c)/m, a, b, c = 1..m-1, z fastest, holds
     2 sqrt(2) S[i, a] S[j, b] S[k, c] with the sine table
-    S[i, a] = sin(i pi a / m).
+    S[i, a] = sin(i pi a / m) (``sine_table``).
     """
     shells, I, J, K = cube_shells(3 * (m - 1) ** 2)   # holds every grid mode
     grid = np.maximum(np.maximum(I, J), K) < m
@@ -92,8 +134,7 @@ def grid_modes(m, L):
     lo = np.searchsorted(shells, shells[L - 1], side="left")
     hi = np.searchsorted(shells, shells[L - 1], side="right")
     I, J, K = (a[grid][:hi] - 1 for a in (I, J, K))
-    idx = np.arange(1, m)
-    S = np.sin(math.pi / m * np.outer(idx, idx))     # S[i - 1, a - 1]
+    S = sine_table(m)
     X = (2.0 * math.sqrt(2.0) * S[I][:, :, None, None]
          * S[J][:, None, :, None] * S[K][:, None, None, :])
     return X.reshape(hi, -1).T, lo
@@ -168,12 +209,11 @@ class SpectrumSolver:
 
     The reference pencil (K + W(V0), B) is assembled when the solver is
     made, from the caller's K and B when given; every ``solve`` adds
-    W(u) to it and runs one eigensolve.  The solver carries more state
-    between calls: ``dense_mass``, B densified at the first dense
-    solve; ``factor``, the V-cycle (``shifted_vcycle``) of the shifted
-    reference pencil K + W(V0) + sB, built at the first sparse solve and
-    used as the LOBPCG preconditioner for every u; and ``block``, the
-    last eigenvector block, from which the next solve starts (with
+    W(u) to it and runs one eigensolve.  ``preconditioner``, the exact
+    inverse of K (``SineInverse``), preconditions every LOBPCG solve.
+    The solver carries more state between calls: ``dense_mass``, B
+    densified at the first dense solve; and ``block``, the last
+    eigenvector block, from which the next solve starts (with
     seeded random columns appended when L grows, and its leading L
     columns taken when L shrinks).  The first sparse solve starts from
     ``cube_start``, the perturbed cube modes, seeded by ``seed``; the
@@ -191,8 +231,8 @@ class SpectrumSolver:
         self.dense_cutoff = dense_cutoff
         self.reference = assemble_hamiltonian(mesh, None, V0,
                                               stiffness=stiffness, mass=mass)
+        self.preconditioner = SineInverse(mesh.m)
         self.dense_mass = None
-        self.factor = None
         self.block = None
 
     def solve(self, u, L, tol=None):
@@ -204,16 +244,13 @@ class SpectrumSolver:
         if dense_path(A.n, L, self.dense_cutoff):
             if self.dense_mass is None:
                 self.dense_mass = B.toarray()
-        else:
-            if self.factor is None:
-                self.factor = shifted_vcycle(A0, B, mesh.m)
-            if self.block is None:
-                self.block = cube_start(mesh, L, self.seed)
+        elif self.block is None:
+            self.block = cube_start(mesh, L, self.seed)
         result = lowest_eigenpairs(A, B, L,
                                    tol=self.tol if tol is None else tol,
                                    seed=self.seed,
                                    dense_cutoff=self.dense_cutoff,
-                                   preconditioner=self.factor,
+                                   preconditioner=self.preconditioner,
                                    start=self.block, B_dense=self.dense_mass)
         self.block = result.vectors
         coeffs = np.zeros((mesh.n_vertices, L))

@@ -181,7 +181,7 @@ def _einsum_weighted_local(mesh, w, rule):
     return local * mesh.volumes[:, None, None]
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("interior_only", [True, False])
 def test_fixed_pattern_assembly_matches_coo(m, interior_only):
     mesh = build_structured_mesh(m)
@@ -208,9 +208,10 @@ def test_fixed_pattern_assembly_matches_coo(m, interior_only):
         np.testing.assert_array_equal(new.csr.indptr, ref.indptr)
         np.testing.assert_array_equal(new.csr.indices, ref.indices)
         # summation order differs, so the data agree to rounding,
-        # relative to the largest entry
-        scale = np.abs(ref.data).max()
-        assert np.abs(new.csr.data - ref.data).max() <= 1e-15 * scale
+        # relative to the largest entry (m = 1 has no interior entry)
+        scale = np.abs(ref.data).max(initial=0.0)
+        assert np.abs(new.csr.data - ref.data).max(initial=0.0) \
+            <= 1e-15 * scale
 
 
 def test_load_matches_einsum_scatter(mesh4):

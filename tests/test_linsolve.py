@@ -6,9 +6,10 @@ import scipy.sparse as sp
 from spfem import fem
 from spfem.errors import ConvergenceError
 from spfem.linsolve import (DEFAULT_PCG_TOL, SparseSymMatrix, lowest_eigenpairs,
-                            pcg_solve, shifted_vcycle)
+                            pcg_solve)
 from spfem.mesh import build_structured_mesh
 from spfem.oracle import cube_eigensequence, manufactured_problem
+from spfem.spectrum import SineInverse
 
 
 def _diag(values):
@@ -144,7 +145,6 @@ def test_sparse_matrix_matvec_matches_dense():
     x = rng.standard_normal(n)
     np.testing.assert_allclose(A @ x, dense @ x, atol=1e-14)
     assert A.structurally_symmetric()
-    assert A.gershgorin_lower_bound() <= np.linalg.eigvalsh(dense).min() + 1e-12
 
 
 def test_rank_deficient_start_is_a_convergence_error():
@@ -157,19 +157,21 @@ def test_rank_deficient_start_is_a_convergence_error():
                           start=np.repeat(col, 6, axis=1))
 
 
-def test_vcycle_is_symmetric_positive_definite(params):
-    # m = 16 coarsens once (3375 -> 343 dofs); the pencil carries an
-    # indefinite potential, so the shift is active
-    mesh = build_structured_mesh(16)
-    V0 = manufactured_problem(1, params).V0
-    K = fem.assemble_stiffness(mesh)
-    A = SparseSymMatrix(K.csr + fem.assemble_weighted_mass(mesh, V0).csr)
-    cycle = shifted_vcycle(A, fem.assemble_mass(mesh), mesh.m)
-    assert cycle.sizes == [3375, 343]
-    rng = np.random.default_rng(7)
-    X, Y = rng.standard_normal((2, mesh.n_interior, 8))
-    VX, VY = cycle.solve(X), cycle.solve(Y)
-    np.testing.assert_allclose(Y.T @ VX, VY.T @ X, rtol=1e-12,
-                               atol=1e-12 * np.abs(Y.T @ VX).max())
-    assert np.linalg.eigvalsh(0.5 * (X.T @ VX + VX.T @ X)).min() > 0.0
-    np.testing.assert_allclose(cycle.solve(X[:, 3]), VX[:, 3], rtol=1e-14)
+@pytest.mark.parametrize("m", [2, 3, 8, 13, 20])
+def test_sine_inverse_inverts_the_stiffness(m):
+    # exact for vectors and blocks, and a symmetric positive definite
+    # operator
+    K = fem.assemble_stiffness(build_structured_mesh(m))
+    inverse = SineInverse(m)
+    rng = np.random.default_rng(m)
+    b = rng.standard_normal(K.n)
+    X, Y = rng.standard_normal((2, K.n, 5))
+    x, VX, VY = inverse.solve(b), inverse.solve(X), inverse.solve(Y)
+    assert x.shape == b.shape and VX.shape == X.shape
+    assert np.linalg.norm(K @ x - b) <= 1e-13 * np.linalg.norm(b)
+    assert np.linalg.norm(K @ VX - X) <= 1e-13 * np.linalg.norm(X)
+    np.testing.assert_allclose(VX[:, 3], inverse.solve(X[:, 3]), rtol=1e-13,
+                               atol=1e-13 * np.abs(VX).max())
+    gram = Y.T @ VX
+    assert np.abs(gram - VY.T @ X).max() <= 1e-13 * np.abs(gram).max()
+    assert np.all(np.sum(X * VX, axis=0) > 0.0)

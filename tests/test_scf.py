@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from conftest import Combination, sine_product
 from spfem import fem, scf
@@ -51,6 +52,22 @@ def test_poisson_linearity(mesh4):
     u = _poisson(mesh4, combo, tol=1e-13)
     np.testing.assert_allclose(u.coeffs, 2.0 * u1.coeffs - 3.0 * u2.coeffs,
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [7, 12])
+def test_poisson_solve_matches_sparse_direct(m, monkeypatch):
+    # the sine-transform preconditioner is K's exact inverse, so CG meets
+    # its tolerance in one step
+    mesh = build_structured_mesh(m)
+    pcg = scf.pcg_solve
+    monkeypatch.setattr(scf, "pcg_solve",
+                        lambda *a, **kw: pcg(*a, max_iter=1, **kw))
+    load = fem.assemble_load(mesh, sine_product(), tet_rule(4))
+    u = poisson_solve(mesh, load)
+    K = fem.assemble_stiffness(mesh)
+    ref = spla.spsolve(K.csr.tocsc(), load)
+    np.testing.assert_allclose(u.interior(), ref,
+                               rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_poisson_manufactured_first_order():
@@ -212,7 +229,7 @@ def _h1_norm(K, M, v):
 
 @pytest.mark.parametrize("example", [1, 2])
 def test_inexact_sweeps_keep_the_fixed_point(example, params, monkeypatch):
-    # m = 12: 1331 dofs, the sparse eigen path with one V-cycle level
+    # m = 12: 1331 dofs, the sparse eigen path
     mesh = build_structured_mesh(12)
     problem = manufactured_problem(example, params)
     model = ScfModel(problem.V0, problem.n_D, params)

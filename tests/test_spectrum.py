@@ -7,13 +7,14 @@ import scipy.linalg as sla
 
 from conftest import Combination, sine_product
 import spfem
-from spfem import fem, linsolve, oracle, spectrum
+from spfem import fem, oracle, spectrum
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
-from spfem.spectrum import (START_NOISE, SpectrumSolver, assemble_hamiltonian,
-                            cube_eigensequence, cube_start)
+from spfem.spectrum import (START_NOISE, SineInverse, SpectrumSolver,
+                            assemble_hamiltonian, cube_eigensequence,
+                            cube_start)
 
 LAM1 = 3 * math.pi ** 2
 LAM2 = 6 * math.pi ** 2
@@ -134,15 +135,14 @@ def _tilted(mesh):
 def test_iterative_path_matches_dense_oracle(mesh8):
     # a cold start, a warm start under a new potential, a grown block
     # (the previous 6 vectors plus seeded random columns) and n < 5L,
-    # where lobpcg solves densely itself; one factor serves all four
+    # where lobpcg solves densely itself; one preconditioner serves all
+    # four
     solver = SpectrumSolver(mesh8, None, dense_cutoff=0)
     tilt = _tilted(mesh8)
-    factor = None
+    preconditioner = solver.preconditioner
     for u, L in ((None, 6), (tilt, 6), (tilt, 12), (tilt, 70)):
         s = solver.solve(u, L)
-        if factor is None:
-            factor = solver.factor
-        assert solver.factor is factor
+        assert solver.preconditioner is preconditioner
         assert solver.block.shape == (mesh8.n_interior, L)
         A, B = assemble_hamiltonian(mesh8, u, None)
         ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)[:L]
@@ -151,15 +151,15 @@ def test_iterative_path_matches_dense_oracle(mesh8):
     assert 5 * 70 > mesh8.n_interior
 
 
-@pytest.mark.parametrize("m,sizes", [(12, [1331, 125]), (9, [512])])
-def test_vcycle_path_matches_dense_oracle(m, sizes):
-    # even m above MG_COARSE_SIZE dofs builds a level; odd m builds none,
-    # and the preconditioner is the LU of the shifted pencil
+@pytest.mark.parametrize("m", [9, 11, 12])
+def test_sine_preconditioned_path_matches_dense_oracle(m):
+    # odd and even m; the preconditioner inverts K alone, and the
+    # tilted potential is not small against it
     mesh = build_structured_mesh(m)
     solver = SpectrumSolver(mesh, None, dense_cutoff=0)
     tilt = _tilted(mesh)
     s = solver.solve(tilt, 8)
-    assert solver.factor.sizes == sizes
+    assert isinstance(solver.preconditioner, SineInverse)
     A, B = assemble_hamiltonian(mesh, tilt, None)
     ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[0, 7])
@@ -176,7 +176,7 @@ def test_solver_shares_the_callers_matrices(mesh4):
     dense = solver.dense_mass
     np.testing.assert_array_equal(dense, M.toarray())
     solver.solve(_tilted(mesh4), 6)
-    assert solver.dense_mass is dense and solver.factor is None
+    assert solver.dense_mass is dense
 
 
 def test_sparse_path_emits_no_warnings():
@@ -187,7 +187,7 @@ def test_sparse_path_emits_no_warnings():
         solver.solve(None, 16)
         solver.solve(_tilted(mesh), 16)
         solver.solve(_tilted(mesh), 150)    # n < 5L: lobpcg warns
-    assert solver.factor is not None
+    assert solver.block.shape == (mesh.n_interior, 150)
 
 
 def test_level_count_bounds(mesh4):
@@ -264,12 +264,13 @@ def test_mode_estimates_are_ritz_values_of_grid_modes(mesh8):
 
 
 def test_solve_counts_lobpcg_iterations(mesh8, monkeypatch):
-    # one V-cycle application per LOBPCG iteration; none on the dense path
+    # one preconditioner application per LOBPCG iteration; none on the
+    # dense path
     assert SpectrumSolver(mesh8, None).solve(None, 6).iterations == 0
     calls = []
-    cycle = linsolve.VCycle.solve
-    monkeypatch.setattr(linsolve.VCycle, "solve",
-                        lambda self, b: calls.append(1) or cycle(self, b))
+    apply = SineInverse.solve
+    monkeypatch.setattr(SineInverse, "solve",
+                        lambda self, b: calls.append(1) or apply(self, b))
     s = SpectrumSolver(mesh8, None, dense_cutoff=0).solve(None, 6)
     assert s.iterations == len(calls) > 0
 
@@ -277,8 +278,8 @@ def test_solve_counts_lobpcg_iterations(mesh8, monkeypatch):
 @pytest.mark.parametrize("example", [None, 1])
 def test_first_sparse_solve_from_cube_modes_matches_dense_oracle(example):
     # the unperturbed cube modes stall or miss levels here (L = 20, 38,
-    # 42 at m = 12): the mesh, V0 and the V-cycle share the cube's
-    # symmetries, so an exact mode block never reaches a symmetry class
+    # 42 at m = 12): the mesh, V0 and the preconditioner share the
+    # cube's symmetries, so an exact mode block never reaches a symmetry class
     # it lacks
     mesh = build_structured_mesh(12)
     V0 = None if example is None else manufactured_problem(
