@@ -1,8 +1,7 @@
 """P1 Lagrange machinery: fields, matrix/vector assembly, error norms.
 
 Dirichlet conditions are handled by eliminating boundary vertices, so
-all assembled operators act on interior degrees of freedom unless
-``interior_only=False`` is requested.
+all assembled operators act on interior degrees of freedom.
 
 Quadrature runs over blocks of whole x-slabs of cells
 (``slab_blocks``), each holding at most ``BLOCK_POINTS`` quadrature
@@ -16,15 +15,19 @@ weights times the rule's (nq, 16) table of basis products, a load is
 weighted sum per element.  Each block writes its rows into whole-mesh
 arrays, which are reduced once, as if there were one block.
 
-The position of every local entry in the final CSR pattern is
-computed once per mesh (and per ``interior_only``), so each matrix
-assembly is a single ``np.bincount`` and bit-reproducible for a fixed
-mesh.  The same positions expand a Gram given per vertex pair of the
-pattern into the 4x4 Grams of the elements.  These positions, kept in
-the mesh's ``_patterns``, are the only thing remembered between calls:
-fields are evaluated afresh at every assembly, and a caller that reuses
-one (a fixed doping load, say) keeps the assembled vector itself.
+The interior CSR pattern, with the Kuhn step of each entry and the
+position of every local entry, is computed once per mesh.  The
+stiffness and the mass are one 15-step stencil each, written through
+the step table; a weighted mass is one ``np.bincount`` of its local
+matrices over the positions.  The same positions expand a Gram given
+per vertex pair of the pattern into the 4x4 Grams of the elements.  The
+pattern, kept in the mesh's ``_pattern``, is the only thing remembered
+between calls: fields are evaluated afresh at every assembly, and a
+caller that reuses one (a fixed doping load, say) keeps the assembled
+vector itself.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -168,23 +171,39 @@ _KUHN_STEPS = np.concatenate([-_CUBE[::-1], _CUBE[1:]])
 _KUHN_STEP_OF = np.searchsorted(
     (_KUHN_STEPS + 1) @ [9, 3, 1],
     (_KUHN_CORNERS[:, None] - _KUHN_CORNERS[:, :, None] + 1) @ [9, 3, 1])
+# the 96 local entries (kind, a, b), ordered as an element bincount
+# reaches them in an interior row: by the offset of the element's cell
+# from the row's vertex (local a; x slowest), then by kind
+_KUHN_ORDER = np.argsort(np.repeat(
+    6 * -(_KUHN_CORNERS @ [4, 2, 1]) + np.arange(6)[:, None], 4),
+    kind="stable")
 
 
-def _pattern(mesh, interior_only):
-    """CSR pattern of the assembled operators and, for each of the
-    (nt, 4, 4) local entries, its position in the CSR data.
+class _Pattern(NamedTuple):
+    """CSR pattern of the assembled operators on the interior dofs
+    (``indices``, ``indptr``, ``n`` rows), the Kuhn step of each of its
+    entries (int8), and for each of the (nt, 4, 4) local entries its
+    position in the CSR data."""
 
-    Computed once per mesh and ``interior_only``, in closed form: the
-    dofs form an N^3 grid (N = m - 1 interior, m + 1 all vertices), row
-    v couples to v + d for each Kuhn step d that stays on the grid, and
-    a per-row slot table gives each step's position.  Entries coupling a
-    boundary vertex (``interior_only``) map to the extra slot nnz, which
+    positions: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    n: int
+    steps: np.ndarray
+
+
+def _pattern(mesh):
+    """The mesh's ``_Pattern``.
+
+    Computed once per mesh, in closed form: the dofs form an N^3 grid
+    (N = m - 1), row v couples to v + d for each Kuhn step d that stays
+    on the grid, and a per-row slot table gives each step's position.
+    Entries coupling a boundary vertex map to the extra slot nnz, which
     assembly drops.
     """
-    pattern = mesh._patterns.get(interior_only)
-    if pattern is not None:
-        return pattern
-    N = mesh.m - 1 if interior_only else mesh.m + 1
+    if mesh._pattern is not None:
+        return mesh._pattern
+    N = mesh.m - 1
     n = N ** 3
     c = np.arange(N)
     on_grid = np.stack([c >= 1, c >= 0, c <= N - 2], axis=1)  # by d + 1
@@ -201,21 +220,31 @@ def _pattern(mesh, interior_only):
     offsets = _KUHN_STEPS @ [N * N, N, 1]
     indices = (np.arange(n, dtype=np.int32)[:, None]
                + offsets.astype(np.int32))[valid]
-    ids = mesh.interior_index[mesh.tets] if interior_only else mesh.tets
+    steps = np.broadcast_to(np.arange(len(_KUHN_STEPS), dtype=np.int8),
+                            valid.shape)[valid]
+    ids = mesh.interior_index[mesh.tets]
     positions = slots[ids.reshape(-1, 6, 4, 1), _KUHN_STEP_OF].ravel()
-    pattern = (positions, indices, indptr, n)
-    mesh._patterns[interior_only] = pattern
-    return pattern
+    mesh._pattern = _Pattern(positions, indices, indptr, n, steps)
+    return mesh._pattern
 
 
-def _assemble(mesh, local, interior_only):
-    """Sum the (nt, 4, 4) or (nt, 16) local matrices into the fixed CSR
-    pattern with one bincount."""
-    positions, indices, indptr, n = _pattern(mesh, interior_only)
-    data = np.bincount(positions, weights=local.ravel(),
-                       minlength=len(indices) + 1)[:-1]
+def _matrix(mesh, data):
+    """Matrix with the CSR data ``data`` on the mesh's pattern."""
+    p = _pattern(mesh)
     return SparseSymMatrix(sp.csr_matrix(
-        (data, indices.copy(), indptr.copy()), shape=(n, n)))
+        (data, p.indices.copy(), p.indptr.copy()), shape=(p.n, p.n)))
+
+
+def _stencil(mesh, local):
+    """Assemble the (6, 4, 4) local matrices of the six Kuhn simplices,
+    the same on every cell.  An interior vertex lies in the same 24
+    elements wherever it is, so each Kuhn step has one value, the sum of
+    that step's local entries, taken in ``_KUHN_ORDER`` to give the
+    element bincount's floats."""
+    per_step = np.bincount(_KUHN_STEP_OF.ravel()[_KUHN_ORDER],
+                           weights=local.ravel()[_KUHN_ORDER],
+                           minlength=len(_KUHN_STEPS))
+    return _matrix(mesh, per_step[_pattern(mesh).steps])
 
 
 def pattern_gram(mesh, X, weights):
@@ -224,11 +253,11 @@ def pattern_gram(mesh, X, weights):
 
     Gathered by ``element_gram``, it gives the 4x4 local Grams of the P1
     fields X (zero on the boundary) on every element."""
-    _, indices, indptr, n = _pattern(mesh, True)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    out = np.zeros(len(indices) + 1)
+    p = _pattern(mesh)
+    rows = np.repeat(np.arange(p.n), np.diff(p.indptr))
+    out = np.zeros(len(p.indices) + 1)
     for w, x in zip(weights, np.ascontiguousarray(X.T)):
-        out[:-1] += (w * x)[rows] * x[indices]
+        out[:-1] += (w * x)[rows] * x[p.indices]
     return out
 
 
@@ -236,7 +265,7 @@ def element_gram(mesh, pairs, slabs=None):
     """(nb, 16) local 4x4 Grams on the x-slabs ``slabs`` (all by
     default) from the per-entry values of ``pattern_gram``."""
     elements = mesh.slab_elements(slabs)
-    positions = _pattern(mesh, True)[0].reshape(-1, 16)[elements]
+    positions = _pattern(mesh).positions.reshape(-1, 16)[elements]
     return pairs[positions]
 
 
@@ -246,22 +275,20 @@ def basis_products(rule):
     return (P[:, :, None] * P[:, None, :]).reshape(len(P), 16)
 
 
-def assemble_stiffness(mesh, interior_only=True):
+def assemble_stiffness(mesh):
     """Dirichlet Laplacian stiffness matrix (gradient-gradient form)."""
     per_kind = np.einsum("kad,kbd->kab", mesh.grads, mesh.grads)
-    local = np.tile(per_kind, (mesh.m ** 3, 1, 1))
-    local *= mesh.volumes[:, None, None]
-    return _assemble(mesh, local, interior_only)
+    # every Kuhn element has the same volume
+    return _stencil(mesh, per_kind * mesh.volumes[0])
 
 
-def assemble_mass(mesh, interior_only=True):
+def assemble_mass(mesh):
     """L2 mass matrix from the exact P1 element integrals |K|/20*(1+I)."""
     base = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    local = mesh.volumes[:, None, None] * base[None, :, :]
-    return _assemble(mesh, local, interior_only)
+    return _stencil(mesh, np.broadcast_to(mesh.volumes[0] * base, (6, 4, 4)))
 
 
-def assemble_weighted_mass(mesh, w, rule=None, interior_only=True):
+def assemble_weighted_mass(mesh, w, rule=None):
     """Matrix of (w u, v) with w evaluated at quadrature points."""
     rule = rule or tet_rule(2)
     if rule.degree < 2:
@@ -271,7 +298,9 @@ def assemble_weighted_mass(mesh, w, rule=None, interior_only=True):
         values_on_elements(w, mesh, rule, slabs) * rule.weights) @ table,
         (16,))
     local *= mesh.volumes[:, None]
-    return _assemble(mesh, local, interior_only)
+    p = _pattern(mesh)
+    return _matrix(mesh, np.bincount(p.positions, weights=local.ravel(),
+                                     minlength=len(p.indices) + 1)[:-1])
 
 
 def assemble_load(mesh, g, rule=None):

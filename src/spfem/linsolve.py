@@ -96,19 +96,21 @@ def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None,
 
 
 def _rayleigh_ritz(A, B, X):
-    """B-orthonormalize the block X and diagonalize A on its span."""
-    G = X.T @ (B @ X)
+    """B-orthonormalize the block X and diagonalize A on its span: the
+    Ritz values w, the Ritz vectors and their residual norms
+    ||A x - w B x||, from the one product of X with each of A and B."""
+    BX = B @ X
+    G = X.T @ BX
     G = 0.5 * (G + G.T)
     c = sla.cholesky(G, lower=True)
     X = sla.solve_triangular(c, X.T, lower=True).T
-    H = X.T @ (A @ X)
+    BX = sla.solve_triangular(c, BX.T, lower=True).T
+    AX = A @ X
+    H = X.T @ AX
     H = 0.5 * (H + H.T)
     w, Q = sla.eigh(H)
-    return w, X @ Q
-
-
-def _residual_norms(A, B, w, X):
-    return np.linalg.norm(A @ X - (B @ X) * w[None, :], axis=0)
+    resid = np.linalg.norm(AX @ Q - (BX @ Q) * w[None, :], axis=0)
+    return w, X @ Q, resid
 
 
 def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
@@ -150,8 +152,7 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
         if B_dense is None:
             B_dense = B.toarray()
         _, X = sla.eigh(A.toarray(), B_dense, subset_by_index=[0, L - 1])
-        w, X = _rayleigh_ritz(A, B, X)
-        resid = _residual_norms(A, B, w, X)
+        w, X, resid = _rayleigh_ritz(A, B, X)
     else:
         def precondition(R):
             nonlocal iterations
@@ -174,8 +175,7 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
                     # e.g. "Linearly dependent initial approximations"
                     # for a rank-deficient start block
                     raise ConvergenceError(f"lobpcg failed: {exc}") from exc
-            w, X = _rayleigh_ritz(A, B, X)
-            resid = _residual_norms(A, B, w, X)
+            w, X, resid = _rayleigh_ritz(A, B, X)
             if np.all(resid <= tol):
                 break
 

@@ -53,7 +53,7 @@ class Mesh:
         # (integers, so exact in floating point)
         self.volumes = np.full(len(tets), 1.0 / (6 * m ** 3))
         self.grads = _KUHN_GRADS * m
-        self._patterns = {}        # CSR assembly patterns, filled by fem
+        self._pattern = None       # CSR assembly pattern, filled by fem
 
     @property
     def n_vertices(self):
@@ -213,15 +213,12 @@ def interior_prolongation(m):
 
 
 def mesh_size(mesh):
-    """Largest element diameter (max pairwise vertex distance), taken
-    slab by slab."""
-    h = 0.0
-    for i in range(mesh.m):
-        coords = mesh.vertices[mesh.tets[mesh.slab_elements(range(i, i + 1))]]
-        for a, b in itertools.combinations(range(4), 2):
-            d = np.linalg.norm(coords[:, a, :] - coords[:, b, :], axis=1)
-            h = max(h, d.max())
-    return float(h)
+    """Largest element diameter.  The longest edge of a Kuhn simplex is
+    its cell's main diagonal, from local vertex 0 to 3 of the cell's
+    first element (the identity path)."""
+    diagonals = mesh.tets[::6]
+    d = mesh.vertices[diagonals[:, 3]] - mesh.vertices[diagonals[:, 0]]
+    return float(np.linalg.norm(d, axis=1).max())
 
 
 WRITE_CHUNK_ROWS = 1 << 13

@@ -12,9 +12,22 @@ from spfem.oracle import _mode_by_mode, manufactured_problem
 from spfem.quadrature import tet_rule
 
 
-def test_stiffness_row_sums_zero(mesh4):
-    K = fem.assemble_stiffness(mesh4, interior_only=False)
-    rowsums = np.asarray(K.csr.sum(axis=1)).ravel()
+def _deep_rows(mesh):
+    """Interior dofs whose Kuhn neighbours are all interior: a row of an
+    operator there holds every basis function that overlaps its own."""
+    grid = np.rint(mesh.vertices[mesh.interior_vertices] * mesh.m)
+    return np.flatnonzero(np.all((grid >= 2) & (grid <= mesh.m - 2), axis=1))
+
+
+@pytest.fixture(scope="module")
+def mesh6():
+    return build_structured_mesh(6)
+
+
+def test_stiffness_row_sums_zero(mesh6):
+    K = fem.assemble_stiffness(mesh6)
+    rowsums = np.asarray(K.csr.sum(axis=1)).ravel()[_deep_rows(mesh6)]
+    assert len(rowsums) == 27
     assert np.abs(rowsums).max() < 1e-13
 
 
@@ -31,13 +44,13 @@ def test_stiffness_spd(m):
     assert K.structurally_symmetric()
 
 
-def test_mass_total_and_element_formula(mesh4):
-    M = fem.assemble_mass(mesh4, interior_only=False)
-    assert M.csr.sum() == pytest.approx(1.0, abs=1e-13)
+def test_mass_total_and_element_formula(mesh6):
+    # a deep row sums to the integral of its basis function, 1/m^3
+    M = fem.assemble_mass(mesh6)
+    rowsums = np.asarray(M.csr.sum(axis=1)).ravel()[_deep_rows(mesh6)]
+    np.testing.assert_allclose(rowsums, 1.0 / 6 ** 3, rtol=1e-13)
     # one-element check of |K|/20 * (2 on diagonal, 1 off)
     mesh1 = build_structured_mesh(1)
-    M1 = fem.assemble_mass(mesh1, interior_only=False)
-    t = mesh1.tets[0]
     vol = mesh1.volumes[0]
     rule = tet_rule(2)
     bary = rule.points
@@ -46,24 +59,27 @@ def test_mass_total_and_element_formula(mesh4):
             exact = vol / 20.0 * (2.0 if a == b else 1.0)
             quad = vol * np.sum(rule.weights * bary[:, a] * bary[:, b])
             assert quad == pytest.approx(exact, abs=1e-15)
-            # assembled entry sums contributions from all incident tets
-    Mi = fem.assemble_mass(mesh4)
+    Mi = fem.assemble_mass(build_structured_mesh(4))
     rng = np.random.default_rng(1)
     x = rng.standard_normal(Mi.n)
     assert x @ (Mi @ x) > 0.0
 
 
-def test_weighted_mass_constant_and_linear(mesh4):
+def test_weighted_mass_constant_and_linear(mesh4, mesh6):
     Mi = fem.assemble_mass(mesh4)
     W = fem.assemble_weighted_mass(mesh4, fem.ScalarFunction.constant(1.0))
     assert np.abs((W.csr - Mi.csr).toarray()).max() < 1e-13
     W2 = fem.assemble_weighted_mass(mesh4, fem.ScalarFunction.constant(-2.0))
     assert np.abs((W2.csr + 2.0 * Mi.csr).toarray()).max() < 1e-13
-    # w = x: total sum of the full matrix is int x over the cube = 1/2
-    Wx = fem.assemble_weighted_mass(
-        mesh4, fem.ScalarFunction(lambda p: p[..., 0]),
-        interior_only=False)
-    assert Wx.csr.sum() == pytest.approx(0.5, abs=1e-13)
+    # w = x: the basis functions sum to 1 on a deep row's support, so
+    # there the row sum is the load int(x * basis_i) with the same rule
+    w = fem.ScalarFunction(lambda p: p[..., 0])
+    rule = tet_rule(4)
+    Wx = fem.assemble_weighted_mass(mesh6, w, rule)
+    rows = _deep_rows(mesh6)
+    np.testing.assert_allclose((Wx @ np.ones(Wx.n))[rows],
+                               fem.assemble_load(mesh6, w, rule)[rows],
+                               rtol=1e-13)
     sym = Wx.toarray()
     assert np.abs(sym - sym.T).max() < 1e-14
 
@@ -157,7 +173,7 @@ def test_fefield_guards(mesh4):
         fem.FeField(mesh4, np.zeros(3))
 
 
-def _coo_assembly(mesh, local, interior_only):
+def _coo_assembly(mesh, local):
     """Reference: COO scatter, tocsr and np.ix_ restriction, the assembly
     the fixed CSR pattern replaced."""
     nv = mesh.n_vertices
@@ -165,9 +181,8 @@ def _coo_assembly(mesh, local, interior_only):
     cols = np.repeat(mesh.tets[:, None, :], 4, axis=1)
     csr = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                         shape=(nv, nv)).tocsr()
-    if interior_only:
-        ids = mesh.interior_vertices
-        csr = csr[np.ix_(ids, ids)].tocsr()
+    ids = mesh.interior_vertices
+    csr = csr[np.ix_(ids, ids)].tocsr()
     csr.sum_duplicates()
     return csr
 
@@ -182,8 +197,7 @@ def _einsum_weighted_local(mesh, w, rule):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("interior_only", [True, False])
-def test_fixed_pattern_assembly_matches_coo(m, interior_only):
+def test_fixed_pattern_assembly_matches_coo(m):
     mesh = build_structured_mesh(m)
     rule = tet_rule(2)
     rng = np.random.default_rng(m)
@@ -196,15 +210,15 @@ def test_fixed_pattern_assembly_matches_coo(m, interior_only):
     mass_local = mesh.volumes[:, None, None] \
         * (np.ones((4, 4)) + np.eye(4))[None] / 20.0
     cases = [
-        (fem.assemble_stiffness(mesh, interior_only), stiff_local),
-        (fem.assemble_mass(mesh, interior_only), mass_local),
-        (fem.assemble_weighted_mass(mesh, fe_weight, rule, interior_only),
+        (fem.assemble_stiffness(mesh), stiff_local),
+        (fem.assemble_mass(mesh), mass_local),
+        (fem.assemble_weighted_mass(mesh, fe_weight, rule),
          _einsum_weighted_local(mesh, fe_weight, rule)),
-        (fem.assemble_weighted_mass(mesh, analytic, rule, interior_only),
+        (fem.assemble_weighted_mass(mesh, analytic, rule),
          _einsum_weighted_local(mesh, analytic, rule)),
     ]
     for new, local in cases:
-        ref = _coo_assembly(mesh, local, interior_only)
+        ref = _coo_assembly(mesh, local)
         np.testing.assert_array_equal(new.csr.indptr, ref.indptr)
         np.testing.assert_array_equal(new.csr.indices, ref.indices)
         # summation order differs, so the data agree to rounding,
@@ -212,6 +226,24 @@ def test_fixed_pattern_assembly_matches_coo(m, interior_only):
         scale = np.abs(ref.data).max(initial=0.0)
         assert np.abs(new.csr.data - ref.data).max(initial=0.0) \
             <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 21])
+def test_stencils_are_the_element_bincount(m):
+    # reference: the six Kuhn local matrices tiled over every element,
+    # scaled by its volume and summed by one bincount over the pattern
+    mesh = build_structured_mesh(m)
+    pattern = fem._pattern(mesh)
+    per_kind = [np.einsum("kad,kbd->kab", mesh.grads, mesh.grads),
+                np.broadcast_to((np.ones((4, 4)) + np.eye(4)) / 20.0,
+                                (6, 4, 4))]
+    for matrix, local in zip(
+            (fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)),
+            per_kind):
+        local = np.tile(local, (m ** 3, 1, 1)) * mesh.volumes[:, None, None]
+        ref = np.bincount(pattern.positions, weights=local.ravel(),
+                          minlength=len(pattern.indices) + 1)[:-1]
+        np.testing.assert_array_equal(matrix.csr.data, ref)
 
 
 def test_load_matches_einsum_scatter(mesh4):
@@ -242,8 +274,7 @@ def test_one_slab_blocks_match_whole_mesh(m, monkeypatch):
     def evaluate():
         return [
             fem.assemble_load(mesh, problem.n_D, rule4),
-            fem.assemble_weighted_mass(mesh, f, rule4,
-                                       interior_only=False).csr.data,
+            fem.assemble_weighted_mass(mesh, f, rule4).csr.data,
             fem.assemble_weighted_mass(mesh, density, rule4).csr.data,
             fem.l2_norm_error(mesh, fh, f, rule5),
             fem.h1_semi_error(mesh, fh, f, rule5),
