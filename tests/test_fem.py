@@ -44,7 +44,7 @@ def test_stiffness_spd(m):
     assert K.structurally_symmetric()
 
 
-def test_mass_total_and_element_formula(mesh6):
+def test_mass_total_and_element_formula(mesh4, mesh6):
     # a deep row sums to the integral of its basis function, 1/m^3
     M = fem.assemble_mass(mesh6)
     rowsums = np.asarray(M.csr.sum(axis=1)).ravel()[_deep_rows(mesh6)]
@@ -59,7 +59,7 @@ def test_mass_total_and_element_formula(mesh6):
             exact = vol / 20.0 * (2.0 if a == b else 1.0)
             quad = vol * np.sum(rule.weights * bary[:, a] * bary[:, b])
             assert quad == pytest.approx(exact, abs=1e-15)
-    Mi = fem.assemble_mass(build_structured_mesh(4))
+    Mi = fem.assemble_mass(mesh4)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(Mi.n)
     assert x @ (Mi @ x) > 0.0
