@@ -4,6 +4,7 @@ preconditioner) for the lowest part of the spectrum."""
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,6 +48,42 @@ class SparseSymMatrix:
 
     def structurally_symmetric(self):
         return (self.csr != self.csr.T).nnz == 0
+
+
+class PencilClasses(NamedTuple):
+    """The symmetry classes of a pencil (A, B) for the dense solve
+    (``pencil_classes``): ``rows``, per class the (n, n_c) sparse
+    orthonormal bases of its rows, one for a one-dimensional class and
+    two for a two-dimensional one, the second the partner of the first;
+    ``basis``, the first rows of all classes side by side; and
+    ``factors``, per class the inverse F of the lower Cholesky factor of
+    B's block, F basis^T B basis F^T = I."""
+
+    basis: object
+    rows: list
+    factors: list
+
+
+def pencil_classes(B, rows):
+    """``PencilClasses`` of a pencil with mass B, from each class's
+    ``rows``; one class of the whole space, Q = I, when ``rows`` is
+    None."""
+    if rows is None:
+        rows = [(sp.identity(B.n, format="csc"),)]
+    basis = sp.hstack([r[0] for r in rows], format="csc")
+    factors = [sla.solve_triangular(sla.cholesky(M, lower=True),
+                                    np.eye(len(M)), lower=True)
+               for M in _class_blocks(B, basis, rows)]
+    return PencilClasses(basis, rows, factors)
+
+
+def _class_blocks(A, basis, rows):
+    """The dense class blocks of A: R = basis^T A basis, reduced once,
+    cut at the class boundaries."""
+    R = (basis.T @ (A.csr @ basis)).toarray()
+    ends = np.cumsum([r[0].shape[1] for r in rows])
+    return [R[hi - r[0].shape[1]:hi, hi - r[0].shape[1]:hi]
+            for r, hi in zip(rows, ends)]
 
 
 @dataclass
@@ -98,19 +135,40 @@ def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None,
 def _rayleigh_ritz(A, B, X):
     """B-orthonormalize the block X and diagonalize A on its span: the
     Ritz values w, the Ritz vectors and their residual norms
-    ||A x - w B x||, from the one product of X with each of A and B."""
+    ||A x - w B x||, from the one product of X with each of A and B.
+    With G = X^T B X = c c^T, the pencil on the span is the standard
+    c^-1 X^T A X c^-T, whose eigenvectors Q give the Ritz vectors
+    X c^-T Q: the triangle is applied to (L, L) blocks only."""
+    AX = A @ X
     BX = B @ X
     G = X.T @ BX
-    G = 0.5 * (G + G.T)
-    c = sla.cholesky(G, lower=True)
-    X = sla.solve_triangular(c, X.T, lower=True).T
-    BX = sla.solve_triangular(c, BX.T, lower=True).T
-    AX = A @ X
-    H = X.T @ AX
-    H = 0.5 * (H + H.T)
-    w, Q = sla.eigh(H)
-    resid = np.linalg.norm(AX @ Q - (BX @ Q) * w[None, :], axis=0)
-    return w, X @ Q, resid
+    c = sla.cholesky(0.5 * (G + G.T), lower=True)
+    H = sla.solve_triangular(c, X.T @ AX, lower=True)
+    H = sla.solve_triangular(c, H.T, lower=True)
+    w, Q = sla.eigh(0.5 * (H + H.T))
+    Z = sla.solve_triangular(c, Q, lower=True, trans="T")
+    resid = np.linalg.norm(AX @ Z - (BX @ Z) * w[None, :], axis=0)
+    return w, X @ Z, resid
+
+
+def _class_eigenvectors(A, L, classes):
+    """The eigenvectors of the lowest L levels of A x = e B x from one
+    dense subset ``eigh`` per class block R of A, in the standard form
+    F R F^T, up to min(L, n_c) levels each.  A level of a
+    two-dimensional class counts twice, as Q_1 Y and as its partner
+    Q_2 Y; the levels merge stably by (value, class)."""
+    values, vectors = [], []
+    for R, F, rows in zip(_class_blocks(A, classes.basis, classes.rows),
+                          classes.factors, classes.rows):
+        k = min(L, len(R))
+        if k == 0:
+            continue
+        w, V = sla.eigh(F @ R @ F.T, subset_by_index=[0, k - 1])
+        Y = F.T @ V
+        values += [w] * len(rows)
+        vectors += [Q @ Y for Q in rows]
+    order = np.argsort(np.concatenate(values), kind="stable")[:L]
+    return np.hstack(vectors)[:, order]
 
 
 def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
@@ -121,12 +179,15 @@ def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
 
 def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
                       dense_cutoff=DENSE_CUTOFF, preconditioner=None,
-                      start=None, B_dense=None):
+                      start=None, classes=None):
     """L algebraically smallest eigenpairs of A x = e B x.
 
     A is symmetric (possibly indefinite), B is SPD.  Small problems
-    (``dense_path``) take a dense solve, against ``B_dense`` when the
-    caller holds B densified.  Otherwise LOBPCG runs with the
+    (``dense_path``) take a dense solve of each symmetry class of the
+    pencil in ``classes`` (``PencilClasses``; ``SpectrumSolver`` passes
+    the six classes of the Kuhn mesh when the pencil has its symmetry),
+    or of the whole pencil as one class when ``classes`` is None.
+    Otherwise LOBPCG runs with the
     preconditioner ``preconditioner.solve``, or unpreconditioned when
     none is given; ``SpectrumSolver`` passes the exact inverse of the
     stiffness (``spectrum.SineInverse``).  Its start block is the
@@ -149,10 +210,9 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
 
     iterations = 0
     if dense_path(n, L, dense_cutoff):
-        if B_dense is None:
-            B_dense = B.toarray()
-        _, X = sla.eigh(A.toarray(), B_dense, subset_by_index=[0, L - 1])
-        w, X, resid = _rayleigh_ritz(A, B, X)
+        if classes is None:
+            classes = pencil_classes(B, None)
+        w, X, resid = _rayleigh_ritz(A, B, _class_eigenvectors(A, L, classes))
     else:
         def precondition(R):
             nonlocal iterations

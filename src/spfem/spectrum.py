@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from . import fem
+from . import fem, symmetry
 from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
-                       dense_path, lowest_eigenpairs)
+                       dense_path, lowest_eigenpairs, pencil_classes)
 from .quadrature import tet_rule
 
 PI2 = math.pi ** 2
@@ -31,6 +31,9 @@ PI2 = math.pi ** 2
 # preconditioner share the cube's symmetries, so an exact mode block
 # would never reach a level of a symmetry class it lacks
 START_NOISE = 1e-2
+# relative asymmetry (``symmetry.asymmetry``) up to which the dense solve
+# splits a pencil into its symmetry classes
+SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,7 @@ class SpectralSet:
     residual_norms: np.ndarray
     mesh: object = field(repr=False, default=None)
     iterations: int = 0            # LOBPCG iterations; 0 on the dense path
+    classes: int = 1               # symmetry classes solved apart: 6 or 1
 
     @property
     def count(self):
@@ -211,8 +215,15 @@ class SpectrumSolver:
     made, from the caller's K and B when given; every ``solve`` adds
     W(u) to it and runs one eigensolve.  ``preconditioner``, the exact
     inverse of K (``SineInverse``), preconditions every LOBPCG solve.
-    The solver carries more state between calls: ``dense_mass``, B
-    densified at the first dense solve; and ``block``, the last
+    The dense path solves each of the six symmetry classes of the Kuhn
+    mesh apart (``symmetry.class_bases``) when both the reference pencil
+    and the vertex values of u are invariant under the mesh's symmetries
+    to SYMMETRY_TOL, and the whole pencil as one class otherwise.
+    The solver carries more state between calls: ``classes``, made at
+    the first dense solve, the six class bases with the factors of B's
+    blocks (``linsolve.PencilClasses``) when the reference pencil has
+    the symmetry, else the one class of the whole space; and ``block``,
+    the last
     eigenvector block, from which the next solve starts (with
     seeded random columns appended when L grows, and its leading L
     columns taken when L shrinks).  The first sparse solve starts from
@@ -232,8 +243,19 @@ class SpectrumSolver:
         self.reference = assemble_hamiltonian(mesh, None, V0,
                                               stiffness=stiffness, mass=mass)
         self.preconditioner = SineInverse(mesh.m)
-        self.dense_mass = None
+        self.classes = None
         self.block = None
+
+    def _pencil_classes(self):
+        """The six class bases with the factors of B's blocks, or the
+        whole space when the reference pencil lacks the symmetry."""
+        A0, B = self.reference
+        m = self.mesh.m
+        if max(symmetry.asymmetry(m, A0.csr),
+               symmetry.asymmetry(m, B.csr)) > SYMMETRY_TOL:
+            return pencil_classes(B, None)
+        return pencil_classes(
+            B, [c.rows for c in symmetry.class_bases(m)])
 
     def solve(self, u, L, tol=None):
         """SpectralSet of the L lowest levels for the potential u + V0,
@@ -241,9 +263,13 @@ class SpectrumSolver:
         mesh = self.mesh
         A0, B = self.reference
         A = _add_potential(A0, mesh, u)
+        classes = None
         if dense_path(A.n, L, self.dense_cutoff):
-            if self.dense_mass is None:
-                self.dense_mass = B.toarray()
+            if self.classes is None:
+                self.classes = self._pencil_classes()
+            if u is None or symmetry.asymmetry(
+                    mesh.m, u.interior()) <= SYMMETRY_TOL:
+                classes = self.classes
         elif self.block is None:
             self.block = cube_start(mesh, L, self.seed)
         result = lowest_eigenpairs(A, B, L,
@@ -251,12 +277,13 @@ class SpectrumSolver:
                                    seed=self.seed,
                                    dense_cutoff=self.dense_cutoff,
                                    preconditioner=self.preconditioner,
-                                   start=self.block, B_dense=self.dense_mass)
+                                   start=self.block, classes=classes)
         self.block = result.vectors
         coeffs = np.zeros((mesh.n_vertices, L))
         coeffs[mesh.interior_vertices] = result.vectors
         return SpectralSet(result.values, coeffs, result.residual_norms,
-                           mesh=mesh, iterations=result.iterations)
+                           mesh=mesh, iterations=result.iterations,
+                           classes=len(classes.rows) if classes else 1)
 
     def mode_estimates(self, count):
         """Ritz values of the reference pencil on the span of the lowest

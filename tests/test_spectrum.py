@@ -172,11 +172,19 @@ def test_solver_shares_the_callers_matrices(mesh4):
     M = fem.assemble_mass(mesh4)
     solver = SpectrumSolver(mesh4, None, stiffness=K, mass=M)
     assert solver.reference[0] is K and solver.reference[1] is M
-    solver.solve(None, 4)
-    dense = solver.dense_mass
-    np.testing.assert_array_equal(dense, M.toarray())
-    solver.solve(_tilted(mesh4), 6)
-    assert solver.dense_mass is dense
+    # B's class blocks are formed at the first dense solve, from the
+    # caller's M, and kept through a tilted solve, which takes one class
+    assert solver.solve(None, 4).classes == 6
+    classes = solver.classes
+    factors = list(classes.factors)
+    for rows, F in zip(classes.rows, factors):
+        block = (rows[0].T @ (M.csr @ rows[0])).toarray()
+        np.testing.assert_allclose(F @ block @ F.T, np.eye(len(F)),
+                                   rtol=0, atol=1e-13)
+    assert solver.solve(_tilted(mesh4), 6).classes == 1
+    assert solver.solve(None, 5).classes == 6
+    assert solver.classes is classes
+    assert all(a is b for a, b in zip(solver.classes.factors, factors))
 
 
 def test_sparse_path_emits_no_warnings():
