@@ -1,6 +1,7 @@
 """Sparse symmetric storage, preconditioned CG, and a generalized
-symmetric eigensolver (dense, or LOBPCG with the caller's
-preconditioner) for the lowest part of the spectrum."""
+symmetric eigensolver (dense per symmetry class of the pencil, or
+LOBPCG with the caller's preconditioner) for the lowest part of the
+spectrum."""
 
 import warnings
 from dataclasses import dataclass
@@ -187,10 +188,10 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     pencil in ``classes`` (``PencilClasses``; ``SpectrumSolver`` passes
     the six classes of the Kuhn mesh when the pencil has its symmetry),
     or of the whole pencil as one class when ``classes`` is None.
-    Otherwise LOBPCG runs with the
-    preconditioner ``preconditioner.solve``, or unpreconditioned when
-    none is given; ``SpectrumSolver`` passes the exact inverse of the
-    stiffness (``spectrum.SineInverse``).  Its start block is the
+    Otherwise LOBPCG runs with the preconditioner
+    ``preconditioner.solve``, or unpreconditioned when none is given;
+    ``SpectrumSolver`` passes the exact inverse of the stiffness
+    (``spectrum.SineInverse``).  Its start block is the
     columns of ``start`` (n, k), followed by standard normal columns
     drawn from ``seed`` up to L; ``SpectrumSolver`` passes its previous
     block, or on its first sparse solve the perturbed cube modes of

@@ -11,7 +11,9 @@ preconditioned by the exact inverse of the stiffness, which the grid
 sine modes diagonalize (``SineInverse``: the kinetic-energy
 preconditioner of LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001), and
 its first block is the cube's lowest modes at the interior vertices
-(``cube_start``).
+(``cube_start``).  The dense eigensolve splits a pencil that keeps the
+mesh's symmetries into the six symmetry classes of ``symmetry`` and
+solves each class block apart (``SpectrumSolver``).
 """
 
 import math
