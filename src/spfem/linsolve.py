@@ -82,9 +82,8 @@ def _class_blocks(A, basis, rows):
     """The dense class blocks of A: R = basis^T A basis, reduced once,
     cut at the class boundaries."""
     R = (basis.T @ (A.csr @ basis)).toarray()
-    ends = np.cumsum([r[0].shape[1] for r in rows])
-    return [R[hi - r[0].shape[1]:hi, hi - r[0].shape[1]:hi]
-            for r, hi in zip(rows, ends)]
+    ends = np.cumsum([0] + [r[0].shape[1] for r in rows])
+    return [R[lo:hi, lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 @dataclass
