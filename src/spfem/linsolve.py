@@ -92,6 +92,7 @@ class EigenResult:
     vectors: np.ndarray         # (n, L), B-orthonormal columns
     residual_norms: np.ndarray  # (L,), ||A x - e B x|| / ||x||_B
     iterations: int             # LOBPCG iterations over all runs; 0 if dense
+    classes: int = 1            # symmetry classes of the dense solve kept
 
 
 def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None,
@@ -186,15 +187,16 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     (``dense_path``) take a dense solve of each symmetry class of the
     pencil in ``classes`` (``PencilClasses``; ``SpectrumSolver`` passes
     the six classes of the Kuhn mesh when the pencil has its symmetry),
-    or of the whole pencil as one class when ``classes`` is None.
-    Otherwise LOBPCG runs with the preconditioner
-    ``preconditioner.solve``, or unpreconditioned when none is given;
-    ``SpectrumSolver`` passes the exact inverse of the stiffness
-    (``spectrum.SineInverse``).  Its start block is the
-    columns of ``start`` (n, k), followed by standard normal columns
-    drawn from ``seed`` up to L; ``SpectrumSolver`` passes its previous
-    block, or on its first sparse solve the perturbed cube modes of
-    ``spectrum.cube_start``.  LOBPCG is asked for tol/10; a block still
+    or of the whole pencil as one class when ``classes`` is None or
+    when the class solve's residuals exceed tol; the result's
+    ``classes`` counts the classes of the solve it kept.  Otherwise
+    LOBPCG runs with the preconditioner ``preconditioner.solve``, or
+    unpreconditioned when none is given; ``SpectrumSolver`` passes the
+    exact inverse of the stiffness (``spectrum.SineInverse``).  Its
+    start block is the columns of ``start`` (n, k), followed by standard
+    normal columns drawn from ``seed`` up to L; ``SpectrumSolver``
+    passes its previous block, or on its first sparse solve the
+    perturbed cube modes of ``spectrum.cube_start``.  LOBPCG is asked for tol/10; a block still
     above tol after the Rayleigh-Ritz step restarts from where it
     stopped, at most LOBPCG_RUNS runs in all.  Every LOBPCG iteration
     that takes a step applies the preconditioner (the identity when
@@ -208,11 +210,18 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     if not 1 <= L <= n:
         raise ValueError(f"need 1 <= L <= {n}, got L={L}")
 
-    iterations = 0
+    iterations, kept = 0, 1
     if dense_path(n, L, dense_cutoff):
-        if classes is None:
+        if classes is not None:
+            w, X, resid = _rayleigh_ritz(
+                A, B, _class_eigenvectors(A, L, classes))
+        if classes is None or np.any(resid > tol):
+            # the pencil keeps the symmetry of its classes too loosely
+            # for tol: solve it whole, as one class
             classes = pencil_classes(B, None)
-        w, X, resid = _rayleigh_ritz(A, B, _class_eigenvectors(A, L, classes))
+            w, X, resid = _rayleigh_ritz(
+                A, B, _class_eigenvectors(A, L, classes))
+        kept = len(classes.rows)
     else:
         def precondition(R):
             nonlocal iterations
@@ -244,4 +253,4 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
             f"eigensolver residuals exceed tol={tol:g}: max "
             f"{resid.max():.3e}", residual=resid)
     return EigenResult(values=w, vectors=X, residual_norms=resid,
-                       iterations=iterations)
+                       iterations=iterations, classes=kept)

@@ -223,7 +223,8 @@ class SpectrumSolver:
     The dense path solves each of the six symmetry classes of the Kuhn
     mesh apart (``symmetry.class_bases``) when both the reference pencil
     and the vertex values of u are invariant under the mesh's symmetries
-    to SYMMETRY_TOL, and the whole pencil as one class otherwise.
+    to SYMMETRY_TOL and the class solve meets the tolerance on the whole
+    pencil, and the whole pencil as one class otherwise.
     The solver carries more state between calls: ``classes``, made at
     the first dense solve, the six class bases with the factors of B's
     blocks (``linsolve.PencilClasses``) when the reference pencil has
@@ -287,7 +288,7 @@ class SpectrumSolver:
         coeffs[mesh.interior_vertices] = result.vectors
         return SpectralSet(result.values, coeffs, result.residual_norms,
                            mesh=mesh, iterations=result.iterations,
-                           classes=len(classes.rows) if classes else 1)
+                           classes=result.classes)
 
     def mode_estimates(self, count):
         """Ritz values of the reference pencil on the span of the lowest

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from spfem import fem, scf, symmetry
+from spfem import fem, scf, spectrum, symmetry
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import manufactured_problem
@@ -165,6 +165,27 @@ def test_tilted_pencils_take_one_class(mesh8):
     s = solver.solve(None, 8)
     assert s.classes == 1 and len(solver.classes.rows) == 1
     A, B = solver.reference
+    ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 7])
+    np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-12)
+
+
+def test_class_residuals_above_tol_take_one_class(mesh8):
+    # a bump with a tilt 4e-9 of its size keeps the symmetry to within
+    # SYMMETRY_TOL, and the class solve meets a loose tolerance; a
+    # tight one takes the whole pencil, whose residuals meet it
+    def bumped(p):
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        return 1e3 * np.sin(np.pi * x) * np.sin(np.pi * y) \
+            * np.sin(np.pi * z) + 1e-7 * (40.0 * x + 15.0 * y)
+    u = fem.FeField.interpolate(mesh8, bumped, dirichlet=True)
+    assert 0.0 < symmetry.asymmetry(8, u.interior()) <= spectrum.SYMMETRY_TOL
+    solver = SpectrumSolver(mesh8, None)
+    assert solver.solve(u, 8, tol=1e-6).classes == 6
+    s = solver.solve(u, 8, tol=1e-12)
+    assert s.classes == 1
+    assert np.all(s.residual_norms <= 1e-12)
+    A, B = assemble_hamiltonian(mesh8, u, None)
     ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[0, 7])
     np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-12)
