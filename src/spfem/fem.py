@@ -118,15 +118,6 @@ class FeField:
         return np.broadcast_to(g[:, None, :],
                                (len(g), len(rule.points), 3))
 
-    def __add__(self, other):
-        return FeField(self.mesh, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return FeField(self.mesh, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return FeField(self.mesh, float(scalar) * self.coeffs)
-
 
 def values_on_elements(obj, mesh, rule, slabs=None, points=None):
     """(nb, nq) values of a field-like object at the quadrature points of

@@ -196,15 +196,16 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     start block is the columns of ``start`` (n, k), followed by standard
     normal columns drawn from ``seed`` up to L; ``SpectrumSolver``
     passes its previous block, or on its first sparse solve the
-    perturbed cube modes of ``spectrum.cube_start``.  LOBPCG is asked for tol/10; a block still
-    above tol after the Rayleigh-Ritz step restarts from where it
-    stopped, at most LOBPCG_RUNS runs in all.  Every LOBPCG iteration
-    that takes a step applies the preconditioner (the identity when
-    there is none) once, and those applications, summed over the runs,
-    are the result's ``iterations``.  Both paths end in a Rayleigh-Ritz
-    step and a residual check on the pencil itself.  A ValueError from
-    lobpcg, such as a rank-deficient start block, becomes a
-    ConvergenceError.
+    perturbed Ritz vectors of the reference pencil on the grid modes
+    (``spectrum.SpectrumSolver.mode_estimates``).  LOBPCG is asked for
+    tol/10; a block still above tol after the Rayleigh-Ritz step
+    restarts from where it stopped, at most LOBPCG_RUNS runs in all.
+    Every LOBPCG iteration that takes a step applies the preconditioner
+    (the identity when there is none) once, and those applications,
+    summed over the runs, are the result's ``iterations``.  Both paths
+    end in a Rayleigh-Ritz step and a residual check on the pencil
+    itself.  A ValueError from lobpcg, such as a rank-deficient start
+    block, becomes a ConvergenceError.
     """
     n = A.n
     if not 1 <= L <= n:

@@ -37,8 +37,8 @@ class DistributionParams:
         if self.kind not in (BOLTZMANN, FERMI_DIRAC):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         for name in ("f0", "mu", "N0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def _fermi_dirac(x):

@@ -33,8 +33,8 @@ exactly 0.  The first sweep applies it to estimates: the Ritz values
 of the reference pencil on the span of twice as many grid modes of the
 cube as there are continuum levels s pi^2 to the window's end
 (``estimated_level_budget``), so it does not double up from a guess;
-its eigensolve starts from the cube modes themselves
-(``SpectrumSolver``).
+on the sparse path its eigensolve starts from the Ritz vectors of the
+same projection, perturbed (``SpectrumSolver.mode_estimates``).
 The loop stops on a relative H1 increment, only on a sweep whose
 eigen residuals meet eig_tol, and never raises on plain
 non-convergence (the report carries the flag), while structural
@@ -80,8 +80,9 @@ class ScfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_rel <= 0:
-            raise ValueError("tol_rel must be positive")
+        for name in ("tol_rel", "eig_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_iter < 1:
@@ -162,7 +163,8 @@ def estimated_level_budget(solver, p, h, cap):
     """Level budget of the first sweep: ``level_budget`` of the
     ``solver``'s mode estimates (``SpectrumSolver.mode_estimates``),
     taken from twice as many grid modes as the ``level_budget`` of the
-    continuum levels s pi^2.  None (``determine_occupation``'s default)
+    continuum levels s pi^2; the same call leaves the solver its first
+    start block.  None (``determine_occupation``'s default)
     when the window does not fit in ``cap`` continuum levels or in the
     estimates, or when a Fermi-Dirac sum over them cannot hold N0."""
     window = truncation_bound(h, p)

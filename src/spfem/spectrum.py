@@ -10,10 +10,11 @@ generalized eigensolver delivers directly.  The iterative eigensolve is
 preconditioned by the exact inverse of the stiffness, which the grid
 sine modes diagonalize (``SineInverse``: the kinetic-energy
 preconditioner of LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001), and
-its first block is the cube's lowest modes at the interior vertices
-(``cube_start``).  The dense eigensolve splits a pencil that keeps the
-mesh's symmetries into the six symmetry classes of ``symmetry`` and
-solves each class block apart (``SpectrumSolver``).
+its first block is the Ritz vectors of the reference pencil on the
+cube's lowest modes at the interior vertices
+(``SpectrumSolver.mode_estimates``).  The dense eigensolve splits a
+pencil that keeps the mesh's symmetries into the six symmetry classes
+of ``symmetry`` and solves each class block apart (``SpectrumSolver``).
 """
 
 import math
@@ -29,9 +30,10 @@ from .quadrature import tet_rule
 
 PI2 = math.pi ** 2
 # relative size of the seeded perturbation added to every column of the
-# cube-mode start block: the Kuhn mesh, V0 and the sine-transform
-# preconditioner share the cube's symmetries, so an exact mode block
-# would never reach a level of a symmetry class it lacks
+# first LOBPCG block, the Ritz vectors on the grid modes: the Kuhn mesh,
+# V0 and the sine-transform preconditioner share the cube's symmetries,
+# so an exact Ritz block would never reach a level of a symmetry class
+# it lacks, nor the partner of a degenerate pair it cuts
 START_NOISE = 1e-2
 # relative asymmetry (``symmetry.asymmetry``) of the reference pencil and
 # of the vertex values of u up to which the dense solve splits the pencil
@@ -53,13 +55,6 @@ class CubeMode:
     @property
     def lam(self):
         return (self.i ** 2 + self.j ** 2 + self.k ** 2) * PI2
-
-    def phi(self, points):
-        points = np.asarray(points, dtype=float)
-        return (2.0 * math.sqrt(2.0)
-                * np.sin(self.i * math.pi * points[..., 0])
-                * np.sin(self.j * math.pi * points[..., 1])
-                * np.sin(self.k * math.pi * points[..., 2]))
 
 
 def cube_shells(s_max):
@@ -125,12 +120,11 @@ class SineInverse:
 
 
 def grid_modes(m, L):
-    """The lowest cube modes whose indices are all below m (an index m
-    vanishes on the grid, and 2m - i aliases i), at the interior
-    vertices of the Kuhn mesh with m cells per axis, through the end of
-    the shell of equal i^2 + j^2 + k^2 that holds the L-th of them.
-    Returns the (n_interior, hi) block and lo, the number of its columns
-    below that last shell.
+    """(n_interior, hi) block of the lowest cube modes whose indices are
+    all below m (an index m vanishes on the grid, and 2m - i aliases i),
+    at the interior vertices of the Kuhn mesh with m cells per axis,
+    through the end of the shell of equal i^2 + j^2 + k^2 that holds the
+    L-th of them.
 
     Interior vertex (a, b, c)/m, a, b, c = 1..m-1, z fastest, holds
     2 sqrt(2) S[i, a] S[j, b] S[k, c] with the sine table
@@ -139,34 +133,12 @@ def grid_modes(m, L):
     shells, I, J, K = cube_shells(3 * (m - 1) ** 2)   # holds every grid mode
     grid = np.maximum(np.maximum(I, J), K) < m
     shells = shells[grid]
-    lo = np.searchsorted(shells, shells[L - 1], side="left")
     hi = np.searchsorted(shells, shells[L - 1], side="right")
     I, J, K = (a[grid][:hi] - 1 for a in (I, J, K))
     S = sine_table(m)
     X = (2.0 * math.sqrt(2.0) * S[I][:, :, None, None]
          * S[J][:, None, :, None] * S[K][:, None, None, :])
-    return X.reshape(hi, -1).T, lo
-
-
-def cube_start(mesh, L, seed=0):
-    """(n_interior, L) start block: the lowest L grid modes
-    (``grid_modes``).  The columns that fall in the last shell of equal
-    i^2 + j^2 + k^2 are random combinations of the whole shell, so a
-    block that ends inside a shell picks no mode of it over another.
-    Each column then gets a standard normal perturbation of START_NOISE
-    times its norm.  Both draws come from ``seed``.
-    """
-    if not 1 <= L <= mesh.n_interior:
-        raise ValueError(f"need 1 <= L <= {mesh.n_interior}, got L={L}")
-    X, lo = grid_modes(mesh.m, L)
-    hi = X.shape[1]
-    rng = np.random.default_rng(seed)
-    X = np.column_stack(
-        [X[:, :lo], X[:, lo:] @ rng.standard_normal((hi - lo, L - lo))])
-    noise = rng.standard_normal(X.shape)
-    noise *= START_NOISE * np.linalg.norm(X, axis=0) \
-        / np.linalg.norm(noise, axis=0)
-    return X + noise
+    return X.reshape(hi, -1).T
 
 
 @dataclass
@@ -183,10 +155,6 @@ class SpectralSet:
     @property
     def count(self):
         return len(self.eigenvalues)
-
-    def eigenfunction(self, l):
-        """FeField for the l-th (0-based) eigenfunction."""
-        return fem.FeField(self.mesh, self.coefficients[:, l].copy())
 
 
 def assemble_hamiltonian(mesh, u, V0, rule=None, stiffness=None, mass=None):
@@ -231,10 +199,11 @@ class SpectrumSolver:
     the symmetry, else the one class of the whole space; and ``block``,
     the last eigenvector block, from which the next solve starts (with
     seeded random columns appended when L grows, and its leading L
-    columns taken when L shrinks).  The first sparse solve starts from
-    ``cube_start``, the perturbed cube modes, seeded by ``seed``; the
-    dense path needs no start block.  ``mode_estimates`` estimates the
-    levels of the reference pencil before any solve.  Each ``solve``
+    columns taken when L shrinks).  ``mode_estimates`` estimates the
+    levels of the reference pencil before any solve and, while there is
+    no block, keeps its perturbed Ritz vectors as the block, seeded by
+    ``seed``: a first sparse solve without a block calls it for L
+    levels, and the dense path needs no start block.  Each ``solve``
     runs to its own ``tol`` when given, else to the solver's: the SCF
     loop asks for loose early sweeps and ``tol`` itself at the end.
     """
@@ -275,8 +244,11 @@ class SpectrumSolver:
             if u is None or symmetry.asymmetry(
                     mesh.m, u.interior()) <= SYMMETRY_TOL:
                 classes = self.classes
-        elif self.block is None:
-            self.block = cube_start(mesh, L, self.seed)
+        else:
+            if self.block is None:
+                self.mode_estimates(L)
+            if self.block.shape[1] > L:
+                self.block = self.block[:, :L].copy()
         result = lowest_eigenpairs(A, B, L,
                                    tol=self.tol if tol is None else tol,
                                    seed=self.seed,
@@ -295,8 +267,20 @@ class SpectrumSolver:
         ``count`` grid modes (``grid_modes``, through the end of their
         last shell), ascending: estimates of the lowest levels before
         any eigensolve, each an upper bound of its level, that split
-        the cube's shells as the Kuhn mesh does.  The mode block is
-        freed on return."""
+        the cube's shells as the Kuhn mesh does.  A solver without a
+        ``block`` keeps the B-orthonormal Ritz vectors as its block,
+        each column plus a standard normal draw from ``seed`` scaled to
+        START_NOISE of its norm."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
         A0, B = self.reference
-        X, _ = grid_modes(self.mesh.m, min(count, self.mesh.n_interior))
-        return sla.eigh(X.T @ (A0 @ X), X.T @ (B @ X), eigvals_only=True)
+        X = grid_modes(self.mesh.m, min(count, self.mesh.n_interior))
+        w, V = sla.eigh(X.T @ (A0 @ X), X.T @ (B @ X))
+        if self.block is None:
+            X = X @ V
+            noise = np.random.default_rng(self.seed).standard_normal(X.shape)
+            noise *= START_NOISE * np.linalg.norm(X, axis=0) \
+                / np.linalg.norm(noise, axis=0)
+            X += noise
+            self.block = X
+        return w

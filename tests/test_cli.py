@@ -1,4 +1,5 @@
 import gzip
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ def test_every_invalid_key_is_named(tmp_path, capsys, key):
     flag = "--" + key.replace("_", "-")
     assert main([command, flag, text]) == 1
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,key", [("--f0", "f0"), ("--mu", "mu"),
+                                      ("--N0", "N0"),
+                                      ("--tol-rel", "tol_rel")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_settings_are_named(capsys, flag, key, value):
+    # none reaches the solve: NaN used to hang the exact-density series,
+    # inf to raise from it or to stop the loop after one sweep
+    assert main(["solve", "--m", "4", "--max-iter", "2", flag, value]) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eig_tol", [0.0, -1e-9, math.nan, math.inf])
+def test_eig_tol_must_be_finite_and_positive(eig_tol):
+    with pytest.raises(ValueError, match="eig_tol"):
+        ScfConfig(eig_tol=eig_tol)
 
 
 @pytest.mark.parametrize("meshes", ["8,4", "4,4"])

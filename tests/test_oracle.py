@@ -52,14 +52,6 @@ def test_sequence_against_brute_force():
         [entry for entry in brute if entry[0] <= 37]
 
 
-def test_mode_normalization_by_quadrature(mesh8):
-    rule = tet_rule(5)
-    for mode in cube_eigensequence(4):
-        vals = fem.values_on_elements(mode.phi, mesh8, rule)
-        norm2 = ((vals * vals) @ rule.weights) @ mesh8.volumes
-        assert norm2 == pytest.approx(1.0, abs=5e-3)
-
-
 def test_continuous_fermi_boltzmann(params):
     z1 = sum(math.exp(-params.mu * PI2 * i * i) for i in range(1, 80))
     closed = math.log(params.N0 / (params.f0 * z1 ** 3)) / params.mu

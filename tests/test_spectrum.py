@@ -12,9 +12,10 @@ from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
+from spfem.scf import ScfConfig, ScfModel, fixed_point_solve
 from spfem.spectrum import (START_NOISE, SineInverse, SpectrumSolver,
                             assemble_hamiltonian, cube_eigensequence,
-                            cube_start)
+                            grid_modes)
 
 LAM1 = 3 * math.pi ** 2
 LAM2 = 6 * math.pi ** 2
@@ -114,12 +115,12 @@ def test_eigenfunction_error_first_order():
     for m in (4, 8, 16):
         mesh = build_structured_mesh(m)
         s = SpectrumSolver(mesh, None).solve(None, 1)
-        psi = s.eigenfunction(0)
+        psi = fem.FeField(mesh, s.coefficients[:, 0])
         vals = psi.element_values(mesh, rule)
         ref = fem.values_on_elements(phi1, mesh, rule)
         inner = ((vals * ref) @ rule.weights) @ mesh.volumes
         if inner < 0:
-            psi = -1.0 * psi
+            psi = fem.FeField(mesh, -psi.coeffs)
         errs.append(fem.h1_error(mesh, psi, phi1, rule))
     for coarse, fine in zip(errs, errs[1:]):
         assert coarse / fine == pytest.approx(2.0, abs=0.4)
@@ -202,6 +203,9 @@ def test_level_count_bounds(mesh4):
     solver = SpectrumSolver(mesh4, None)
     with pytest.raises(ValueError):
         solver.solve(None, mesh4.n_interior + 1)
+    # a sparse solve checks L before it projects onto the grid modes
+    with pytest.raises(ValueError):
+        SpectrumSolver(build_structured_mesh(10), None).solve(None, 0)
 
 
 def test_split_hamiltonian_matches_one_shot(mesh8):
@@ -231,28 +235,57 @@ def test_cube_modes_are_reexported():
         is cube_eigensequence
 
 
-def test_cube_start_is_the_perturbed_cube_modes(mesh8, monkeypatch):
-    # L = 7 ends the 9 pi^2 shell; L = 6 ends inside it
+def test_grid_modes_are_the_cube_modes_at_the_vertices(mesh8):
+    # 6 modes end inside the 9 pi^2 shell, so the block takes all 7
     points = mesh8.vertices[mesh8.interior_vertices]
-    modes = np.column_stack([mode.phi(points)
-                             for mode in cube_eigensequence(7)])
-    X = cube_start(mesh8, 7, seed=3)
-    # every column moved by START_NOISE of its norm
-    monkeypatch.setattr(spectrum, "START_NOISE", 0.0)
-    clean = cube_start(mesh8, 7, seed=3)
-    np.testing.assert_allclose(
-        np.linalg.norm(X - clean, axis=0),
-        START_NOISE * np.linalg.norm(clean, axis=0), rtol=1e-12)
-    # the complete shells are the modes themselves, the last shell's
-    # columns lie in its span, whether or not the block ends it
-    np.testing.assert_allclose(clean[:, :4], modes[:, :4], atol=1e-12)
-    for L in (6, 7):
-        last = cube_start(mesh8, L)[:, 4:]
-        fit = np.linalg.lstsq(modes[:, 4:7], last, rcond=None)[0]
-        np.testing.assert_allclose(modes[:, 4:7] @ fit, last, atol=1e-12)
+    modes = np.column_stack([
+        2.0 * math.sqrt(2.0) * np.prod(
+            np.sin(math.pi * np.array([mode.i, mode.j, mode.k]) * points),
+            axis=1)
+        for mode in cube_eigensequence(7)])
+    np.testing.assert_allclose(grid_modes(8, 6), modes, atol=1e-12)
     # indices m and above vanish or alias on the grid and are skipped
-    tiny = build_structured_mesh(3)
-    assert np.linalg.matrix_rank(cube_start(tiny, 8)) == 8
+    assert np.linalg.matrix_rank(grid_modes(3, 8)) == 8
+
+
+def test_first_block_is_the_perturbed_ritz_vectors(mesh8, monkeypatch):
+    V0 = manufactured_problem(2, DistributionParams()).V0
+    solver = SpectrumSolver(mesh8, V0, seed=3)
+    A, B = solver.reference
+    est = solver.mode_estimates(6)
+    noisy = solver.block
+    monkeypatch.setattr(spectrum, "START_NOISE", 0.0)
+    clean_solver = SpectrumSolver(mesh8, V0, seed=3)
+    np.testing.assert_array_equal(clean_solver.mode_estimates(6), est)
+    X = clean_solver.block
+    assert X.shape == (mesh8.n_interior, 7)
+    # B-orthonormal, and the reference pencil is diagonal on it with
+    # the estimates on the diagonal
+    np.testing.assert_allclose(X.T @ (B @ X), np.eye(7), atol=1e-12)
+    np.testing.assert_allclose(X.T @ (A @ X), np.diag(est),
+                               atol=1e-10 * est.max())
+    # every column moved by START_NOISE of its norm
+    np.testing.assert_allclose(
+        np.linalg.norm(noisy - X, axis=0),
+        START_NOISE * np.linalg.norm(X, axis=0), rtol=1e-12)
+    # a solver that has a block keeps it
+    clean_solver.mode_estimates(20)
+    assert clean_solver.block is X
+
+
+def test_sparse_fixed_point_solve_projects_onto_grid_modes_once(
+        monkeypatch):
+    # the first level budget and the first LOBPCG block come from one
+    # projection
+    calls = []
+    project = spectrum.grid_modes
+    monkeypatch.setattr(spectrum, "grid_modes",
+                        lambda m, L: calls.append(L) or project(m, L))
+    mesh = build_structured_mesh(12)          # n = 1331: sparse path
+    problem = manufactured_problem(1, DistributionParams())
+    model = ScfModel(problem.V0, problem.n_D, problem.params)
+    fixed_point_solve(mesh, model, ScfConfig(max_iter=2))
+    assert len(calls) == 1
 
 
 def test_mode_estimates_are_ritz_values_of_grid_modes(mesh8):
