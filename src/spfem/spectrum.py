@@ -202,8 +202,9 @@ class SpectrumSolver:
     columns taken when L shrinks).  ``mode_estimates`` estimates the
     levels of the reference pencil before any solve and, while there is
     no block, keeps its perturbed Ritz vectors as the block, seeded by
-    ``seed``: a first sparse solve without a block calls it for L
-    levels, and the dense path needs no start block.  Each ``solve``
+    ``seed``, unless every solve takes the dense path, which needs no
+    start block; a first sparse solve without a block calls it for L
+    levels.  Each ``solve``
     runs to its own ``tol`` when given, else to the solver's: the SCF
     loop asks for loose early sweeps and ``tol`` itself at the end.
     """
@@ -268,15 +269,16 @@ class SpectrumSolver:
         last shell), ascending: estimates of the lowest levels before
         any eigensolve, each an upper bound of its level, that split
         the cube's shells as the Kuhn mesh does.  A solver without a
-        ``block`` keeps the B-orthonormal Ritz vectors as its block,
-        each column plus a standard normal draw from ``seed`` scaled to
-        START_NOISE of its norm."""
+        ``block`` that can take the sparse path (more than
+        ``dense_cutoff`` unknowns) keeps the B-orthonormal Ritz vectors
+        as its block, each column plus a standard normal draw from
+        ``seed`` scaled to START_NOISE of its norm."""
         if count < 1:
             raise ValueError("count must be >= 1")
         A0, B = self.reference
         X = grid_modes(self.mesh.m, min(count, self.mesh.n_interior))
         w, V = sla.eigh(X.T @ (A0 @ X), X.T @ (B @ X))
-        if self.block is None:
+        if self.block is None and self.mesh.n_interior > self.dense_cutoff:
             X = X @ V
             noise = np.random.default_rng(self.seed).standard_normal(X.shape)
             noise *= START_NOISE * np.linalg.norm(X, axis=0) \

@@ -250,12 +250,17 @@ def test_grid_modes_are_the_cube_modes_at_the_vertices(mesh8):
 
 def test_first_block_is_the_perturbed_ritz_vectors(mesh8, monkeypatch):
     V0 = manufactured_problem(2, DistributionParams()).V0
-    solver = SpectrumSolver(mesh8, V0, seed=3)
+    # a solver whose every solve is dense keeps no block
+    dense = SpectrumSolver(mesh8, V0)
+    dense.mode_estimates(6)
+    assert dense.block is None
+    solver = SpectrumSolver(mesh8, V0, seed=3, dense_cutoff=0)
     A, B = solver.reference
     est = solver.mode_estimates(6)
+    np.testing.assert_array_equal(dense.mode_estimates(6), est)
     noisy = solver.block
     monkeypatch.setattr(spectrum, "START_NOISE", 0.0)
-    clean_solver = SpectrumSolver(mesh8, V0, seed=3)
+    clean_solver = SpectrumSolver(mesh8, V0, seed=3, dense_cutoff=0)
     np.testing.assert_array_equal(clean_solver.mode_estimates(6), est)
     X = clean_solver.block
     assert X.shape == (mesh8.n_interior, 7)
