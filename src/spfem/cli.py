@@ -53,10 +53,11 @@ class RunConfig:
     def __post_init__(self):
         if self.example not in (1, 2):
             raise ValueError("example must be 1 or 2")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not self.meshes or any(v < 1 for v in self.meshes):
-            raise ValueError("meshes need positive mesh sizes")
+        # a mesh needs an interior vertex
+        if self.m < 2:
+            raise ValueError("m must be >= 2")
+        if not self.meshes or any(v < 2 for v in self.meshes):
+            raise ValueError("mesh sizes must be >= 2")
         if any(b <= a for a, b in zip(self.meshes, self.meshes[1:])):
             raise ValueError("mesh sizes must be strictly increasing")
 

@@ -1,11 +1,10 @@
 """Sparse symmetric storage, preconditioned CG, and a generalized
-symmetric eigensolver (dense per symmetry class of the pencil, or
-LOBPCG with the caller's preconditioner) for the lowest part of the
-spectrum."""
+symmetric eigensolver (dense, per symmetry class of the mesh when the
+caller passes them, or LOBPCG with the caller's preconditioner) for the
+lowest part of the spectrum."""
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,44 +45,6 @@ class SparseSymMatrix:
 
     def toarray(self):
         return self.csr.toarray()
-
-    def structurally_symmetric(self):
-        return (self.csr != self.csr.T).nnz == 0
-
-
-class PencilClasses(NamedTuple):
-    """The symmetry classes of a pencil (A, B) for the dense solve
-    (``pencil_classes``): ``rows``, per class the (n, n_c) sparse
-    orthonormal bases of its rows, one for a one-dimensional class and
-    two for a two-dimensional one, the second the partner of the first;
-    ``basis``, the first rows of all classes side by side; and
-    ``factors``, per class the inverse F of the lower Cholesky factor of
-    B's block, F basis^T B basis F^T = I."""
-
-    basis: object
-    rows: list
-    factors: list
-
-
-def pencil_classes(B, rows):
-    """``PencilClasses`` of a pencil with mass B, from each class's
-    ``rows``; one class of the whole space, Q = I, when ``rows`` is
-    None."""
-    if rows is None:
-        rows = [(sp.identity(B.n, format="csc"),)]
-    basis = sp.hstack([r[0] for r in rows], format="csc")
-    factors = [sla.solve_triangular(sla.cholesky(M, lower=True),
-                                    np.eye(len(M)), lower=True)
-               for M in _class_blocks(B, basis, rows)]
-    return PencilClasses(basis, rows, factors)
-
-
-def _class_blocks(A, basis, rows):
-    """The dense class blocks of A: R = basis^T A basis, reduced once,
-    cut at the class boundaries."""
-    R = (basis.T @ (A.csr @ basis)).toarray()
-    ends = np.cumsum([0] + [r[0].shape[1] for r in rows])
-    return [R[lo:hi, lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 @dataclass
@@ -152,26 +113,6 @@ def _rayleigh_ritz(A, B, X):
     return w, X @ Z, resid
 
 
-def _class_eigenvectors(A, L, classes):
-    """The eigenvectors of the lowest L levels of A x = e B x from one
-    dense subset ``eigh`` per class block R of A, in the standard form
-    F R F^T, up to min(L, n_c) levels each.  A level of a
-    two-dimensional class counts twice, as Q_1 Y and as its partner
-    Q_2 Y; the levels merge stably by (value, class)."""
-    values, vectors = [], []
-    for R, F, rows in zip(_class_blocks(A, classes.basis, classes.rows),
-                          classes.factors, classes.rows):
-        k = min(L, len(R))
-        if k == 0:
-            continue
-        w, V = sla.eigh(F @ R @ F.T, subset_by_index=[0, k - 1])
-        Y = F.T @ V
-        values += [w] * len(rows)
-        vectors += [Q @ Y for Q in rows]
-    order = np.argsort(np.concatenate(values), kind="stable")[:L]
-    return np.hstack(vectors)[:, order]
-
-
 def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
     """Whether ``lowest_eigenpairs`` takes the dense solve for L of n
     levels."""
@@ -184,19 +125,20 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     """L algebraically smallest eigenpairs of A x = e B x.
 
     A is symmetric (possibly indefinite), B is SPD.  Small problems
-    (``dense_path``) take a dense solve of each symmetry class of the
-    pencil in ``classes`` (``PencilClasses``; ``SpectrumSolver`` passes
-    the six classes of the Kuhn mesh when the pencil has its symmetry),
-    or of the whole pencil as one class when ``classes`` is None or
-    when the class solve's residuals exceed tol; the result's
-    ``classes`` counts the classes of the solve it kept.  Otherwise
-    LOBPCG runs with the preconditioner ``preconditioner.solve``, or
-    unpreconditioned when none is given; ``SpectrumSolver`` passes the
-    exact inverse of the stiffness (``spectrum.SineInverse``).  Its
-    start block is the columns of ``start`` (n, k), followed by standard
-    normal columns drawn from ``seed`` up to L; ``SpectrumSolver``
-    passes its previous block, or on its first sparse solve the
-    perturbed Ritz vectors of the reference pencil on the grid modes
+    (``dense_path``) take a dense solve: per symmetry class of the mesh
+    when ``classes`` is the mesh's ``symmetry.ClassSplit`` (B must then
+    be the mesh's mass matrix; ``SpectrumSolver`` passes it when the
+    pencil keeps the mesh's symmetries), else, or when the class solve's
+    residuals exceed tol, one subset ``scipy.linalg.eigh`` of the whole
+    pencil; the result's ``classes`` counts the classes of the solve it
+    kept.  Otherwise LOBPCG runs with the preconditioner
+    ``preconditioner.solve``, or unpreconditioned when none is given;
+    ``SpectrumSolver`` passes the exact inverse of the stiffness
+    (``spectrum.SineInverse``).  Its start block is the leading columns
+    of ``start`` (n, k), up to L, followed by standard normal columns
+    drawn from ``seed`` when k < L; ``SpectrumSolver`` passes its
+    previous block, or on its first sparse solve the perturbed Ritz
+    vectors of the reference pencil on the grid modes
     (``spectrum.SpectrumSolver.mode_estimates``).  LOBPCG is asked for
     tol/10; a block still above tol after the Rayleigh-Ritz step
     restarts from where it stopped, at most LOBPCG_RUNS runs in all.
@@ -214,24 +156,28 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
     iterations, kept = 0, 1
     if dense_path(n, L, dense_cutoff):
         if classes is not None:
-            w, X, resid = _rayleigh_ritz(
-                A, B, _class_eigenvectors(A, L, classes))
+            w, X, resid = _rayleigh_ritz(A, B,
+                                         classes.eigenvectors(A.csr, L))
+            kept = len(classes.rows)
         if classes is None or np.any(resid > tol):
-            # the pencil keeps the symmetry of its classes too loosely
-            # for tol: solve it whole, as one class
-            classes = pencil_classes(B, None)
-            w, X, resid = _rayleigh_ritz(
-                A, B, _class_eigenvectors(A, L, classes))
-        kept = len(classes.rows)
+            # the pencil keeps the mesh's symmetries too loosely for
+            # tol: solve it whole
+            _, X = sla.eigh(A.toarray(), B.toarray(),
+                            subset_by_index=[0, L - 1])
+            w, X, resid = _rayleigh_ritz(A, B, X)
+            kept = 1
     else:
         def precondition(R):
             nonlocal iterations
             iterations += 1
             return R if preconditioner is None else preconditioner.solve(R)
-        X = np.random.default_rng(seed).standard_normal((n, L))
+        X = np.empty((n, L))
+        k = 0
         if start is not None:
             k = min(start.shape[1], L)
             X[:, :k] = start[:, :k]
+        if k < L:
+            X[:, k:] = np.random.default_rng(seed).standard_normal((n, L - k))
         for _ in range(LOBPCG_RUNS):
             # lobpcg warns when it stops above its tolerance or solves
             # densely (n < 5L); the residual check below decides instead

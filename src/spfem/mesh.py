@@ -54,6 +54,7 @@ class Mesh:
         self.volumes = np.full(len(tets), 1.0 / (6 * m ** 3))
         self.grads = _KUHN_GRADS * m
         self._pattern = None       # CSR assembly pattern, filled by fem
+        self._class_split = None   # symmetry classes, filled by symmetry
 
     @property
     def n_vertices(self):

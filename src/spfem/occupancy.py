@@ -233,9 +233,9 @@ class DensityField:
     coordinates, so quadrature values cost O(16) per point whatever the
     number of levels.  The entries of G are those of the vertex-pair Gram
     sum_l f_l psi_l(x_i) psi_l(x_j) on the interior assembly pattern
-    (eigenfunctions vanish on the boundary), which is computed at the
-    first evaluation and serves every rule after it (load, integral,
-    dump and error).
+    (eigenfunctions vanish on the boundary), which is computed once,
+    when the field is made, and serves every rule (load, integral, dump
+    and error).
     """
 
     def __init__(self, spectral, occupations, level_count):
@@ -246,19 +246,15 @@ class DensityField:
         self.level_count = level_count
         self.n_active = n_active
         self.mesh = spectral.mesh
-        self._pairs = None
+        X = spectral.coefficients[self.mesh.interior_vertices, :n_active]
+        self.pairs = fem.pattern_gram(self.mesh, X, occupations[:n_active])
 
     def element_values(self, mesh, rule, slabs=None):
         """(nb, nq) density at the quadrature points of the x-slabs
         ``slabs`` (all by default), P^T G P per point."""
         if mesh is not self.mesh:
             raise ValueError("density evaluated on a foreign mesh")
-        if self._pairs is None:
-            X = self.spectral.coefficients[mesh.interior_vertices,
-                                           :self.n_active]
-            self._pairs = fem.pattern_gram(
-                mesh, X, self.occupations[:self.n_active])
-        return fem.element_gram(mesh, self._pairs, slabs) \
+        return fem.element_gram(mesh, self.pairs, slabs) \
             @ fem.basis_products(rule).T
 
     def integral(self):

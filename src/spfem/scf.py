@@ -13,7 +13,8 @@ first sweep, with no history, is the damped update
 a contraction; Anderson mixing only needs I - A' to be invertible near
 the fixed point, which is what the error theory assumes.
 Sweeps share one spectral solver (its last eigenvector block), which
-shares the loop's stiffness and mass matrices.
+shares the loop's stiffness matrix and holds the mass matrix the loop
+reads back.
 Each sweep's eigenproblem is solved only as accurately and as wide as
 the iteration needs.  Inexact Newton theory (Dembo, Eisenstat &
 Steihaug, SIAM J. Numer. Anal. 19, 1982) keeps the outer convergence
@@ -220,11 +221,11 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     cfg = cfg or ScfConfig()
     p = model.params
     K = fem.assemble_stiffness(mesh)
-    M = fem.assemble_mass(mesh)
     rule = tet_rule(4)
     h = mesh_size(mesh)
     solver = SpectrumSolver(mesh, model.V0, tol=cfg.eig_tol, seed=cfg.seed,
-                            stiffness=K, mass=M)
+                            stiffness=K)
+    M = solver.reference[1]
     doping = fem.assemble_load(mesh, model.n_D, rule)
 
     def occupation_at(u, L0, tol):

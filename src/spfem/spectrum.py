@@ -12,9 +12,9 @@ sine modes diagonalize (``SineInverse``: the kinetic-energy
 preconditioner of LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001), and
 its first block is the Ritz vectors of the reference pencil on the
 cube's lowest modes at the interior vertices
-(``SpectrumSolver.mode_estimates``).  The dense eigensolve splits a
-pencil that keeps the mesh's symmetries into the six symmetry classes
-of ``symmetry`` and solves each class block apart (``SpectrumSolver``).
+(``SpectrumSolver.mode_estimates``).  The dense eigensolve of a pencil
+that keeps the mesh's symmetries takes the mesh's six symmetry classes
+(``symmetry.class_split``), each class block apart.
 """
 
 import math
@@ -25,7 +25,7 @@ import scipy.linalg as sla
 
 from . import fem, symmetry
 from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
-                       dense_path, lowest_eigenpairs, pencil_classes)
+                       dense_path, lowest_eigenpairs)
 from .quadrature import tet_rule
 
 PI2 = math.pi ** 2
@@ -157,17 +157,16 @@ class SpectralSet:
         return len(self.eigenvalues)
 
 
-def assemble_hamiltonian(mesh, u, V0, rule=None, stiffness=None, mass=None):
+def assemble_hamiltonian(mesh, u, V0, rule=None, stiffness=None):
     """(A, B) pencil for the potential u + V0, assembled as the reference
-    K + W(V0) plus W(u); u and V0 may be None for zero.  A caller that
-    holds K or B passes them as ``stiffness`` and ``mass``."""
+    K + W(V0) plus W(u), with B the mass matrix; u and V0 may be None
+    for zero.  A caller that holds K passes it as ``stiffness``."""
     rule = rule or tet_rule(2)
     A = stiffness if stiffness is not None else fem.assemble_stiffness(mesh)
     if V0 is not None:
         W = fem.assemble_weighted_mass(mesh, V0, rule)
         A = SparseSymMatrix(A.csr + W.csr)
-    B = mass if mass is not None else fem.assemble_mass(mesh)
-    return _add_potential(A, mesh, u, rule), B
+    return _add_potential(A, mesh, u, rule), fem.assemble_mass(mesh)
 
 
 def _add_potential(A, mesh, u, rule=None):
@@ -184,53 +183,43 @@ def _add_potential(A, mesh, u, rule=None):
 class SpectrumSolver:
     """Eigenpair provider for one mesh and applied potential.
 
-    The reference pencil (K + W(V0), B) is assembled when the solver is
-    made, from the caller's K and B when given; every ``solve`` adds
-    W(u) to it and runs one eigensolve.  ``preconditioner``, the exact
-    inverse of K (``SineInverse``), preconditions every LOBPCG solve.
-    The dense path solves each of the six symmetry classes of the Kuhn
-    mesh apart (``symmetry.class_bases``) when both the reference pencil
-    and the vertex values of u are invariant under the mesh's symmetries
-    to SYMMETRY_TOL and the class solve meets the tolerance on the whole
-    pencil, and the whole pencil as one class otherwise.
-    The solver carries more state between calls: ``classes``, made at
-    the first dense solve, the six class bases with the factors of B's
-    blocks (``linsolve.PencilClasses``) when the reference pencil has
-    the symmetry, else the one class of the whole space; and ``block``,
-    the last eigenvector block, from which the next solve starts (with
-    seeded random columns appended when L grows, and its leading L
-    columns taken when L shrinks).  ``mode_estimates`` estimates the
-    levels of the reference pencil before any solve and, while there is
-    no block, keeps its perturbed Ritz vectors as the block, seeded by
-    ``seed``, unless every solve takes the dense path, which needs no
-    start block; a first sparse solve without a block calls it for L
-    levels.  Each ``solve``
-    runs to its own ``tol`` when given, else to the solver's: the SCF
-    loop asks for loose early sweeps and ``tol`` itself at the end.
+    The reference pencil (K + W(V0), M), M the mass matrix, is
+    assembled when the solver is made, from the caller's K when given;
+    every ``solve`` adds W(u) to it and runs one eigensolve.
+    ``preconditioner``, the exact inverse of K (``SineInverse``),
+    preconditions every LOBPCG solve.  A dense solve takes the mesh's
+    six symmetry classes (``symmetry.class_split``, built once per mesh)
+    when the solver is ``symmetric`` and the vertex values of u are
+    invariant under the mesh's symmetries to SYMMETRY_TOL, and the whole
+    pencil otherwise or when the class solve misses the tolerance.
+    ``symmetric`` is fixed when the solver is made: it holds when the
+    mesh has at most ``dense_cutoff`` unknowns and the reference pencil
+    keeps the symmetries to SYMMETRY_TOL (M always keeps them).
+    The solver's state between calls is ``block``, the last eigenvector
+    block, from which the next solve starts (with seeded random columns
+    appended when L grows, and its leading L columns taken when L
+    shrinks).  ``mode_estimates`` estimates the levels of the reference
+    pencil before any solve and, while there is no block, keeps its
+    perturbed Ritz vectors as the block, seeded by ``seed``, unless
+    every solve takes the dense path, which needs no start block; a
+    first sparse solve without a block calls it for L levels.  Each
+    ``solve`` runs to its own ``tol`` when given, else to the solver's:
+    the SCF loop asks for loose early sweeps and ``tol`` itself at the
+    end.
     """
 
     def __init__(self, mesh, V0, tol=DEFAULT_EIG_TOL, seed=0,
-                 dense_cutoff=DENSE_CUTOFF, stiffness=None, mass=None):
+                 dense_cutoff=DENSE_CUTOFF, stiffness=None):
         self.mesh = mesh
         self.tol = tol
         self.seed = seed
         self.dense_cutoff = dense_cutoff
         self.reference = assemble_hamiltonian(mesh, None, V0,
-                                              stiffness=stiffness, mass=mass)
+                                              stiffness=stiffness)
         self.preconditioner = SineInverse(mesh.m)
-        self.classes = None
+        self.symmetric = mesh.n_interior <= dense_cutoff and \
+            symmetry.asymmetry(mesh.m, self.reference[0].csr) <= SYMMETRY_TOL
         self.block = None
-
-    def _pencil_classes(self):
-        """The six class bases with the factors of B's blocks, or the
-        whole space when the reference pencil lacks the symmetry."""
-        A0, B = self.reference
-        m = self.mesh.m
-        if max(symmetry.asymmetry(m, A0.csr),
-               symmetry.asymmetry(m, B.csr)) > SYMMETRY_TOL:
-            return pencil_classes(B, None)
-        return pencil_classes(
-            B, [c.rows for c in symmetry.class_bases(m)])
 
     def solve(self, u, L, tol=None):
         """SpectralSet of the L lowest levels for the potential u + V0,
@@ -240,11 +229,9 @@ class SpectrumSolver:
         A = _add_potential(A0, mesh, u)
         classes = None
         if dense_path(A.n, L, self.dense_cutoff):
-            if self.classes is None:
-                self.classes = self._pencil_classes()
-            if u is None or symmetry.asymmetry(
-                    mesh.m, u.interior()) <= SYMMETRY_TOL:
-                classes = self.classes
+            if self.symmetric and (u is None or symmetry.asymmetry(
+                    mesh.m, u.interior()) <= SYMMETRY_TOL):
+                classes = symmetry.class_split(mesh)
         else:
             if self.block is None:
                 self.mode_estimates(L)

@@ -1,5 +1,5 @@
-"""The 12 symmetries of the Kuhn mesh and the orbit-sum bases of their six
-symmetry classes.
+"""The 12 symmetries of the Kuhn mesh, the orbit-sum bases of their six
+symmetry classes, and the dense eigensolve of a pencil split into them.
 
 Every Kuhn cell is split along its main diagonal, so of the 48
 symmetries of the cube the mesh keeps the 12 that map that diagonal to
@@ -12,6 +12,10 @@ the group's six irreducible classes A1g, A2g, Eg, A1u, A2u and Eu
 Stiefel, Group Theoretical Methods and Their Applications, 1992).  Each
 level of the two-dimensional classes Eg and Eu is twofold: one row of
 the class holds it, and the other row holds its partner.
+
+``class_split`` keeps on each mesh what the dense eigensolve of its
+pencils needs, the class bases and the factors of the mass matrix's
+class blocks, and ``ClassSplit.eigenvectors`` solves one class at a time.
 """
 
 import itertools
@@ -19,7 +23,10 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+
+from . import fem
 
 # group element g = (axis permutation, inversion), in this order
 _PERMS = np.array([p for p in itertools.permutations(range(3))
@@ -125,3 +132,57 @@ def class_bases(m):
                 for i in range(d)]
         bases.append(SymmetryClass(name, tuple(rows)))
     return bases
+
+
+class ClassSplit(NamedTuple):
+    """The symmetry classes of one mesh for the dense eigensolve
+    (``class_split``): ``rows``, per class the (n, n_c) sparse
+    orthonormal bases of its rows (``SymmetryClass.rows``); ``basis``,
+    the first rows of all classes side by side; and ``factors``, per
+    class the inverse F of the lower Cholesky factor of the mass
+    matrix's block, F basis^T M basis F^T = I."""
+
+    basis: object
+    rows: list
+    factors: list
+
+    def blocks(self, A):
+        """The dense class blocks of the sparse matrix A: basis^T A
+        basis, reduced once, cut at the class boundaries."""
+        R = (self.basis.T @ (A @ self.basis)).toarray()
+        ends = np.cumsum([0] + [r[0].shape[1] for r in self.rows])
+        return [R[lo:hi, lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+    def eigenvectors(self, A, L):
+        """The eigenvectors of the lowest L levels of A x = e M x, for a
+        sparse A with the mesh's symmetries, from one dense subset
+        ``eigh`` per class block R of A, in the standard form F R F^T,
+        up to min(L, n_c) levels each.  A level of a two-dimensional
+        class counts twice, as Q_1 Y and as its partner Q_2 Y; the
+        levels merge stably by (value, class)."""
+        values, vectors = [], []
+        for R, F, rows in zip(self.blocks(A), self.factors, self.rows):
+            k = min(L, len(R))
+            if k == 0:
+                continue
+            w, V = sla.eigh(F @ R @ F.T, subset_by_index=[0, k - 1])
+            Y = F.T @ V
+            values += [w] * len(rows)
+            vectors += [Q @ Y for Q in rows]
+        order = np.argsort(np.concatenate(values), kind="stable")[:L]
+        return np.hstack(vectors)[:, order]
+
+
+def class_split(mesh):
+    """The mesh's ``ClassSplit``, built at the first call and kept in
+    the mesh's ``_class_split``: the bases depend on m alone, and the
+    factors on the mass matrix, which keeps the mesh's symmetries."""
+    if mesh._class_split is None:
+        rows = [c.rows for c in class_bases(mesh.m)]
+        split = ClassSplit(sp.hstack([r[0] for r in rows], format="csc"),
+                           rows, None)
+        mesh._class_split = split._replace(factors=[
+            sla.solve_triangular(sla.cholesky(B, lower=True),
+                                 np.eye(len(B)), lower=True)
+            for B in split.blocks(fem.assemble_mass(mesh).csr)])
+    return mesh._class_split

@@ -128,6 +128,20 @@ def test_meshes_must_increase_strictly(capsys, meshes):
     assert "config key 'meshes'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["eigs", "--m", "1"], "m"),
+    (["solve", "--m", "1"], "m"),
+    (["study", "--meshes", "1,4"], "meshes"),
+])
+def test_a_mesh_without_interior_vertices_is_named(capsys, argv, key):
+    # m = 1 has no interior unknown; it used to reach the numerics
+    assert main(argv) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, {key: 1 if key == "m" else [1, 4]})
+    assert err.value.key == key
+
+
 @pytest.mark.parametrize("argv", [["solve", "--mu", "abc"],
                                   ["solve", "--bogus"]])
 def test_bad_command_line_exits_one(capsys, argv):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from conftest import Combination, sine_product
 import spfem
-from spfem import fem, oracle, spectrum
+from spfem import fem, oracle, spectrum, symmetry
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import manufactured_problem
@@ -170,13 +170,14 @@ def test_sine_preconditioned_path_matches_dense_oracle(m):
 
 def test_solver_shares_the_callers_matrices(mesh4):
     K = fem.assemble_stiffness(mesh4)
-    M = fem.assemble_mass(mesh4)
-    solver = SpectrumSolver(mesh4, None, stiffness=K, mass=M)
-    assert solver.reference[0] is K and solver.reference[1] is M
-    # B's class blocks are formed at the first dense solve, from the
-    # caller's M, and kept through a tilted solve, which takes one class
+    solver = SpectrumSolver(mesh4, None, stiffness=K)
+    M = solver.reference[1]
+    assert solver.reference[0] is K
+    assert (M.csr != fem.assemble_mass(mesh4).csr).nnz == 0
+    # the factors of M's class blocks are kept on the mesh, and kept
+    # through a tilted solve, which takes one class
     assert solver.solve(None, 4).classes == 6
-    classes = solver.classes
+    classes = symmetry.class_split(mesh4)
     factors = list(classes.factors)
     for rows, F in zip(classes.rows, factors):
         block = (rows[0].T @ (M.csr @ rows[0])).toarray()
@@ -184,8 +185,8 @@ def test_solver_shares_the_callers_matrices(mesh4):
                                    rtol=0, atol=1e-13)
     assert solver.solve(_tilted(mesh4), 6).classes == 1
     assert solver.solve(None, 5).classes == 6
-    assert solver.classes is classes
-    assert all(a is b for a, b in zip(solver.classes.factors, factors))
+    assert symmetry.class_split(mesh4) is classes
+    assert all(a is b for a, b in zip(classes.factors, factors))
 
 
 def test_sparse_path_emits_no_warnings():

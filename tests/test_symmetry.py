@@ -154,7 +154,8 @@ def test_tilted_pencils_take_one_class(mesh8):
     solver = SpectrumSolver(mesh8, V0)
     assert solver.solve(None, 8).classes == 6
     s = solver.solve(tilt, 8)
-    assert s.classes == 1 and len(solver.classes.rows) == 6
+    assert s.classes == 1 and solver.symmetric
+    assert len(symmetry.class_split(mesh8).rows) == 6
     A, B = assemble_hamiltonian(mesh8, tilt, V0)
     ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[0, 7])
@@ -163,7 +164,7 @@ def test_tilted_pencils_take_one_class(mesh8):
     # dense solve takes the whole space as its one class
     solver = SpectrumSolver(mesh8, tilt)
     s = solver.solve(None, 8)
-    assert s.classes == 1 and len(solver.classes.rows) == 1
+    assert s.classes == 1 and not solver.symmetric
     A, B = solver.reference
     ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
                    subset_by_index=[0, 7])
@@ -217,3 +218,23 @@ def test_every_dense_solve_of_a_solve_uses_six_classes(mesh8, monkeypatch,
     assert len(seen) > len(report.iterations)
     assert set(seen) == {6}
 
+
+
+def test_two_solves_on_one_mesh_split_it_once(monkeypatch):
+    # the class bases and the factors of the mass matrix's class blocks
+    # depend on the mesh alone: built at its first dense solve, kept on
+    # it through every later solver
+    built = []
+    class_bases = symmetry.class_bases
+    monkeypatch.setattr(symmetry, "class_bases",
+                        lambda m: built.append(m) or class_bases(m))
+    mesh = build_structured_mesh(8)
+    problem = manufactured_problem(2, DistributionParams())
+    model = scf.ScfModel(problem.V0, problem.n_D, problem.params)
+    assert scf.fixed_point_solve(mesh, model).converged
+    split = symmetry.class_split(mesh)
+    factors = list(split.factors)
+    assert scf.fixed_point_solve(mesh, model).converged
+    assert built == [8]
+    assert symmetry.class_split(mesh) is split
+    assert all(a is b for a, b in zip(split.factors, factors))
