@@ -21,10 +21,10 @@ stiffness and the mass are one 15-step stencil each, written through
 the step table; a weighted mass is one ``np.bincount`` of its local
 matrices over the positions.  The same positions expand a Gram given
 per vertex pair of the pattern into the 4x4 Grams of the elements.  The
-pattern, kept in the mesh's ``_pattern``, is the only thing remembered
-between calls: fields are evaluated afresh at every assembly, and a
-caller that reuses one (a fixed doping load, say) keeps the assembled
-vector itself.
+pattern, kept in the mesh's ``_pattern``, is the only thing this module
+remembers between calls: fields are evaluated afresh at every assembly,
+and a caller that reuses one (a fixed doping load, say) keeps the
+assembled vector itself.
 """
 
 from typing import NamedTuple

@@ -18,7 +18,8 @@ import scipy.sparse as sp
 class Mesh:
     """Immutable Kuhn mesh of (0,1)^3 with m cells per axis, as built by
     ``build_structured_mesh``; its geometry and quadrature points are
-    closed forms of m.
+    closed forms of m.  What depends on the mesh alone is built at its
+    first use and kept on it: ``fem._pattern``, ``symmetry.class_split``.
 
     Attributes
     ----------
