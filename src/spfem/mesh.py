@@ -35,6 +35,9 @@ class Mesh:
     interior_vertices : (n_interior,) int array
         Vertex ids of the interior dofs, ascending.
     volumes : (nt,) float array
+        Every entry is the one element volume 1/(6 m^3); ``fem`` reads
+        ``volumes[0]`` only.  The array stays because the benchmark
+        harness (``perfbench/workloads.py``) reads it.
     grads : (6, 4, 3) float array
         Constant gradients of the four P1 basis functions on each of the
         six Kuhn simplices; element e has those of ``grads[e % 6]``.

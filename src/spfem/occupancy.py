@@ -4,7 +4,10 @@ resulting electron density field.
 
 The cutoff is exactly 1 below the window edge and exactly 0 one unit
 above it, so occupations vanish identically past a finite index and the
-density is always a finite sum of squared eigenfunctions.
+density is always a finite sum of squared eigenfunctions.  The density
+field keeps the occupation-weighted Gram of its eigenvectors once per
+interior vertex and Kuhn step (``fem.step_gram``); its load and its
+integral are closed forms in that Gram, with no quadrature.
 """
 
 import math
@@ -15,7 +18,6 @@ import numpy as np
 from . import fem
 from .errors import ConvergenceError, InfeasibleOccupationError, \
     TruncationOverflowError
-from .quadrature import tet_rule
 
 BOLTZMANN = "boltzmann"
 FERMI_DIRAC = "fermi_dirac"
@@ -227,15 +229,16 @@ class DensityField:
     """Electron density: occupation-weighted sum of squared
     eigenfunctions, piecewise quadratic on the mesh.
 
-    On an element with local eigenfunction coefficients c_l (4 vertex
-    values per level) the density is the quadratic form of the 4x4
-    occupation Gram G = sum_l f_l c_l c_l^T in the barycentric
-    coordinates, so quadrature values cost O(16) per point whatever the
-    number of levels.  The entries of G are those of the vertex-pair Gram
-    sum_l f_l psi_l(x_i) psi_l(x_j) on the interior assembly pattern
-    (eigenfunctions vanish on the boundary), which is computed once,
-    when the field is made, and serves every rule (load, integral, dump
-    and error).
+    The density is a quadratic form of the vertex-pair Gram
+    sum_l f_l psi_l(x_i) psi_l(x_j), which is nonzero only where i and j
+    share an element.  The field keeps it, when it is made, as the step
+    Gram ``gram`` (``fem.step_gram``: one value per interior vertex and
+    Kuhn step; the eigenfunctions vanish on the boundary) and as its
+    gather ``pairs`` onto the interior assembly pattern.  The load
+    (``fem.assemble_load``) and the integral are closed forms in
+    ``gram``; quadrature values (dumps, error functionals) come from the
+    4x4 element Grams G = sum_l f_l c_l c_l^T gathered from ``pairs``,
+    at O(16) per point whatever the number of levels.
     """
 
     def __init__(self, spectral, occupations, level_count):
@@ -246,8 +249,10 @@ class DensityField:
         self.level_count = level_count
         self.n_active = n_active
         self.mesh = spectral.mesh
-        X = spectral.coefficients[self.mesh.interior_vertices, :n_active]
-        self.pairs = fem.pattern_gram(self.mesh, X, occupations[:n_active])
+        self.gram = fem.step_gram(self.mesh,
+                                  spectral.coefficients[:, :n_active],
+                                  occupations[:n_active])
+        self.pairs = fem.pattern_pairs(self.mesh, self.gram)
 
     def element_values(self, mesh, rule, slabs=None):
         """(nb, nq) density at the quadrature points of the x-slabs
@@ -258,11 +263,9 @@ class DensityField:
             @ fem.basis_products(rule).T
 
     def integral(self):
-        """Exact integral (degree-2 quadrature of a piecewise quadratic)."""
-        rule = tet_rule(2)
-        per_element = fem.blockwise(self.mesh, rule, lambda slabs: (
-            self.element_values(self.mesh, rule, slabs) @ rule.weights))
-        return float(per_element @ self.mesh.volumes)
+        """Exact integral: sum over the Kuhn steps s of the mass
+        matrix's per-step value times the sum of the step Gram at s."""
+        return float(self.gram.sum(axis=0) @ fem.mass_steps(self.mesh))
 
     def evaluate(self, points):
         """Density at points of the closed unit cube.

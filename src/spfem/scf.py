@@ -5,6 +5,13 @@ A(u) = K^{-1} (load(n[u]) - load(n_D)).  The doping load b_D =
 load(n_D) does not depend on u and is assembled once per solve.  Each
 sweep solves the spectral problem for the current potential, rebuilds
 occupations and density, and solves K V = load(density) - b_D.
+The sweep's operators take the P1 data they are given in closed form,
+as stencils on the interior grid: the weighted mass W(u) of the iterate
+(``fem.assemble_weighted_mass`` of an ``FeField``), added to the
+reference pencil's data, and the density's Gram, load and integral
+(``occupancy.DensityField``).  No element quadrature of the iterate or
+of its density runs in the loop; b_D and W(V0), of analytic fields,
+are the solve's only quadratures.
 The next iterate is Anderson-mixed (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011; Pulay's DIIS) on the interior potential vector over the last
 ``ANDERSON_DEPTH`` sweeps, with ``damping`` as the mixing weight; the

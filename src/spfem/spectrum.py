@@ -24,8 +24,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import fem, symmetry
-from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, SparseSymMatrix,
-                       dense_path, lowest_eigenpairs)
+from .linsolve import (DEFAULT_EIG_TOL, DENSE_CUTOFF, dense_path,
+                       lowest_eigenpairs)
 from .quadrature import tet_rule
 
 PI2 = math.pi ** 2
@@ -164,8 +164,8 @@ def assemble_hamiltonian(mesh, u, V0, rule=None, stiffness=None):
     rule = rule or tet_rule(2)
     A = stiffness if stiffness is not None else fem.assemble_stiffness(mesh)
     if V0 is not None:
-        W = fem.assemble_weighted_mass(mesh, V0, rule)
-        A = SparseSymMatrix(A.csr + W.csr)
+        A = fem.pattern_sum(mesh, A, fem.assemble_weighted_mass(mesh, V0,
+                                                                rule))
     return _add_potential(A, mesh, u, rule), fem.assemble_mass(mesh)
 
 
@@ -176,8 +176,7 @@ def _add_potential(A, mesh, u, rule=None):
         return A
     if np.any(u.coeffs[mesh.boundary_mask] != 0.0):
         raise ValueError("potential field must vanish on the boundary")
-    W = fem.assemble_weighted_mass(mesh, u, rule)
-    return SparseSymMatrix(A.csr + W.csr)
+    return fem.pattern_sum(mesh, A, fem.assemble_weighted_mass(mesh, u, rule))
 
 
 class SpectrumSolver:
