@@ -246,6 +246,64 @@ def test_stencils_are_the_element_bincount(m):
         np.testing.assert_array_equal(matrix.csr.data, ref)
 
 
+def _element_grams(mesh, coeffs, weights):
+    """Reference: the 4x4 Grams sum_l w_l c_l c_l^T of every element's
+    vertex coefficients c_l, (nt, 16)."""
+    local = coeffs[mesh.tets]                          # (nt, 4, L)
+    return np.einsum("l,nal,nbl->nab", weights, local, local).reshape(-1, 16)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 21])
+def test_sweep_stencils_match_element_quadrature(m, degree):
+    # oracle: the element passes the stencils replaced, with the same
+    # rule; the sums are taken in another order
+    mesh = build_structured_mesh(m)
+    rule = tet_rule(degree)
+    rng = np.random.default_rng(10 * m + degree)
+    weight = fem.FeField(mesh, rng.standard_normal(mesh.n_vertices))
+    assert np.all(weight.coeffs[mesh.boundary_mask] != 0.0)
+    occupations = np.array([2.0, 1.0, 0.5, 0.25])
+    coeffs = rng.standard_normal((mesh.n_vertices, len(occupations)))
+    coeffs[mesh.boundary_mask] = 0.0
+    spectral = SimpleNamespace(mesh=mesh, coefficients=coeffs,
+                               count=len(occupations))
+    density = DensityField(spectral, occupations, len(occupations) + 1)
+    pattern = fem._pattern(mesh)
+    vol = mesh.volumes[:, None]
+
+    def close(got, want):
+        scale = np.abs(want).max(initial=0.0)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
+
+    # weighted mass: the weight at the rule's points, one bincount
+    local = _einsum_weighted_local(mesh, weight, rule)
+    close(fem.assemble_weighted_mass(mesh, weight, rule).csr.data,
+          np.bincount(pattern.positions, weights=local.ravel(),
+                      minlength=len(pattern.indices) + 1)[:-1])
+    # step Gram: gathered onto the elements, the elements' own Grams
+    grams = _element_grams(mesh, coeffs, occupations)
+    close(fem.element_gram(mesh, density.pairs), grams)
+    # density load and integral: the density at the rule's points
+    values = grams @ fem.basis_products(rule).T        # (nt, nq)
+    local = ((values * rule.weights) @ rule.points) * vol
+    full = np.bincount(mesh.tets.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_vertices)
+    close(fem.assemble_load(mesh, density, rule),
+          full[mesh.interior_vertices])
+    close(density.integral(), (values @ rule.weights) @ mesh.volumes)
+
+
+def test_sweep_stencils_refuse_a_foreign_field(mesh4):
+    other = build_structured_mesh(2)
+    spectral = SimpleNamespace(mesh=other, count=1,
+                               coefficients=np.zeros((other.n_vertices, 1)))
+    with pytest.raises(ValueError):
+        fem.assemble_weighted_mass(mesh4, fem.FeField.zero(other))
+    with pytest.raises(ValueError):
+        fem.assemble_load(mesh4, DensityField(spectral, [1.0], 2))
+
+
 def test_load_matches_einsum_scatter(mesh4):
     rule = tet_rule(4)
     g = sine_product()

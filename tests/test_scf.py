@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 from conftest import Combination, sine_product
 from spfem import fem, scf
 from spfem.mesh import build_structured_mesh, mesh_size
-from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DistributionParams,
-                             build_density,
+from spfem.occupancy import (BOLTZMANN, FERMI_DIRAC, DensityField,
+                             DistributionParams, build_density,
                              determine_occupation, solve_fermi,
                              truncation_bound)
 from spfem.oracle import manufactured_problem
@@ -211,6 +211,29 @@ def test_solve_leaves_no_state_on_the_mesh(params):
     problem = manufactured_problem(1, params)
     fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D, params))
     assert set(vars(mesh)) == before
+
+
+@pytest.mark.parametrize("m", [8, 12])     # dense and sparse eigen paths
+def test_sweeps_run_no_element_quadrature_of_the_iterate(m, params,
+                                                         monkeypatch):
+    # the weighted mass of the iterate and the density's load and
+    # integral are stencils: no sweep evaluates either field at
+    # quadrature points
+    calls = []
+    for cls in (fem.FeField, DensityField):
+        def counted(self, *args, _original=cls.element_values, **kwargs):
+            calls.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "element_values", counted)
+    mesh = build_structured_mesh(m)
+    problem = manufactured_problem(1, params)
+    report = fixed_point_solve(mesh, ScfModel(problem.V0, problem.n_D,
+                                              params))
+    assert report.converged
+    assert calls == []
+    # the counters are live: an error functional does evaluate them
+    fem.l2_norm_error(mesh, report.density, report.potential)
+    assert set(calls) == {"FeField", "DensityField"}
 
 
 def test_sweep_tolerance_rule():
