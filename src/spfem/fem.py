@@ -30,16 +30,17 @@ weighted sum per element.  Each block writes its rows into whole-mesh
 arrays, which are reduced once, as if there were one block.  Element
 integrals scale by the one element volume ``mesh.volumes[0]``.
 
-The interior CSR pattern, with the (vertex, Kuhn step) pairs it holds
-and the position of every local entry, is computed once per mesh.  A
-stencil is written through the pairs; a quadrature weighted mass is one
-``np.bincount`` of its local matrices over the positions, which also
-expand a step Gram into the 4x4 Grams of the elements.  Matrices on the
-pattern add as their data arrays (``pattern_sum``).  The pattern, kept
-in the mesh's ``_pattern``, is the only thing this module remembers
-between calls: fields are evaluated afresh at every assembly, and a
-caller that reuses one (a fixed doping load, say) keeps the assembled
-vector itself.
+The interior CSR pattern and the (vertex, Kuhn step) pairs it holds
+are computed once per mesh; a stencil is written through the pairs.  An
+element pass reaches them by a closed-form index per block into an
+(n + 1, 15) step table whose last row is the boundary vertices' zero
+row (``_step_index``): a quadrature weighted mass is one bincount into
+it, and ``element_gram`` gathers the element Grams from a step Gram.
+Matrices on the pattern add as their data arrays (``pattern_sum``).
+The pattern, kept in the mesh's ``_pattern``, is the only thing this
+module remembers between calls: fields are evaluated afresh at every
+assembly, and a caller that reuses one (a fixed doping load, say) keeps
+the assembled vector itself.
 """
 
 from typing import NamedTuple
@@ -181,22 +182,14 @@ _KUHN_STEPS = np.concatenate([-_CUBE[::-1], _CUBE[1:]])
 _KUHN_STEP_OF = np.searchsorted(
     (_KUHN_STEPS + 1) @ [9, 3, 1],
     (_KUHN_CORNERS[:, None] - _KUHN_CORNERS[:, :, None] + 1) @ [9, 3, 1])
-# the 96 local entries (kind, a, b), ordered as an element bincount
-# reaches them in an interior row: by the offset of the element's cell
-# from the row's vertex (local a; x slowest), then by kind
-_KUHN_ORDER = np.argsort(np.repeat(
-    6 * -(_KUHN_CORNERS @ [4, 2, 1]) + np.arange(6)[:, None], 4),
-    kind="stable")
 
 
 class _Pattern(NamedTuple):
     """CSR pattern of the assembled operators on the interior dofs
-    (``indices``, ``indptr``, ``n`` rows), which of the (n, 15) (row,
+    (``indices``, ``indptr``, ``n`` rows) and which of the (n, 15) (row,
     Kuhn step) pairs it holds (``valid``, bool; row-major, its entries
-    in CSR order), and for each of the (nt, 4, 4) local entries its
-    position in the CSR data."""
+    in CSR order)."""
 
-    positions: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     n: int
@@ -207,10 +200,8 @@ def _pattern(mesh):
     """The mesh's ``_Pattern``.
 
     Computed once per mesh, in closed form: the dofs form an N^3 grid
-    (N = m - 1), row v couples to v + d for each Kuhn step d that stays
-    on the grid, and a per-row slot table gives each step's position.
-    Entries coupling a boundary vertex map to the extra slot nnz, which
-    assembly drops.
+    (N = m - 1), and row v couples to v + d for each Kuhn step d that
+    stays on the grid.
     """
     if mesh._pattern is not None:
         return mesh._pattern
@@ -223,18 +214,37 @@ def _pattern(mesh):
              & z[None, None, :]).reshape(n, len(_KUHN_STEPS))
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(valid.sum(axis=1), out=indptr[1:])
-    nnz = int(indptr[-1])
-    # slot of row v's step d; a step off the grid, and row -1 (a
-    # boundary vertex), take the dropped slot nnz
-    slots = np.full((n + 1, len(_KUHN_STEPS)), nnz, dtype=np.int32)
-    slots[:-1][valid] = np.arange(nnz, dtype=np.int32)
     offsets = _KUHN_STEPS @ [N * N, N, 1]
     indices = (np.arange(n, dtype=np.int32)[:, None]
                + offsets.astype(np.int32))[valid]
-    ids = mesh.interior_index[mesh.tets]
-    positions = slots[ids.reshape(-1, 6, 4, 1), _KUHN_STEP_OF].ravel()
-    mesh._pattern = _Pattern(positions, indices, indptr, n, valid)
+    mesh._pattern = _Pattern(indices, indptr, n, valid)
     return mesh._pattern
+
+
+def _step_index(m, slabs=None):
+    """(nb, 16) flat index into the (n + 1, 15) step table of the local
+    entries (a, b) on the x-slabs ``slabs`` (all by default) of the m
+    mesh: 15 times the row of vertex a, n (the zero row) on the
+    boundary, plus the step a -> b.  That is the cell's corner row plus
+    a constant of (kind, a, b), but at the boundary vertices: the low
+    (high) corners of a first (last) cell along some axis."""
+    N, S = m - 1, len(_KUHN_STEPS)
+    slabs = range(m) if slabs is None else slabs
+    strides = np.array([N * N, N, 1]) * S
+    axes = (slabs, range(m), range(m))
+    x, y, z = ((np.arange(r.start, r.stop) - 1) * k
+               for r, k in zip(axes, strides))
+    corner = x[:, None, None] + y[:, None] + z        # (nbx, m, m)
+    index = corner[..., None, None, None] \
+        + ((_KUHN_CORNERS @ strides)[:, :, None] + _KUHN_STEP_OF)
+    zero_row = S * N ** 3 + _KUHN_STEP_OF             # (6, 4, 4)
+    for axis, cells in enumerate(axes):
+        for high, cell in ((0, 0), (1, m - 1)):
+            if cell in cells:
+                layer = index[(slice(None),) * axis + (cell - cells.start,)]
+                on = _KUHN_CORNERS[:, :, axis] == high
+                layer[..., on, :] = zero_row[on]
+    return index.reshape(-1, 16)
 
 
 def _matrix(mesh, data):
@@ -258,11 +268,10 @@ def _step_values(local):
     """The 15 per-step values of the assembled (6, 4, 4) local matrices
     of the six Kuhn simplices, the same on every cell.  An interior
     vertex lies in the same 24 elements wherever it is, so each Kuhn
-    step has one value, the sum of that step's local entries, taken in
-    ``_KUHN_ORDER`` to give the element bincount's floats."""
-    return np.bincount(_KUHN_STEP_OF.ravel()[_KUHN_ORDER],
-                       weights=local.ravel()[_KUHN_ORDER],
-                       minlength=len(_KUHN_STEPS))
+    step has one value: the step table's row of the one interior vertex
+    of the m = 2 mesh, whose element bincount gives its floats."""
+    return np.bincount(_step_index(2).ravel(), weights=np.tile(
+        local.ravel(), 8))[:len(_KUHN_STEPS)]
 
 
 def _stencil(mesh, per_step):
@@ -312,35 +321,26 @@ def triple_tables(rule):
 
 
 def step_gram(mesh, coeffs, weights):
-    """(n_interior, 15) Gram G(v, s) = sum_l w_l X_vl X_(v+s)l at every
-    interior vertex v and Kuhn step s, for the vertex values ``coeffs``
-    (nv, L) of P1 fields that vanish on the boundary (so G(v, s) = 0
-    where v + s is a boundary vertex): one product of the block with
-    each of its 15 Kuhn shifts."""
+    """(n_interior + 1, 15) Gram G(v, s) = sum_l w_l X_vl X_(v+s)l at
+    every interior vertex v and Kuhn step s, and a zero last row, for
+    the vertex values ``coeffs`` (nv, L) of P1 fields that vanish on the
+    boundary (so G(v, s) = 0 where v + s is a boundary vertex): one
+    product of the block with each of its 15 Kuhn shifts."""
     m = mesh.m
     coeffs = np.asarray(coeffs)
     grid = coeffs.reshape((m + 1,) * 3 + coeffs.shape[1:])
     weighted = _at_step(grid, (0, 0, 0)) * weights
-    gram = np.empty((mesh.n_interior, len(_KUHN_STEPS)))
+    gram = np.zeros((mesh.n_interior + 1, len(_KUHN_STEPS)))
     for s, d in enumerate(_KUHN_STEPS):
-        gram[:, s] = np.einsum("xyzl,xyzl->xyz", weighted,
-                               _at_step(grid, d)).ravel()
+        gram[:-1, s] = np.einsum("xyzl,xyzl->xyz", weighted,
+                                 _at_step(grid, d)).ravel()
     return gram
 
 
-def pattern_pairs(mesh, gram):
-    """The step Gram ``gram`` at the entries of the interior CSR
-    pattern, followed by a zero: ``element_gram`` gathers from it the
-    4x4 local Grams of the P1 fields on every element."""
-    return np.append(gram[_pattern(mesh).valid], 0.0)
-
-
-def element_gram(mesh, pairs, slabs=None):
+def element_gram(mesh, gram, slabs=None):
     """(nb, 16) local 4x4 Grams on the x-slabs ``slabs`` (all by
-    default) from the per-entry values of ``pattern_pairs``."""
-    elements = mesh.slab_elements(slabs)
-    positions = _pattern(mesh).positions.reshape(-1, 16)[elements]
-    return pairs[positions]
+    default), gathered from the step Gram ``gram`` of ``step_gram``."""
+    return gram.ravel()[_step_index(mesh.m, slabs)]
 
 
 def basis_products(rule):
@@ -400,8 +400,9 @@ def assemble_weighted_mass(mesh, w, rule=None):
         values_on_elements(w, mesh, rule, slabs) * rule.weights) @ table,
         (16,))
     local *= mesh.volumes[0]
-    return _matrix(mesh, np.bincount(p.positions, weights=local.ravel(),
-                                     minlength=len(p.indices) + 1)[:-1])
+    table = np.bincount(_step_index(mesh.m).ravel(), weights=local.ravel(),
+                        minlength=(p.n + 1) * len(_KUHN_STEPS))
+    return _matrix(mesh, table.reshape(-1, len(_KUHN_STEPS))[:-1][p.valid])
 
 
 def assemble_load(mesh, g, rule=None):
@@ -423,7 +424,7 @@ def assemble_load(mesh, g, rule=None):
         table = triple_tables(rule)[1].T * mesh.volumes[0]
         H = np.zeros((m + 1,) * 3 + (len(_KUHN_STEPS),))
         inner = _at_step(H, (0, 0, 0))
-        inner[...] = (gram @ table).reshape(inner.shape)
+        inner[...] = (gram[:-1] @ table).reshape(inner.shape)
         load = np.zeros((m - 1,) * 3)
         for s, d in enumerate(_KUHN_STEPS):
             load += _at_step(H, d)[..., s]

@@ -67,9 +67,9 @@ def run_study(example, p, mesh_sizes, cfg=None, deterministic=False,
         mesh = build_structured_mesh(m)
         report = fixed_point_solve(
             mesh, ScfModel(problem.V0, problem.n_D, p), cfg)
-        e_v0 = fem.l2_norm_error(mesh, report.potential, problem.V_exact, rule)
-        e_v1 = float(np.hypot(e_v0, fem.h1_semi_error(
-            mesh, report.potential, problem.V_exact, rule)))
+        e_v0, semi = fem._error_norms(mesh, report.potential,
+                                      problem.V_exact, rule, True, True)
+        e_v1 = float(np.hypot(e_v0, semi))
         e_n0 = fem.l2_norm_error(mesh, report.density, problem.n_exact, rule)
         h = mesh_size(mesh)
         seconds = 0.0 if deterministic else time.perf_counter() - t0

@@ -233,11 +233,11 @@ class DensityField:
     sum_l f_l psi_l(x_i) psi_l(x_j), which is nonzero only where i and j
     share an element.  The field keeps it, when it is made, as the step
     Gram ``gram`` (``fem.step_gram``: one value per interior vertex and
-    Kuhn step; the eigenfunctions vanish on the boundary) and as its
-    gather ``pairs`` onto the interior assembly pattern.  The load
-    (``fem.assemble_load``) and the integral are closed forms in
-    ``gram``; quadrature values (dumps, error functionals) come from the
-    4x4 element Grams G = sum_l f_l c_l c_l^T gathered from ``pairs``,
+    Kuhn step, the eigenfunctions vanishing on the boundary, and a zero
+    row for the boundary vertices).  The load (``fem.assemble_load``)
+    and the integral are closed forms in ``gram``; quadrature values
+    (dumps, error functionals) come from the 4x4 element Grams
+    G = sum_l f_l c_l c_l^T that ``fem.element_gram`` gathers from it,
     at O(16) per point whatever the number of levels.
     """
 
@@ -252,14 +252,13 @@ class DensityField:
         self.gram = fem.step_gram(self.mesh,
                                   spectral.coefficients[:, :n_active],
                                   occupations[:n_active])
-        self.pairs = fem.pattern_pairs(self.mesh, self.gram)
 
     def element_values(self, mesh, rule, slabs=None):
         """(nb, nq) density at the quadrature points of the x-slabs
         ``slabs`` (all by default), P^T G P per point."""
         if mesh is not self.mesh:
             raise ValueError("density evaluated on a foreign mesh")
-        return fem.element_gram(mesh, self.pairs, slabs) \
+        return fem.element_gram(mesh, self.gram, slabs) \
             @ fem.basis_products(rule).T
 
     def integral(self):

@@ -228,12 +228,30 @@ def test_fixed_pattern_assembly_matches_coo(m):
             <= 1e-15 * scale
 
 
+def _element_bincount(mesh, local):
+    """Reference: the (nt, 4, 4) local entries summed by one bincount on
+    (row of vertex a, Kuhn step a -> b) keys, boundary rows in a dropped
+    row n, then cut to the pattern's pairs."""
+    n = mesh.n_interior
+    rows = mesh.interior_index[mesh.tets]
+    rows[rows < 0] = n
+    corners = np.rint(mesh.vertices[mesh.tets] * mesh.m).astype(int)
+    # the grid step b - a of each entry, as an index into fem._KUHN_STEPS
+    codes = (fem._KUHN_STEPS + 1) @ [9, 3, 1]
+    entry = (corners[:, None, :, :] - corners[:, :, None, :] + 1) @ [9, 3, 1]
+    steps = np.searchsorted(codes, entry)
+    assert np.all(codes[steps] == entry)
+    keys = rows[:, :, None] * 15 + steps
+    table = np.bincount(keys.ravel(), weights=local.ravel(),
+                        minlength=15 * (n + 1))
+    return table.reshape(-1, 15)[:-1][fem._pattern(mesh).valid]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 21])
 def test_stencils_are_the_element_bincount(m):
     # reference: the six Kuhn local matrices tiled over every element,
-    # scaled by its volume and summed by one bincount over the pattern
+    # scaled by its volume and summed by one bincount on (row, step)
     mesh = build_structured_mesh(m)
-    pattern = fem._pattern(mesh)
     per_kind = [np.einsum("kad,kbd->kab", mesh.grads, mesh.grads),
                 np.broadcast_to((np.ones((4, 4)) + np.eye(4)) / 20.0,
                                 (6, 4, 4))]
@@ -241,9 +259,16 @@ def test_stencils_are_the_element_bincount(m):
             (fem.assemble_stiffness(mesh), fem.assemble_mass(mesh)),
             per_kind):
         local = np.tile(local, (m ** 3, 1, 1)) * mesh.volumes[:, None, None]
-        ref = np.bincount(pattern.positions, weights=local.ravel(),
-                          minlength=len(pattern.indices) + 1)[:-1]
+        ref = _element_bincount(mesh, local)
         np.testing.assert_array_equal(matrix.csr.data, ref)
+
+
+@pytest.mark.parametrize("m", [8, 21])
+def test_pattern_holds_no_per_element_table(m):
+    mesh = build_structured_mesh(m)
+    bound = 15 * (mesh.n_interior + 1)
+    for field in fem._pattern(mesh):
+        assert np.size(field) <= bound
 
 
 def _element_grams(mesh, coeffs, weights):
@@ -269,7 +294,6 @@ def test_sweep_stencils_match_element_quadrature(m, degree):
     spectral = SimpleNamespace(mesh=mesh, coefficients=coeffs,
                                count=len(occupations))
     density = DensityField(spectral, occupations, len(occupations) + 1)
-    pattern = fem._pattern(mesh)
     vol = mesh.volumes[:, None]
 
     def close(got, want):
@@ -279,11 +303,16 @@ def test_sweep_stencils_match_element_quadrature(m, degree):
     # weighted mass: the weight at the rule's points, one bincount
     local = _einsum_weighted_local(mesh, weight, rule)
     close(fem.assemble_weighted_mass(mesh, weight, rule).csr.data,
-          np.bincount(pattern.positions, weights=local.ravel(),
-                      minlength=len(pattern.indices) + 1)[:-1])
-    # step Gram: gathered onto the elements, the elements' own Grams
+          _element_bincount(mesh, local))
+    # step Gram: gathered onto the elements, the elements' own Grams,
+    # on the whole mesh and on each slab block
     grams = _element_grams(mesh, coeffs, occupations)
-    close(fem.element_gram(mesh, density.pairs), grams)
+    close(fem.element_gram(mesh, density.gram), grams)
+    blocks = fem.slab_blocks(mesh, rule)
+    assert len(blocks) > 1 or (m, degree) != (21, 5)
+    for slabs in blocks:
+        close(fem.element_gram(mesh, density.gram, slabs),
+              grams[mesh.slab_elements(slabs)])
     # density load and integral: the density at the rule's points
     values = grams @ fem.basis_products(rule).T        # (nt, nq)
     local = ((values * rule.weights) @ rule.points) * vol
