@@ -223,11 +223,11 @@ def _pattern(mesh):
 
 def _step_index(m, slabs=None):
     """(nb, 16) flat index into the (n + 1, 15) step table of the local
-    entries (a, b) on the x-slabs ``slabs`` (all by default) of the m
-    mesh: 15 times the row of vertex a, n (the zero row) on the
-    boundary, plus the step a -> b.  That is the cell's corner row plus
-    a constant of (kind, a, b), but at the boundary vertices: the low
-    (high) corners of a first (last) cell along some axis."""
+    entries (a, b) on the x-slabs ``slabs`` (all by default) of the mesh
+    of m cells per axis: 15 times the row of vertex a (n, the zero row,
+    on the boundary) plus the step a -> b.  That is the cell's corner
+    row plus a constant of (kind, a, b), but at the boundary vertices:
+    the low (high) corners of a first (last) cell along some axis."""
     N, S = m - 1, len(_KUHN_STEPS)
     slabs = range(m) if slabs is None else slabs
     strides = np.array([N * N, N, 1]) * S

@@ -309,7 +309,8 @@ def test_sweep_stencils_match_element_quadrature(m, degree):
     grams = _element_grams(mesh, coeffs, occupations)
     close(fem.element_gram(mesh, density.gram), grams)
     blocks = fem.slab_blocks(mesh, rule)
-    assert len(blocks) > 1 or (m, degree) != (21, 5)
+    if (m, degree) == (21, 5):
+        assert len(blocks) > 1
     for slabs in blocks:
         close(fem.element_gram(mesh, density.gram, slabs),
               grams[mesh.slab_elements(slabs)])
