@@ -35,7 +35,9 @@ are computed once per mesh; a stencil is written through the pairs.  An
 element pass reaches them by a closed-form index per block into an
 (n + 1, 15) step table whose last row is the boundary vertices' zero
 row (``_step_index``): a quadrature weighted mass is one bincount into
-it, and ``element_gram`` gathers the element Grams from a step Gram.
+it, and ``element_gram`` gathers the element Grams from a step Gram,
+with one index for all the slabs of a call that touch no boundary
+x-plane.
 Matrices on the pattern add as their data arrays (``pattern_sum``).
 The pattern, kept in the mesh's ``_pattern``, is the only thing this
 module remembers between calls: fields are evaluated afresh at every
@@ -339,8 +341,31 @@ def step_gram(mesh, coeffs, weights):
 
 def element_gram(mesh, gram, slabs=None):
     """(nb, 16) local 4x4 Grams on the x-slabs ``slabs`` (all by
-    default), gathered from the step Gram ``gram`` of ``step_gram``."""
-    return gram.ravel()[_step_index(mesh.m, slabs)]
+    default), gathered from the step Gram ``gram`` of ``step_gram``.
+
+    Between the first and the last slab, slab x's index is slab 1's
+    shifted by x - 1 planes of rows, except for the zero row.  So a
+    call that spans several such slabs builds slab 1's index once, with
+    its zero-row entries counted from the end of the table, and reads
+    each slab from the table with that slab's planes ahead of it cut
+    off; the first and last slab take their own index."""
+    m, flat = mesh.m, gram.ravel()
+    slabs = range(m) if slabs is None else slabs
+    inner = range(max(slabs.start, 1), min(slabs.stop, m - 1))
+    if len(inner) < 2:
+        return flat[_step_index(m, slabs)]
+    shared = _step_index(m, range(1, 2))
+    shared[shared >= flat.size - len(_KUHN_STEPS)] -= flat.size
+    plane = len(_KUHN_STEPS) * (m - 1) ** 2
+    out = np.empty((len(slabs), len(shared), 16))
+    for block, x in zip(out, slabs):
+        if x in inner:
+            # wrap: the zero row's negative entries count from the end,
+            # and with ``out`` no other mode gathers unbuffered
+            np.take(flat[(x - 1) * plane:], shared, out=block, mode="wrap")
+        else:
+            block[...] = flat[_step_index(m, range(x, x + 1))]
+    return out.reshape(-1, 16)
 
 
 def basis_products(rule):

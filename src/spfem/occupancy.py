@@ -18,6 +18,7 @@ import numpy as np
 from . import fem
 from .errors import ConvergenceError, InfeasibleOccupationError, \
     TruncationOverflowError
+from .spectrum import cube_levels
 
 BOLTZMANN = "boltzmann"
 FERMI_DIRAC = "fermi_dirac"
@@ -156,8 +157,11 @@ def solve_fermi(eigenvalues, p, M=np.inf):
 
 @dataclass
 class OccupationState:
-    """Truncation window, Fermi level, per-level occupations, and the
-    1-based index of the first identically-zero occupation."""
+    """Truncation window, Fermi level, per-level occupations (one per
+    computed level), and the 1-based index of the first
+    identically-zero occupation: L + 1 for L computed levels that are
+    all occupied, when the first zero is the first level not
+    computed."""
 
     window: float
     fermi_level: float
@@ -165,20 +169,27 @@ class OccupationState:
     level_count: int
 
 
-def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
+def determine_occupation(mesh, solve, p, h, L_max=512, L0=None,
+                         continuum=None):
     """Compute eigenpairs and occupations with a block-doubling level
     budget.
 
     ``solve`` maps a level count L to a SpectralSet.  The budget starts
     at ``L0``, by default max(16, ceil((2|ln h|)^{3/2})).  The SCF loop
     passes its own (``scf.level_budget``): the levels that reach the
-    window and the end of their cluster, counted on the first sweep from
-    estimates of the levels (``scf.estimated_level_budget``) and after
-    it from the previous sweep's levels.  It doubles while the
-    levels cannot hold N0 (a Fermi-Dirac sum saturates at f0 L) and
-    until the topmost computed level sits more than one unit beyond the
+    window, counted on the first sweep from estimates of the levels
+    (``scf.estimated_level_budget``) and after it from the previous
+    sweep's levels.  It doubles while the levels cannot hold N0 (a
+    Fermi-Dirac sum saturates at f0 L) and until the first level not
+    computed, L + 1, is certified to lie more than one unit beyond the
     truncation window, at which point the tail occupations vanish
-    identically and the partial Fermi solve is exact.  At the cap either
+    identically and the partial Fermi solve is exact.  That level is at
+    least the top computed level, and at least mu_(L+1) + f, the cube's
+    (L + 1)-th Dirichlet eigenvalue plus the set's potential floor
+    (``SpectralSet.floor``; ``spectrum.cube_levels``), unless L is the
+    number of interior vertices and no level follows.  ``continuum``
+    holds the mu_i, at least min(L_max, n_interior) + 1 of them
+    (``cube_levels``, built here when not given).  At the cap either
     shortfall raises.
 
     The eigenvalues may come from a loose eigensolve.  For B-normalized
@@ -194,6 +205,8 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     cap = min(L_max, mesh.n_interior)
     if L0 is None:
         L0 = max(16, math.ceil((2.0 * abs(math.log(h))) ** 1.5))
+    if continuum is None:
+        continuum = cube_levels(cap + 1)
     L = min(cap, L0)
 
     while True:
@@ -206,7 +219,10 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
                 raise
             L = min(2 * L, cap)
             continue
-        tail_offset = float(spectral.eigenvalues[-1] - fermi)
+        tail = spectral.eigenvalues[-1]
+        if L < mesh.n_interior:
+            tail = max(tail, continuum[L] + spectral.floor)
+        tail_offset = float(tail - fermi)
         if tail_offset > required:
             break
         if L >= cap:
@@ -219,7 +235,7 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
 
     occ = truncated_distribution(p, M, spectral.eigenvalues - fermi)
     zero = np.flatnonzero(occ == 0.0)
-    level_count = int(zero[0]) + 1
+    level_count = int(zero[0]) + 1 if zero.size else L + 1
     state = OccupationState(window=M, fermi_level=fermi,
                             occupations=occ, level_count=level_count)
     return spectral, state
@@ -239,6 +255,10 @@ class DensityField:
     (dumps, error functionals) come from the 4x4 element Grams
     G = sum_l f_l c_l c_l^T that ``fem.element_gram`` gathers from it,
     at O(16) per point whatever the number of levels.
+
+    The sum runs over the ``n_active`` = level_count - 1 occupied
+    levels, at most the computed ones: all L of them when every
+    computed level is occupied and ``level_count`` is L + 1.
     """
 
     def __init__(self, spectral, occupations, level_count):

@@ -29,20 +29,27 @@ when the inner accuracy is proportional to the outer residual, so a
 sweep's eigen tolerance is ``EIG_FORCING`` times the previous H1
 increment, clipped to [eig_tol, ``EIG_TOL_MAX``] (``sweep_eig_tol``);
 the first sweep, from an unrelated start, gets ``EIG_TOL_MAX``.  A
-sweep's level budget reaches ``need``, the first level more than
-window + 1 above the Fermi level, and ends at the first relative gap
-above ``LEVEL_GAP`` at or after it (``level_budget``): the top columns
-of a LOBPCG block converge at a rate set by the relative gap to the
-first level outside it (Knyazev, SIAM J. Sci. Comput. 23, 2001), and
-the Kuhn mesh splits each shell of the cube's spectrum into clusters a
-few per cent apart.  Each later sweep applies the rule to
-its predecessor's levels; the levels beyond ``need`` carry occupation
-exactly 0.  The first sweep applies it to estimates: the Ritz values
-of the reference pencil on the span of twice as many grid modes of the
-cube as there are continuum levels s pi^2 to the window's end
-(``estimated_level_budget``), so it does not double up from a guess;
-on the sparse path its eigensolve starts from the Ritz vectors of the
-same projection, perturbed (``SpectrumSolver.mode_estimates``).
+sweep's level budget reaches ``need``, the fewest levels whose next
+level is certified to lie more than window + 1 above the Fermi level,
+and ends at the first relative gap above ``LEVEL_GAP`` at or after it
+(``level_budget``): the top columns of a LOBPCG block converge at a
+rate set by the relative gap to the first level outside it (Knyazev,
+SIAM J. Sci. Comput. 23, 2001), and the Kuhn mesh splits each shell of
+the cube's spectrum into clusters a few per cent apart.  The next
+level is certified either by a computed level past the cut or by a
+lower bound in closed form: the P1 levels lie above the cube's
+Dirichlet eigenvalues s pi^2 (min-max), and a potential lowers each by
+at most its floor (``SpectralSet.floor``), so no block computes a
+shell of empty levels only to show that they are empty.  The
+continuum levels are tabulated once per solve (``cube_levels``).  Each
+later sweep applies the rule to its predecessor's levels; the levels
+beyond ``need`` carry occupation exactly 0.  The first sweep applies
+it to estimates: the Ritz values of the reference pencil on the span
+of twice as many grid modes of the cube as there are continuum levels
+to the window's end (``estimated_level_budget``), so it does not double
+up from a guess; on the sparse path its eigensolve starts from the
+Ritz vectors of the same projection, perturbed
+(``SpectrumSolver.mode_estimates``).
 The loop stops on a relative H1 increment, only on a sweep whose
 eigen residuals meet eig_tol, and never raises on plain
 non-convergence (the report carries the flag), while structural
@@ -63,7 +70,7 @@ from .mesh import mesh_size
 from .occupancy import (build_density, determine_occupation, solve_fermi,
                         truncation_bound)
 from .quadrature import tet_rule
-from .spectrum import SineInverse, SpectrumSolver, cube_eigensequence
+from .spectrum import SineInverse, SpectrumSolver, cube_levels
 
 # number of previous sweeps whose differences enter the Anderson step
 ANDERSON_DEPTH = 5
@@ -154,12 +161,21 @@ def sweep_eig_tol(eig_tol, increment):
     return max(eig_tol, min(EIG_TOL_MAX, EIG_FORCING * increment))
 
 
-def level_budget(lam, fermi, window):
+def level_budget(lam, fermi, window, bounds=None):
     """Level budget for the ascending levels ``lam``: up to ``need``,
-    the first level more than window + 1 above ``fermi``, then on to the
-    first relative gap above LEVEL_GAP at or after it; all of lam when
-    no such gap follows, None when no level lies past window + 1."""
-    beyond = np.flatnonzero(lam - fermi > window + 1.0)
+    the smallest count whose next level is certified to lie more than
+    window + 1 above ``fermi``, then on to the first relative gap above
+    LEVEL_GAP at or after it; all of lam when no such gap follows, None
+    when no count is certified.  The level after the first L is at
+    least lam[L - 1] and, when ``bounds`` is given, at least bounds[L]:
+    ``bounds`` holds lower bounds of the levels, bounds[i] of level
+    i + 1, and none past its end.  Without them ``need`` is the first
+    level past window + 1 itself."""
+    top = np.array(lam, dtype=float)
+    if bounds is not None:
+        after = bounds[1:len(top) + 1]
+        top[:len(after)] = np.maximum(top[:len(after)], after)
+    beyond = np.flatnonzero(top - fermi > window + 1.0)
     if beyond.size == 0:
         return None
     need = int(beyond[0]) + 1
@@ -167,26 +183,33 @@ def level_budget(lam, fermi, window):
     return need + int(np.argmax(gap)) if gap.any() else len(lam)
 
 
-def estimated_level_budget(solver, p, h, cap):
+def estimated_level_budget(solver, p, h, cap, continuum=None):
     """Level budget of the first sweep: ``level_budget`` of the
     ``solver``'s mode estimates (``SpectrumSolver.mode_estimates``),
+    with the lower bounds mu_i + f of the reference pencil's levels
+    (mu_i the continuum levels s pi^2, f the solver's ``floor``),
     taken from twice as many grid modes as the ``level_budget`` of the
-    continuum levels s pi^2; the same call leaves the solver its first
-    start block.  None (``determine_occupation``'s default)
-    when the window does not fit in ``cap`` continuum levels or in the
-    estimates, or when a Fermi-Dirac sum over them cannot hold N0."""
+    continuum levels themselves; the same call leaves the solver its
+    first start block.  ``continuum`` holds the first cap + 1
+    continuum levels (``cube_levels``, built here when not given).
+    None (``determine_occupation``'s default) when the window does not
+    fit in ``cap`` continuum levels or in the estimates, or when a
+    Fermi-Dirac sum over them cannot hold N0."""
     window = truncation_bound(h, p)
+    if continuum is None:
+        continuum = cube_levels(cap + 1)
 
-    def budget(lam):
+    def budget(lam, bounds=None):
         try:
-            return level_budget(lam, solve_fermi(lam, p, window), window)
+            return level_budget(lam, solve_fermi(lam, p, window), window,
+                                bounds)
         except InfeasibleOccupationError:
             return None
-    continuum = budget(np.array([mode.lam
-                                 for mode in cube_eigensequence(cap)]))
-    if continuum is None:
+    span = budget(continuum[:cap])
+    if span is None:
         return None
-    return budget(solver.mode_estimates(2 * continuum))
+    bounds = continuum[:solver.mesh.n_interior] + solver.floor
+    return budget(solver.mode_estimates(2 * span), bounds)
 
 
 def _h1(K, M, vec):
@@ -243,7 +266,8 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
             iterations.append(spectral.iterations)
             return spectral
         spectral, occ = determine_occupation(mesh, solve, p, h,
-                                             L_max=cfg.L_max, L0=L0)
+                                             L_max=cfg.L_max, L0=L0,
+                                             continuum=continuum)
         return spectral, occ, build_density(spectral, occ), iterations
 
     def potential_of(density):
@@ -254,15 +278,18 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     records = []
     converged = False
     # the first level budget comes from estimates of the levels, each
-    # later one from the previous sweep's levels
-    L0 = estimated_level_budget(solver, p, h,
-                                min(cfg.L_max, mesh.n_interior))
+    # later one from the previous sweep's levels; both certify the cut
+    # by the continuum levels plus the potential floor
+    cap = min(cfg.L_max, mesh.n_interior)
+    continuum = cube_levels(cap + 1)
+    L0 = estimated_level_budget(solver, p, h, cap, continuum)
     prev = math.inf   # H1 increment of the previous sweep
     mixer = _Anderson(cfg.damping)
     for k in range(1, cfg.max_iter + 1):
         tol = sweep_eig_tol(cfg.eig_tol, prev)
         spectral, occ, density, iterations = occupation_at(V, L0, tol)
-        L0 = level_budget(spectral.eigenvalues, occ.fermi_level, occ.window)
+        L0 = level_budget(spectral.eigenvalues, occ.fermi_level, occ.window,
+                          continuum[:mesh.n_interior] + spectral.floor)
         x = V.interior()
         x_new = mixer.step(x, potential_of(density).interior())
         inc = _h1(K, M, x_new - x)

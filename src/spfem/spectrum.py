@@ -69,14 +69,28 @@ def cube_shells(s_max):
     return s[order], ii[order], jj[order], kk[order]
 
 
-def cube_eigensequence(count):
-    """First ``count`` modes sorted by eigenvalue, ties by (i, j, k)."""
+def _first_modes(count):
+    """``cube_shells`` through the ``count``-th mode, cut after it."""
     if count < 1:
         raise ValueError("count must be >= 1")
     # the n^3 modes with indices up to n all lie in the shells up to 3 n^2
     n = math.ceil(count ** (1 / 3))
-    _, I, J, K = (a[:count].tolist() for a in cube_shells(3 * n * n))
+    return [a[:count] for a in cube_shells(3 * n * n)]
+
+
+def cube_eigensequence(count):
+    """First ``count`` modes sorted by eigenvalue, ties by (i, j, k)."""
+    _, I, J, K = (a.tolist() for a in _first_modes(count))
     return [CubeMode(*ijk) for ijk in zip(I, J, K)]
+
+
+def cube_levels(count):
+    """(count,) eigenvalues of ``cube_eigensequence(count)``, ascending,
+    from one ``cube_shells`` call.  By the min-max principle the i-th
+    level of a conforming P1 pencil (K + W, M) whose weight W is at
+    least f M is at least cube_levels[i - 1] + f (Babuska & Osborn,
+    Eigenvalue Problems, Handbook of Numerical Analysis II, 1991)."""
+    return _first_modes(count)[0] * PI2
 
 
 def sine_table(m):
@@ -143,7 +157,10 @@ def grid_modes(m, L):
 
 @dataclass
 class SpectralSet:
-    """Ascending eigenvalues with mass-normalized eigenfunctions."""
+    """Ascending eigenvalues with mass-normalized eigenfunctions, and
+    the potential floor of their pencil: a number f with W >= f M for
+    the pencil's weighted mass W, so its i-th level is at least
+    ``cube_levels`` [i - 1] + f, computed or not (-inf when unknown)."""
 
     eigenvalues: np.ndarray        # (L,)
     coefficients: np.ndarray       # (nv, L), boundary rows zero
@@ -151,6 +168,7 @@ class SpectralSet:
     mesh: object = field(repr=False, default=None)
     iterations: int = 0            # LOBPCG iterations; 0 on the dense path
     classes: int = 1               # symmetry classes solved apart: 6 or 1
+    floor: float = -math.inf       # W >= floor M; -inf: no bound known
 
     @property
     def count(self):
@@ -179,6 +197,16 @@ def _add_potential(A, mesh, u, rule=None):
     return fem.pattern_sum(mesh, A, fem.assemble_weighted_mass(mesh, u, rule))
 
 
+def _quadrature_floor(mesh, V, rule):
+    """Smallest value of the field V at the rule's points on the mesh,
+    0 for None.  For a rule with positive weights that is exact for
+    P1 x P1 (``tet_rule(2)``), W(V) >= floor M."""
+    if V is None:
+        return 0.0
+    return float(min(fem.values_on_elements(V, mesh, rule, slabs).min()
+                     for slabs in fem.slab_blocks(mesh, rule)))
+
+
 class SpectrumSolver:
     """Eigenpair provider for one mesh and applied potential.
 
@@ -194,6 +222,10 @@ class SpectrumSolver:
     ``symmetric`` is fixed when the solver is made: it holds when the
     mesh has at most ``dense_cutoff`` unknowns and the reference pencil
     keeps the symmetries to SYMMETRY_TOL (M always keeps them).
+    ``floor``, the smallest value of V0 at the points of the reference
+    pencil's rule (0 without V0), is computed with it; a solve's
+    ``SpectralSet.floor`` adds min(0, smallest vertex value of u), as
+    a P1 weight is at least its smallest vertex value everywhere.
     The solver's state between calls is ``block``, the last eigenvector
     block, from which the next solve starts (with seeded random columns
     appended when L grows, and its leading L columns taken when L
@@ -213,8 +245,10 @@ class SpectrumSolver:
         self.tol = tol
         self.seed = seed
         self.dense_cutoff = dense_cutoff
-        self.reference = assemble_hamiltonian(mesh, None, V0,
+        rule = tet_rule(2)
+        self.reference = assemble_hamiltonian(mesh, None, V0, rule,
                                               stiffness=stiffness)
+        self.floor = _quadrature_floor(mesh, V0, rule)
         self.preconditioner = SineInverse(mesh.m)
         self.symmetric = mesh.n_interior <= dense_cutoff and \
             symmetry.asymmetry(mesh.m, self.reference[0].csr) <= SYMMETRY_TOL
@@ -245,9 +279,12 @@ class SpectrumSolver:
         self.block = result.vectors
         coeffs = np.zeros((mesh.n_vertices, L))
         coeffs[mesh.interior_vertices] = result.vectors
+        floor = self.floor
+        if u is not None:
+            floor += min(0.0, float(u.coeffs.min()))
         return SpectralSet(result.values, coeffs, result.residual_norms,
                            mesh=mesh, iterations=result.iterations,
-                           classes=result.classes)
+                           classes=result.classes, floor=floor)
 
     def mode_estimates(self, count):
         """Ritz values of the reference pencil on the span of the lowest

@@ -271,6 +271,22 @@ def test_pattern_holds_no_per_element_table(m):
         assert np.size(field) <= bound
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+def test_element_gram_is_the_step_index_gather(m):
+    # slabs read through the shared slab index give the very floats of
+    # the per-call closed-form index, on every range of slabs
+    mesh = build_structured_mesh(m)
+    coeffs = np.random.default_rng(m).standard_normal((mesh.n_vertices, 3))
+    coeffs[mesh.boundary_mask] = 0.0
+    gram = fem.step_gram(mesh, coeffs, np.array([2.0, 1.0, 0.5]))
+    for start in range(m):
+        for stop in range(start + 1, m + 1):
+            slabs = range(start, stop)
+            np.testing.assert_array_equal(
+                fem.element_gram(mesh, gram, slabs),
+                gram.ravel()[fem._step_index(m, slabs)])
+
+
 def _element_grams(mesh, coeffs, weights):
     """Reference: the 4x4 Grams sum_l w_l c_l c_l^T of every element's
     vertex coefficients c_l, (nt, 16)."""

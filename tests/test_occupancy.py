@@ -16,10 +16,11 @@ from spfem.occupancy import (FERMI_REL_TOL, DistributionParams,
                              determine_occupation, distribution,
                              solve_fermi, truncated_distribution,
                              truncation_bound)
-from spfem.oracle import continuous_fermi, cube_eigensequence
+from spfem.oracle import (continuous_fermi, cube_eigensequence,
+                          manufactured_problem)
 from spfem.quadrature import tet_rule
 from spfem.scf import level_budget
-from spfem.spectrum import SpectrumSolver
+from spfem.spectrum import SpectrumSolver, cube_levels
 
 
 def test_params_validation():
@@ -301,6 +302,53 @@ def test_trimmed_level_budget_matches_default(mesh8, params):
     np.testing.assert_allclose(occ_trim.occupations,
                                occ_def.occupations[:L0], rtol=1e-12)
     assert np.all(occ_def.occupations[L0:] == 0.0)
+
+
+def _benchmark2_bounded_budgets(mesh8, params):
+    """Benchmark 2 on mesh8: the solver, and the SCF's next level budget
+    from a default determination with and without the lower bounds of
+    the levels (the guard-level budget 10 and the trimmed 7)."""
+    solver = SpectrumSolver(mesh8, manufactured_problem(2, params).V0)
+    s_def, occ = determine_occupation(
+        mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8))
+    bounds = cube_levels(mesh8.n_interior) + s_def.floor
+    return solver, [level_budget(s_def.eigenvalues, occ.fermi_level,
+                                 occ.window, b) for b in (None, bounds)]
+
+
+def test_all_occupied_levels_end_at_the_first_uncomputed(mesh8, params):
+    # every one of the 7 computed levels is occupied and the bound
+    # certifies the 8th: the first zero is the first level not computed
+    solver, (_, trimmed) = _benchmark2_bounded_budgets(mesh8, params)
+    spectral, occ = determine_occupation(
+        mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8),
+        L0=trimmed)
+    assert spectral.count == trimmed == 7
+    assert np.all(occ.occupations > 0.0)
+    assert occ.level_count == spectral.count + 1
+    density = build_density(spectral, occ)
+    assert density.n_active == spectral.count
+    assert density.integral() == pytest.approx(params.N0, rel=1e-12)
+
+
+def test_bounded_level_budget_matches_guard_levels(mesh8, params):
+    # the budget trimmed by the bound drops only levels of zero
+    # occupation: the same state as the guard-level budget's
+    solver, (guard, trimmed) = _benchmark2_bounded_budgets(mesh8, params)
+    assert (guard, trimmed) == (10, 7)
+    (s_guard, occ_guard), (s_trim, occ_trim) = [
+        determine_occupation(mesh8, lambda L: solver.solve(None, L),
+                             params, mesh_size(mesh8), L0=L0)
+        for L0 in (guard, trimmed)]
+    assert (s_guard.count, s_trim.count) == (guard, trimmed)
+    assert occ_trim.level_count == occ_guard.level_count
+    assert occ_trim.fermi_level == pytest.approx(occ_guard.fermi_level,
+                                                 rel=1e-12)
+    np.testing.assert_allclose(occ_trim.occupations,
+                               occ_guard.occupations[:trimmed], rtol=1e-12)
+    assert np.all(occ_guard.occupations[trimmed:] == 0.0)
+    assert build_density(s_trim, occ_trim).integral() == pytest.approx(
+        build_density(s_guard, occ_guard).integral(), rel=1e-12)
 
 
 def test_density_integral_and_single_level(mesh8, params):

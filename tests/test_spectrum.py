@@ -1,9 +1,12 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Combination, sine_product
 import spfem
@@ -15,7 +18,7 @@ from spfem.quadrature import tet_rule
 from spfem.scf import ScfConfig, ScfModel, fixed_point_solve
 from spfem.spectrum import (START_NOISE, SineInverse, SpectrumSolver,
                             assemble_hamiltonian, cube_eigensequence,
-                            grid_modes)
+                            cube_levels, grid_modes)
 
 LAM1 = 3 * math.pi ** 2
 LAM2 = 6 * math.pi ** 2
@@ -338,3 +341,47 @@ def test_first_sparse_solve_from_cube_modes_matches_dense_oracle(example):
         solver = SpectrumSolver(mesh, V0, dense_cutoff=0)
         s = solver.solve(None, L)
         np.testing.assert_allclose(s.eigenvalues, ref[:L], rtol=1e-10)
+
+
+def test_cube_levels_are_the_eigensequence():
+    for count in (1, 7, 16, 513):
+        np.testing.assert_array_equal(
+            cube_levels(count),
+            [mode.lam for mode in cube_eigensequence(count)])
+
+
+@functools.cache
+def _applied_potential(name):
+    if name is None:
+        return None
+    V0 = manufactured_problem(int(name[-1]), DistributionParams()).V0
+    if name.startswith("shifted"):
+        return fem.ScalarFunction(lambda p: V0(p) - 5.0)
+    return V0
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([3, 4, 5]),
+       potential=st.sampled_from([None, "benchmark 1", "benchmark 2",
+                                  "shifted benchmark 1"]),
+       amplitude=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
+                                                       amplitude, seed):
+    # min-max for conforming P1 and Weyl for the potential: every level
+    # of the pencil for u + V0 is at least the cube's Dirichlet
+    # eigenvalue of its index plus the solve's potential floor; the
+    # shifted V0 (V0 - 5) has a negative floor
+    mesh = build_structured_mesh(m)
+    V0 = _applied_potential(potential)
+    u = fem.FeField.from_interior(
+        mesh, amplitude * np.random.default_rng(seed).uniform(
+            -1.0, 1.0, mesh.n_interior))
+    floor = SpectrumSolver(mesh, V0).solve(u, 1).floor
+    if potential is None:
+        assert floor == min(0.0, u.coeffs.min())
+    if potential == "shifted benchmark 1":
+        assert floor < -4.0
+    A, B = assemble_hamiltonian(mesh, u, V0)
+    lam = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
+    bound = cube_levels(mesh.n_interior) + floor
+    assert np.all(lam >= bound - 1e-9 * np.abs(lam))
