@@ -197,14 +197,20 @@ def _add_potential(A, mesh, u, rule=None):
     return fem.pattern_sum(mesh, A, fem.assemble_weighted_mass(mesh, u, rule))
 
 
-def _quadrature_floor(mesh, V, rule):
-    """Smallest value of the field V at the rule's points on the mesh,
-    0 for None.  For a rule with positive weights that is exact for
-    P1 x P1 (``tet_rule(2)``), W(V) >= floor M."""
-    if V is None:
-        return 0.0
-    return float(min(fem.values_on_elements(V, mesh, rule, slabs).min()
-                     for slabs in fem.slab_blocks(mesh, rule)))
+class _Floored:
+    """The analytic field V as its weighted mass W(V) evaluates it, one
+    block of quadrature points at a time, and ``floor``, the smallest
+    value of those blocks: for a rule with positive weights that is
+    exact for P1 x P1 (``tet_rule(2)``), W(V) >= floor M."""
+
+    def __init__(self, field):
+        self.field = field
+        self.floor = math.inf
+
+    def element_values(self, mesh, rule, slabs=None):
+        values = fem.values_on_elements(self.field, mesh, rule, slabs)
+        self.floor = min(self.floor, float(values.min()))
+        return values
 
 
 class SpectrumSolver:
@@ -223,7 +229,8 @@ class SpectrumSolver:
     mesh has at most ``dense_cutoff`` unknowns and the reference pencil
     keeps the symmetries to SYMMETRY_TOL (M always keeps them).
     ``floor``, the smallest value of V0 at the points of the reference
-    pencil's rule (0 without V0), is computed with it; a solve's
+    pencil's rule (0 without V0, the smallest vertex value of a P1 V0),
+    comes with it; a solve's
     ``SpectralSet.floor`` adds min(0, smallest vertex value of u), as
     a P1 weight is at least its smallest vertex value everywhere.
     The solver's state between calls is ``block``, the last eigenvector
@@ -245,10 +252,18 @@ class SpectrumSolver:
         self.tol = tol
         self.seed = seed
         self.dense_cutoff = dense_cutoff
-        rule = tet_rule(2)
-        self.reference = assemble_hamiltonian(mesh, None, V0, rule,
+        # the floor of V0 is taken from the one evaluation of V0 that
+        # W(V0) makes; a P1 V0 takes the closed form instead, and it is
+        # at least its smallest vertex value everywhere
+        V = V0
+        if V0 is None or isinstance(V0, fem.FeField):
+            self.floor = 0.0 if V0 is None else float(V0.coeffs.min())
+        else:
+            V = _Floored(V0)
+        self.reference = assemble_hamiltonian(mesh, None, V, tet_rule(2),
                                               stiffness=stiffness)
-        self.floor = _quadrature_floor(mesh, V0, rule)
+        if V is not V0:
+            self.floor = V.floor
         self.preconditioner = SineInverse(mesh.m)
         self.symmetric = mesh.n_interior <= dense_cutoff and \
             symmetry.asymmetry(mesh.m, self.reference[0].csr) <= SYMMETRY_TOL

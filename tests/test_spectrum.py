@@ -355,7 +355,7 @@ def _applied_potential(name):
     if name is None:
         return None
     V0 = manufactured_problem(int(name[-1]), DistributionParams()).V0
-    if name.startswith("shifted"):
+    if "shifted" in name:
         return fem.ScalarFunction(lambda p: V0(p) - 5.0)
     return V0
 
@@ -363,23 +363,36 @@ def _applied_potential(name):
 @settings(max_examples=40, deadline=None)
 @given(m=st.sampled_from([3, 4, 5]),
        potential=st.sampled_from([None, "benchmark 1", "benchmark 2",
-                                  "shifted benchmark 1"]),
+                                  "shifted benchmark 1",
+                                  "P1 shifted benchmark 1"]),
        amplitude=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
                                                        amplitude, seed):
     # min-max for conforming P1 and Weyl for the potential: every level
     # of the pencil for u + V0 is at least the cube's Dirichlet
     # eigenvalue of its index plus the solve's potential floor; the
-    # shifted V0 (V0 - 5) has a negative floor
+    # shifted V0 (V0 - 5) has a negative floor, and its P1 interpolant
+    # takes the weighted mass's closed form
     mesh = build_structured_mesh(m)
     V0 = _applied_potential(potential)
+    p1 = potential is not None and potential.startswith("P1")
+    if p1:
+        V0 = fem.FeField.interpolate(mesh, V0)
     u = fem.FeField.from_interior(
         mesh, amplitude * np.random.default_rng(seed).uniform(
             -1.0, 1.0, mesh.n_interior))
     floor = SpectrumSolver(mesh, V0).solve(u, 1).floor
-    if potential is None:
-        assert floor == min(0.0, u.coeffs.min())
-    if potential == "shifted benchmark 1":
+    # the least value of V0 at the pencil's points (of a P1 V0, its
+    # least vertex value, no larger but for rounding) plus u's most
+    # negative vertex value
+    at_points = 0.0 if V0 is None else \
+        fem.values_on_elements(V0, mesh, tet_rule(2)).min()
+    expected = at_points + min(0.0, u.coeffs.min())
+    if p1:
+        assert floor <= expected + 1e-12 * abs(expected)
+    else:
+        assert floor == expected
+    if potential is not None and "shifted" in potential:
         assert floor < -4.0
     A, B = assemble_hamiltonian(mesh, u, V0)
     lam = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
