@@ -230,9 +230,9 @@ class SpectrumSolver:
     keeps the symmetries to SYMMETRY_TOL (M always keeps them).
     ``floor``, the smallest value of V0 at the points of the reference
     pencil's rule (0 without V0, the smallest vertex value of a P1 V0),
-    comes with it; a solve's
-    ``SpectralSet.floor`` adds min(0, smallest vertex value of u), as
-    a P1 weight is at least its smallest vertex value everywhere.
+    comes with it; a solve's ``SpectralSet.floor`` adds min(0, smallest
+    vertex value of u), as a P1 weight is at least its smallest vertex
+    value everywhere.
     The solver's state between calls is ``block``, the last eigenvector
     block, from which the next solve starts (with seeded random columns
     appended when L grows, and its leading L columns taken when L
