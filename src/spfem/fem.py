@@ -223,13 +223,14 @@ def _pattern(mesh):
     return mesh._pattern
 
 
-def _step_index(m, slabs=None):
+def _step_index(m, slabs=None, zero=None):
     """(nb, 16) flat index into the (n + 1, 15) step table of the local
     entries (a, b) on the x-slabs ``slabs`` (all by default) of the mesh
     of m cells per axis: 15 times the row of vertex a (n, the zero row,
     on the boundary) plus the step a -> b.  That is the cell's corner
     row plus a constant of (kind, a, b), but at the boundary vertices:
-    the low (high) corners of a first (last) cell along some axis."""
+    the low (high) corners of a first (last) cell along some axis.
+    ``zero`` puts the zero row's first entry elsewhere than at 15 n."""
     N, S = m - 1, len(_KUHN_STEPS)
     slabs = range(m) if slabs is None else slabs
     strides = np.array([N * N, N, 1]) * S
@@ -239,7 +240,7 @@ def _step_index(m, slabs=None):
     corner = x[:, None, None] + y[:, None] + z        # (nbx, m, m)
     index = corner[..., None, None, None] \
         + ((_KUHN_CORNERS @ strides)[:, :, None] + _KUHN_STEP_OF)
-    zero_row = S * N ** 3 + _KUHN_STEP_OF             # (6, 4, 4)
+    zero_row = (S * N ** 3 if zero is None else zero) + _KUHN_STEP_OF
     for axis, cells in enumerate(axes):
         for high, cell in ((0, 0), (1, m - 1)):
             if cell in cells:
@@ -341,25 +342,26 @@ def step_gram(mesh, coeffs, weights):
 
 def element_gram(mesh, gram, slabs=None):
     """(nb, 16) local 4x4 Grams on the x-slabs ``slabs`` (all by
-    default), gathered from the step Gram ``gram`` of ``step_gram``.
+    default), gathered from the step Gram ``gram`` of ``step_gram``,
+    of shape (n_interior + 1, 15).
 
     Between the first and the last slab, slab x's index is slab 1's
     shifted by x - 1 planes of rows, except for the zero row.  So a
-    call that spans several such slabs builds slab 1's index once, with
-    its zero-row entries counted from the end of the table, and reads
-    each slab from the table with that slab's planes ahead of it cut
-    off; the first and last slab take their own index."""
-    m, flat = mesh.m, gram.ravel()
+    call builds slab 1's index once, with its zero-row entries counted
+    from the end of the table, and reads each such slab from the table
+    with that slab's planes ahead of it cut off; the first and last slab
+    take their own index."""
+    m, S = mesh.m, len(_KUHN_STEPS)
+    if gram.shape != (mesh.n_interior + 1, S):
+        raise ValueError("step Gram of shape %s, not (%d, %d)"
+                         % (gram.shape, mesh.n_interior + 1, S))
+    flat = gram.ravel()
     slabs = range(m) if slabs is None else slabs
-    inner = range(max(slabs.start, 1), min(slabs.stop, m - 1))
-    if len(inner) < 2:
-        return flat[_step_index(m, slabs)]
-    shared = _step_index(m, range(1, 2))
-    shared[shared >= flat.size - len(_KUHN_STEPS)] -= flat.size
-    plane = len(_KUHN_STEPS) * (m - 1) ** 2
+    shared = _step_index(m, range(1, 2), zero=-S)
+    plane = S * (m - 1) ** 2
     out = np.empty((len(slabs), len(shared), 16))
     for block, x in zip(out, slabs):
-        if x in inner:
+        if 0 < x < m - 1:
             # wrap: the zero row's negative entries count from the end,
             # and with ``out`` no other mode gathers unbuffered
             np.take(flat[(x - 1) * plane:], shared, out=block, mode="wrap")

@@ -18,7 +18,6 @@ import numpy as np
 from . import fem
 from .errors import ConvergenceError, InfeasibleOccupationError, \
     TruncationOverflowError
-from .spectrum import cube_levels
 
 BOLTZMANN = "boltzmann"
 FERMI_DIRAC = "fermi_dirac"
@@ -169,8 +168,7 @@ class OccupationState:
     level_count: int
 
 
-def determine_occupation(mesh, solve, p, h, L_max=512, L0=None,
-                         continuum=None):
+def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     """Compute eigenpairs and occupations with a block-doubling level
     budget.
 
@@ -186,11 +184,9 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None,
     identically and the partial Fermi solve is exact.  That level is at
     least the top computed level, and at least mu_(L+1) + f, the cube's
     (L + 1)-th Dirichlet eigenvalue plus the set's potential floor
-    (``SpectralSet.floor``; ``spectrum.cube_levels``), unless L is the
-    number of interior vertices and no level follows.  ``continuum``
-    holds the mu_i, at least min(L_max, n_interior) + 1 of them
-    (``cube_levels``, built here when not given).  At the cap either
-    shortfall raises.
+    (``SpectralSet.level_bounds``), unless L is the number of interior
+    vertices and no level follows.  At the cap either shortfall
+    raises.
 
     The eigenvalues may come from a loose eigensolve.  For B-normalized
     vectors a residual r moves an eigenvalue by at most
@@ -205,8 +201,6 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None,
     cap = min(L_max, mesh.n_interior)
     if L0 is None:
         L0 = max(16, math.ceil((2.0 * abs(math.log(h))) ** 1.5))
-    if continuum is None:
-        continuum = cube_levels(cap + 1)
     L = min(cap, L0)
 
     while True:
@@ -221,7 +215,7 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None,
             continue
         tail = spectral.eigenvalues[-1]
         if L < mesh.n_interior:
-            tail = max(tail, continuum[L] + spectral.floor)
+            tail = max(tail, spectral.level_bounds(L + 1)[-1])
         tail_offset = float(tail - fermi)
         if tail_offset > required:
             break

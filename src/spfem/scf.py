@@ -39,9 +39,8 @@ the cube's spectrum into clusters a few per cent apart.  The next
 level is certified either by a computed level past the cut or by a
 lower bound in closed form: the P1 levels lie above the cube's
 Dirichlet eigenvalues s pi^2 (min-max), and a potential lowers each by
-at most its floor (``SpectralSet.floor``), so no block computes a
-shell of empty levels only to show that they are empty.  The
-continuum levels are tabulated once per solve (``cube_levels``).  Each
+at most its floor (``SpectralSet.level_bounds``), so no block computes
+a shell of empty levels only to show that they are empty.  Each
 later sweep applies the rule to its predecessor's levels; the levels
 beyond ``need`` carry occupation exactly 0.  The first sweep applies
 it to estimates: the Ritz values of the reference pencil on the span
@@ -70,7 +69,8 @@ from .mesh import mesh_size
 from .occupancy import (build_density, determine_occupation, solve_fermi,
                         truncation_bound)
 from .quadrature import tet_rule
-from .spectrum import SineInverse, SpectrumSolver, cube_levels
+from .spectrum import SineInverse, SpectrumSolver, cube_levels, \
+    level_bounds
 
 # number of previous sweeps whose differences enter the Anderson step
 ANDERSON_DEPTH = 5
@@ -183,21 +183,18 @@ def level_budget(lam, fermi, window, bounds=None):
     return need + int(np.argmax(gap)) if gap.any() else len(lam)
 
 
-def estimated_level_budget(solver, p, h, cap, continuum=None):
+def estimated_level_budget(solver, p, h, cap):
     """Level budget of the first sweep: ``level_budget`` of the
     ``solver``'s mode estimates (``SpectrumSolver.mode_estimates``),
-    with the lower bounds mu_i + f of the reference pencil's levels
-    (mu_i the continuum levels s pi^2, f the solver's ``floor``),
-    taken from twice as many grid modes as the ``level_budget`` of the
-    continuum levels themselves; the same call leaves the solver its
-    first start block.  ``continuum`` holds the first cap + 1
-    continuum levels (``cube_levels``, built here when not given).
-    None (``determine_occupation``'s default) when the window does not
-    fit in ``cap`` continuum levels or in the estimates, or when a
-    Fermi-Dirac sum over them cannot hold N0."""
+    with the lower bounds of the reference pencil's levels
+    (``spectrum.level_bounds`` at the solver's ``floor``), taken from
+    twice as many grid modes as the ``level_budget`` of the continuum
+    levels s pi^2 themselves (``cube_levels``); the same call leaves
+    the solver its first start block.  None (``determine_occupation``'s
+    default) when the window does not fit in ``cap`` continuum levels or
+    in the estimates, or when a Fermi-Dirac sum over them cannot hold
+    N0."""
     window = truncation_bound(h, p)
-    if continuum is None:
-        continuum = cube_levels(cap + 1)
 
     def budget(lam, bounds=None):
         try:
@@ -205,11 +202,11 @@ def estimated_level_budget(solver, p, h, cap, continuum=None):
                                 bounds)
         except InfeasibleOccupationError:
             return None
-    span = budget(continuum[:cap])
+    span = budget(cube_levels(cap))
     if span is None:
         return None
-    bounds = continuum[:solver.mesh.n_interior] + solver.floor
-    return budget(solver.mode_estimates(2 * span), bounds)
+    lam = solver.mode_estimates(2 * span)
+    return budget(lam, level_bounds(solver.mesh, solver.floor, len(lam) + 1))
 
 
 def _h1(K, M, vec):
@@ -266,8 +263,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
             iterations.append(spectral.iterations)
             return spectral
         spectral, occ = determine_occupation(mesh, solve, p, h,
-                                             L_max=cfg.L_max, L0=L0,
-                                             continuum=continuum)
+                                             L_max=cfg.L_max, L0=L0)
         return spectral, occ, build_density(spectral, occ), iterations
 
     def potential_of(density):
@@ -279,17 +275,16 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
     converged = False
     # the first level budget comes from estimates of the levels, each
     # later one from the previous sweep's levels; both certify the cut
-    # by the continuum levels plus the potential floor
-    cap = min(cfg.L_max, mesh.n_interior)
-    continuum = cube_levels(cap + 1)
-    L0 = estimated_level_budget(solver, p, h, cap, continuum)
+    # by the lower bounds of the levels
+    L0 = estimated_level_budget(solver, p, h,
+                                min(cfg.L_max, mesh.n_interior))
     prev = math.inf   # H1 increment of the previous sweep
     mixer = _Anderson(cfg.damping)
     for k in range(1, cfg.max_iter + 1):
         tol = sweep_eig_tol(cfg.eig_tol, prev)
         spectral, occ, density, iterations = occupation_at(V, L0, tol)
         L0 = level_budget(spectral.eigenvalues, occ.fermi_level, occ.window,
-                          continuum[:mesh.n_interior] + spectral.floor)
+                          spectral.level_bounds(spectral.count + 1))
         x = V.interior()
         x_new = mixer.step(x, potential_of(density).interior())
         inc = _h1(K, M, x_new - x)

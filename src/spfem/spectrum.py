@@ -93,6 +93,13 @@ def cube_levels(count):
     return _first_modes(count)[0] * PI2
 
 
+def level_bounds(mesh, floor, count):
+    """Lower bounds of the first ``count`` levels, and of no more than
+    the mesh's n_interior, of a P1 pencil (K + W, M) on ``mesh`` whose
+    weight W is at least ``floor`` M: ``cube_levels`` plus the floor."""
+    return cube_levels(min(count, mesh.n_interior)) + floor
+
+
 def sine_table(m):
     """(m - 1, m - 1) table S[i - 1, a - 1] = sin(i pi a / m), i, a =
     1..m-1: the grid sine modes along one axis.  S is symmetric and
@@ -160,7 +167,8 @@ class SpectralSet:
     """Ascending eigenvalues with mass-normalized eigenfunctions, and
     the potential floor of their pencil: a number f with W >= f M for
     the pencil's weighted mass W, so its i-th level is at least
-    ``cube_levels`` [i - 1] + f, computed or not (-inf when unknown)."""
+    ``cube_levels`` [i - 1] + f, computed or not (-inf when unknown;
+    ``level_bounds``)."""
 
     eigenvalues: np.ndarray        # (L,)
     coefficients: np.ndarray       # (nv, L), boundary rows zero
@@ -173,6 +181,11 @@ class SpectralSet:
     @property
     def count(self):
         return len(self.eigenvalues)
+
+    def level_bounds(self, count):
+        """Lower bounds of the pencil's first ``count`` levels, and of no
+        more than it has (``level_bounds``)."""
+        return level_bounds(self.mesh, self.floor, count)
 
 
 def assemble_hamiltonian(mesh, u, V0, rule=None, stiffness=None):

@@ -287,6 +287,15 @@ def test_element_gram_is_the_step_index_gather(m):
                 gram.ravel()[fem._step_index(m, slabs)])
 
 
+def test_element_gram_needs_the_whole_step_gram():
+    # the shared slab index wraps, so a table without its zero row must
+    # raise instead of being read from the wrong rows
+    mesh = build_structured_mesh(4)
+    gram = np.zeros((mesh.n_interior + 1, 15))
+    with pytest.raises(ValueError):
+        fem.element_gram(mesh, gram[:-1])
+
+
 def _element_grams(mesh, coeffs, weights):
     """Reference: the 4x4 Grams sum_l w_l c_l c_l^T of every element's
     vertex coefficients c_l, (nt, 16)."""

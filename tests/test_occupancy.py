@@ -20,7 +20,7 @@ from spfem.oracle import (continuous_fermi, cube_eigensequence,
                           manufactured_problem)
 from spfem.quadrature import tet_rule
 from spfem.scf import level_budget
-from spfem.spectrum import SpectrumSolver, cube_levels
+from spfem.spectrum import SpectrumSolver
 
 
 def test_params_validation():
@@ -311,7 +311,7 @@ def _benchmark2_bounded_budgets(mesh8, params):
     solver = SpectrumSolver(mesh8, manufactured_problem(2, params).V0)
     s_def, occ = determine_occupation(
         mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8))
-    bounds = cube_levels(mesh8.n_interior) + s_def.floor
+    bounds = s_def.level_bounds(s_def.count + 1)
     return solver, [level_budget(s_def.eigenvalues, occ.fermi_level,
                                  occ.window, b) for b in (None, bounds)]
 

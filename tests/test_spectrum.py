@@ -381,7 +381,8 @@ def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
     u = fem.FeField.from_interior(
         mesh, amplitude * np.random.default_rng(seed).uniform(
             -1.0, 1.0, mesh.n_interior))
-    floor = SpectrumSolver(mesh, V0).solve(u, 1).floor
+    spectral = SpectrumSolver(mesh, V0).solve(u, 1)
+    floor = spectral.floor
     # the least value of V0 at the pencil's points (of a P1 V0, its
     # least vertex value, no larger but for rounding) plus u's most
     # negative vertex value
@@ -398,3 +399,6 @@ def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
     lam = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
     bound = cube_levels(mesh.n_interior) + floor
     assert np.all(lam >= bound - 1e-9 * np.abs(lam))
+    # the set's bounds stop at the pencil's last level
+    np.testing.assert_array_equal(
+        spectral.level_bounds(mesh.n_interior + 1), bound)
