@@ -184,7 +184,7 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
     identically and the partial Fermi solve is exact.  That level is at
     least the top computed level, and at least mu_(L+1) + f, the cube's
     (L + 1)-th Dirichlet eigenvalue plus the set's potential floor
-    (``SpectralSet.level_bounds``), unless L is the number of interior
+    (``SpectralSet.bounds``), unless L is the number of interior
     vertices and no level follows.  At the cap either shortfall
     raises.
 
@@ -215,7 +215,7 @@ def determine_occupation(mesh, solve, p, h, L_max=512, L0=None):
             continue
         tail = spectral.eigenvalues[-1]
         if L < mesh.n_interior:
-            tail = max(tail, spectral.level_bounds(L + 1)[-1])
+            tail = max(tail, spectral.bounds[L])
         tail_offset = float(tail - fermi)
         if tail_offset > required:
             break

@@ -39,7 +39,7 @@ the cube's spectrum into clusters a few per cent apart.  The next
 level is certified either by a computed level past the cut or by a
 lower bound in closed form: the P1 levels lie above the cube's
 Dirichlet eigenvalues s pi^2 (min-max), and a potential lowers each by
-at most its floor (``SpectralSet.level_bounds``), so no block computes
+at most its floor (``SpectralSet.bounds``), so no block computes
 a shell of empty levels only to show that they are empty.  Each
 later sweep applies the rule to its predecessor's levels; the levels
 beyond ``need`` carry occupation exactly 0.  The first sweep applies
@@ -69,8 +69,7 @@ from .mesh import mesh_size
 from .occupancy import (build_density, determine_occupation, solve_fermi,
                         truncation_bound)
 from .quadrature import tet_rule
-from .spectrum import SineInverse, SpectrumSolver, cube_levels, \
-    level_bounds
+from .spectrum import SineInverse, SpectrumSolver, cube_levels
 
 # number of previous sweeps whose differences enter the Anderson step
 ANDERSON_DEPTH = 5
@@ -187,7 +186,7 @@ def estimated_level_budget(solver, p, h, cap):
     """Level budget of the first sweep: ``level_budget`` of the
     ``solver``'s mode estimates (``SpectrumSolver.mode_estimates``),
     with the lower bounds of the reference pencil's levels
-    (``spectrum.level_bounds`` at the solver's ``floor``), taken from
+    (``SpectrumSolver.level_bounds``), taken from
     twice as many grid modes as the ``level_budget`` of the continuum
     levels s pi^2 themselves (``cube_levels``); the same call leaves
     the solver its first start block.  None (``determine_occupation``'s
@@ -206,7 +205,7 @@ def estimated_level_budget(solver, p, h, cap):
     if span is None:
         return None
     lam = solver.mode_estimates(2 * span)
-    return budget(lam, level_bounds(solver.mesh, solver.floor, len(lam) + 1))
+    return budget(lam, solver.level_bounds(len(lam) + 1))
 
 
 def _h1(K, M, vec):
@@ -284,7 +283,7 @@ def fixed_point_solve(mesh, model, cfg=None, V_init=None):
         tol = sweep_eig_tol(cfg.eig_tol, prev)
         spectral, occ, density, iterations = occupation_at(V, L0, tol)
         L0 = level_budget(spectral.eigenvalues, occ.fermi_level, occ.window,
-                          spectral.level_bounds(spectral.count + 1))
+                          spectral.bounds)
         x = V.interior()
         x_new = mixer.step(x, potential_of(density).interior())
         inc = _h1(K, M, x_new - x)

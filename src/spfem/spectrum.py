@@ -93,13 +93,6 @@ def cube_levels(count):
     return _first_modes(count)[0] * PI2
 
 
-def level_bounds(mesh, floor, count):
-    """Lower bounds of the first ``count`` levels, and of no more than
-    the mesh's n_interior, of a P1 pencil (K + W, M) on ``mesh`` whose
-    weight W is at least ``floor`` M: ``cube_levels`` plus the floor."""
-    return cube_levels(min(count, mesh.n_interior)) + floor
-
-
 def sine_table(m):
     """(m - 1, m - 1) table S[i - 1, a - 1] = sin(i pi a / m), i, a =
     1..m-1: the grid sine modes along one axis.  S is symmetric and
@@ -164,11 +157,11 @@ def grid_modes(m, L):
 
 @dataclass
 class SpectralSet:
-    """Ascending eigenvalues with mass-normalized eigenfunctions, and
-    the potential floor of their pencil: a number f with W >= f M for
-    the pencil's weighted mass W, so its i-th level is at least
-    ``cube_levels`` [i - 1] + f, computed or not (-inf when unknown;
-    ``level_bounds``)."""
+    """Ascending eigenvalues with mass-normalized eigenfunctions, the
+    potential floor of their pencil, a number f with W >= f M for the
+    pencil's weighted mass W, and ``bounds``, lower bounds of the
+    pencil's first L + 1 levels, computed or not, and of no more than it
+    has (``SpectrumSolver.level_bounds``)."""
 
     eigenvalues: np.ndarray        # (L,)
     coefficients: np.ndarray       # (nv, L), boundary rows zero
@@ -177,15 +170,11 @@ class SpectralSet:
     iterations: int = 0            # LOBPCG iterations; 0 on the dense path
     classes: int = 1               # symmetry classes solved apart: 6 or 1
     floor: float = -math.inf       # W >= floor M; -inf: no bound known
+    bounds: np.ndarray = None      # (min(L + 1, n_interior),)
 
     @property
     def count(self):
         return len(self.eigenvalues)
-
-    def level_bounds(self, count):
-        """Lower bounds of the pencil's first ``count`` levels, and of no
-        more than it has (``level_bounds``)."""
-        return level_bounds(self.mesh, self.floor, count)
 
 
 def assemble_hamiltonian(mesh, u, V0, rule=None, stiffness=None):
@@ -245,11 +234,13 @@ class SpectrumSolver:
     pencil's rule (0 without V0, the smallest vertex value of a P1 V0),
     comes with it; a solve's ``SpectralSet.floor`` adds min(0, smallest
     vertex value of u), as a P1 weight is at least its smallest vertex
-    value everywhere.
+    value everywhere, and its ``bounds`` are ``level_bounds`` at that
+    floor.
     The solver's state between calls is ``block``, the last eigenvector
     block, from which the next solve starts (with seeded random columns
     appended when L grows, and its leading L columns taken when L
-    shrinks).  ``mode_estimates`` estimates the levels of the reference
+    shrinks), and ``continuum``, the cube's levels that
+    ``level_bounds`` has needed so far.  ``mode_estimates`` estimates the levels of the reference
     pencil before any solve and, while there is no block, keeps its
     perturbed Ritz vectors as the block, seeded by ``seed``, unless
     every solve takes the dense path, which needs no start block; a
@@ -281,6 +272,7 @@ class SpectrumSolver:
         self.symmetric = mesh.n_interior <= dense_cutoff and \
             symmetry.asymmetry(mesh.m, self.reference[0].csr) <= SYMMETRY_TOL
         self.block = None
+        self.continuum = np.empty(0)
 
     def solve(self, u, L, tol=None):
         """SpectralSet of the L lowest levels for the potential u + V0,
@@ -312,7 +304,22 @@ class SpectrumSolver:
             floor += min(0.0, float(u.coeffs.min()))
         return SpectralSet(result.values, coeffs, result.residual_norms,
                            mesh=mesh, iterations=result.iterations,
-                           classes=result.classes, floor=floor)
+                           classes=result.classes, floor=floor,
+                           bounds=self.level_bounds(L + 1, floor))
+
+    def level_bounds(self, count, floor=None):
+        """(min(count, n_interior),) lower bounds mu_i + f of the first
+        ``count`` levels of a pencil (K + W, M) on the solver's mesh with
+        W >= f M, f = ``floor`` (the reference pencil's by default): the
+        cube's levels (``cube_levels``, the i-th a lower bound of the
+        i-th P1 level by min-max), plus the floor.  The levels are
+        tabulated in ``continuum``, to twice the count that outgrows
+        it."""
+        count = min(count, self.mesh.n_interior)
+        if len(self.continuum) < count:
+            self.continuum = cube_levels(min(2 * count, self.mesh.n_interior))
+        return self.continuum[:count] + (self.floor if floor is None
+                                         else floor)
 
     def mode_estimates(self, count):
         """Ritz values of the reference pencil on the span of the lowest

@@ -311,9 +311,8 @@ def _benchmark2_bounded_budgets(mesh8, params):
     solver = SpectrumSolver(mesh8, manufactured_problem(2, params).V0)
     s_def, occ = determine_occupation(
         mesh8, lambda L: solver.solve(None, L), params, mesh_size(mesh8))
-    bounds = s_def.level_bounds(s_def.count + 1)
     return solver, [level_budget(s_def.eigenvalues, occ.fermi_level,
-                                 occ.window, b) for b in (None, bounds)]
+                                 occ.window, b) for b in (None, s_def.bounds)]
 
 
 def test_all_occupied_levels_end_at_the_first_uncomputed(mesh8, params):

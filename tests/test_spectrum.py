@@ -381,7 +381,8 @@ def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
     u = fem.FeField.from_interior(
         mesh, amplitude * np.random.default_rng(seed).uniform(
             -1.0, 1.0, mesh.n_interior))
-    spectral = SpectrumSolver(mesh, V0).solve(u, 1)
+    solver = SpectrumSolver(mesh, V0)
+    spectral = solver.solve(u, 1)
     floor = spectral.floor
     # the least value of V0 at the pencil's points (of a P1 V0, its
     # least vertex value, no larger but for rounding) plus u's most
@@ -399,6 +400,7 @@ def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
     lam = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True)
     bound = cube_levels(mesh.n_interior) + floor
     assert np.all(lam >= bound - 1e-9 * np.abs(lam))
-    # the set's bounds stop at the pencil's last level
+    # the set bounds its level and the next; no bound past the last level
+    np.testing.assert_array_equal(spectral.bounds, bound[:2])
     np.testing.assert_array_equal(
-        spectral.level_bounds(mesh.n_interior + 1), bound)
+        solver.level_bounds(mesh.n_interior + 1, floor), bound)
