@@ -186,10 +186,10 @@ def estimated_level_budget(solver, p, h, cap):
     """Level budget of the first sweep: ``level_budget`` of the
     ``solver``'s mode estimates (``SpectrumSolver.mode_estimates``),
     with the lower bounds of the reference pencil's levels
-    (``SpectrumSolver.level_bounds``), taken from
-    twice as many grid modes as the ``level_budget`` of the continuum
-    levels s pi^2 themselves (``cube_levels``); the same call leaves
-    the solver its first start block.  None (``determine_occupation``'s
+    (``SpectrumSolver.level_bounds``), taken from twice as many grid
+    modes as the ``level_budget`` of the continuum levels s pi^2
+    themselves (``cube_levels``); the same call leaves the solver its
+    first start block.  None (``determine_occupation``'s
     default) when the window does not fit in ``cap`` continuum levels or
     in the estimates, or when a Fermi-Dirac sum over them cannot hold
     N0."""

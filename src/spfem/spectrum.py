@@ -240,11 +240,12 @@ class SpectrumSolver:
     block, from which the next solve starts (with seeded random columns
     appended when L grows, and its leading L columns taken when L
     shrinks), and ``continuum``, the cube's levels that
-    ``level_bounds`` has needed so far.  ``mode_estimates`` estimates the levels of the reference
-    pencil before any solve and, while there is no block, keeps its
-    perturbed Ritz vectors as the block, seeded by ``seed``, unless
-    every solve takes the dense path, which needs no start block; a
-    first sparse solve without a block calls it for L levels.  Each
+    ``level_bounds`` has needed so far.  ``mode_estimates`` estimates
+    the levels of the reference pencil before any solve and, while
+    there is no block, keeps its perturbed Ritz vectors as the block,
+    seeded by ``seed``, unless every solve takes the dense path, which
+    needs no start block; a first sparse solve without a block calls
+    it for L levels.  Each
     ``solve`` runs to its own ``tol`` when given, else to the solver's:
     the SCF loop asks for loose early sweeps and ``tol`` itself at the
     end.
