@@ -1,7 +1,7 @@
 """Sparse symmetric storage, preconditioned CG, and a generalized
-symmetric eigensolver (dense, per symmetry class of the mesh when the
-caller passes them, or LOBPCG with the caller's preconditioner) for the
-lowest part of the spectrum."""
+symmetric eigensolver (dense, or LOBPCG with the caller's
+preconditioner; either per symmetry class of the mesh when the caller
+passes them) for the lowest part of the spectrum."""
 
 import warnings
 from dataclasses import dataclass
@@ -52,8 +52,12 @@ class EigenResult:
     values: np.ndarray          # (L,), ascending
     vectors: np.ndarray         # (n, L), B-orthonormal columns
     residual_norms: np.ndarray  # (L,), ||A x - e B x|| / ||x||_B
-    iterations: int             # LOBPCG iterations over all runs; 0 if dense
-    classes: int = 1            # symmetry classes of the dense solve kept
+    iterations: int             # preconditioner applications, summed over
+                                # the runs and the classes; 0 if dense
+    classes: int = 1            # symmetry classes of the solve kept: 6 or 1
+    spare: np.ndarray = None    # (n, e): per class, the level computed
+                                # past the L that its bound does not
+                                # certify; the next solve's start for it
 
 
 def pcg_solve(A, b, tol=DEFAULT_PCG_TOL, max_iter=None,
@@ -119,85 +123,193 @@ def dense_path(n, L, dense_cutoff=DENSE_CUTOFF):
     return n <= dense_cutoff or L > n - 2
 
 
+def _lobpcg(A, B, X, precondition, tol, constraints=None):
+    """LOBPCG from the block X, B-orthogonal to the columns of
+    ``constraints`` when given, asked for tol/10, then a Rayleigh-Ritz
+    step; a block still above tol restarts from where it stopped, at
+    most LOBPCG_RUNS runs in all.  Returns the Ritz values, vectors and
+    residual norms of the last run."""
+    for _ in range(LOBPCG_RUNS):
+        # lobpcg warns when it stops above its tolerance or solves
+        # densely (n < 5L); the residual check decides instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                _, X = spla.lobpcg(A, X, B=B, M=precondition, Y=constraints,
+                                   tol=0.1 * tol, maxiter=LOBPCG_MAXITER,
+                                   largest=False)
+            except ValueError as exc:
+                # e.g. "Linearly dependent initial approximations" for a
+                # rank-deficient start block
+                raise ConvergenceError(f"lobpcg failed: {exc}") from exc
+        w, X, resid = _rayleigh_ritz(A, B, X)
+        if np.all(resid <= tol):
+            break
+    return w, X, resid
+
+
+def _class_starts(classes, start):
+    """Per class, an orthonormal (n_c, k_c) start block in first-row
+    coordinates: every column of ``start`` is given to the class that
+    holds most of it, and the class's share k_c is the rank of its
+    columns' first-row coordinates, for Eg and Eu each column's larger
+    row read through the transfer to the first (a level and its partner
+    give one column)."""
+    rows = [[Q.T @ start for Q in r] for r in classes.rows]
+    weight = np.array([sum(np.einsum("ij,ij->j", C, C) for C in coords)
+                       for coords in rows])
+    owner = np.argmax(weight, axis=0)
+    starts = []
+    for c, coords in enumerate(rows):
+        cols = np.flatnonzero(owner == c)
+        if len(cols) == 0:
+            starts.append(np.empty((coords[0].shape[0], 0)))
+            continue
+        norms = np.array([np.einsum("ij,ij->j", C[:, cols], C[:, cols])
+                          for C in coords])
+        Z = np.take_along_axis(np.stack([C[:, cols] for C in coords]),
+                               np.argmax(norms, axis=0)[None, None, :],
+                               axis=0)[0]
+        U, sv, _ = np.linalg.svd(Z, full_matrices=False)
+        starts.append(U[:, :np.count_nonzero(sv > 1e-2 * sv[0])])
+    return starts
+
+
+def _class_lobpcg(A, B, L, tol, seed, precondition, start, classes,
+                  bounds):
+    """LOBPCG per symmetry class of ``classes`` on the reduced pencil
+    (Q^T A Q, Q^T M Q) of each class's first row Q, preconditioned by
+    Q^T P Q for the full space's ``precondition`` P, each class from its
+    share of ``start`` (``_class_starts``); a class without a share runs
+    no LOBPCG.  A class c is then grown by one level, a LOBPCG on one
+    column B-orthogonal to its levels from a ``seed`` draw, while its
+    next level may lie below the highest merged level lambda_L: while
+    max(its highest level, bounds[c][k_c]) < lambda_L, k_c its levels,
+    the lowest such bound first.  So the merged set is the L lowest
+    levels of the pencil.  Returns the merged values and vectors
+    (``ClassSplit.merge``) and, per class, the first level it computed
+    past them where the bound alone would not certify that class, in
+    the full space: the next solve's start for it."""
+    sizes = classes.sizes
+    blocks = classes.blocks(A.csr)
+
+    def solve(c, Y, constraints=None):
+        Q = classes.rows[c][0]
+        return _lobpcg(blocks[c], classes.mass[c], Y,
+                       lambda R: Q.T @ precondition(Q @ R), tol,
+                       constraints)[:2]
+    values, vectors = [], []
+    for c, Y in enumerate(_class_starts(classes, start)):
+        w, Y = solve(c, Y) if Y.shape[1] else (np.empty(0), Y)
+        values.append(w)
+        vectors.append(Y)
+    rng = np.random.default_rng(seed)
+    while True:
+        merged = np.sort(np.concatenate(
+            [np.repeat(w, len(r)) for w, r in zip(values, classes.rows)]))
+        top = merged[L - 1] if len(merged) >= L else np.inf
+        nxt = [max(w[-1] if len(w) else -np.inf,
+                   b[len(w)] if len(w) < len(b) else -np.inf)
+               if len(w) < n_c else np.inf
+               for w, b, n_c in zip(values, bounds, sizes)]
+        c = int(np.argmin(nxt))
+        if nxt[c] >= top:
+            break
+        held = vectors[c] if len(values[c]) else None
+        w, y = solve(c, rng.standard_normal((sizes[c], 1)), held)
+        values[c] = np.concatenate([values[c], w])
+        vectors[c] = y if held is None else np.hstack([held, y])
+    w, X = classes.merge(values, vectors, L)
+    spare = []
+    for c, (v, Y, b) in enumerate(zip(values, vectors, bounds)):
+        held = np.count_nonzero(v <= w[-1]) if len(v) else 0
+        if held < len(v) and (held >= len(b) or b[held] < w[-1]):
+            spare.append(classes.rows[c][0] @ Y[:, held:held + 1])
+    return w, X, np.hstack(spare) if spare else None
 def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
                       dense_cutoff=DENSE_CUTOFF, preconditioner=None,
-                      start=None, classes=None):
+                      start=None, classes=None, bounds=None):
     """L algebraically smallest eigenpairs of A x = e B x.
 
-    A is symmetric (possibly indefinite), B is SPD.  Small problems
-    (``dense_path``) take a dense solve: per symmetry class of the mesh
-    when ``classes`` is the mesh's ``symmetry.ClassSplit`` (B must then
-    be the mesh's mass matrix; ``SpectrumSolver`` passes it when the
-    pencil keeps the mesh's symmetries), else, or when the class solve's
-    residuals exceed tol, one subset ``scipy.linalg.eigh`` of the whole
-    pencil; the result's ``classes`` counts the classes of the solve it
-    kept.  Otherwise LOBPCG runs with the preconditioner
+    A is symmetric (possibly indefinite), B is SPD.  ``classes`` is the
+    mesh's ``symmetry.ClassSplit`` when the pencil keeps the mesh's
+    symmetries (B must then be the mesh's mass matrix; ``SpectrumSolver``
+    passes it), and then both paths solve each symmetry class apart.
+
+    Small problems (``dense_path``) take a dense solve: one subset
+    ``eigh`` per class block (``ClassSplit.eigenvectors``), or of the
+    whole pencil.  Otherwise LOBPCG runs with the preconditioner
     ``preconditioner.solve``, or unpreconditioned when none is given;
     ``SpectrumSolver`` passes the exact inverse of the stiffness
-    (``spectrum.SineInverse``).  Its start block is the leading columns
-    of ``start`` (n, k), up to L, followed by standard normal columns
-    drawn from ``seed`` when k < L; ``SpectrumSolver`` passes its
-    previous block, or on its first sparse solve the perturbed Ritz
-    vectors of the reference pencil on the grid modes
+    (``spectrum.SineInverse``).  Per class (``_class_lobpcg``), every
+    column of ``start`` counts toward the share of the class that holds
+    it, and ``bounds``, per class lower bounds of its first levels
+    (``SpectrumSolver.class_bounds``; none: -inf), decide whether a
+    class must grow past its share.  For the whole pencil, the start
+    block is the leading columns of ``start`` (n, k), up to L, followed
+    by standard normal columns drawn from ``seed`` when k < L.
+    ``SpectrumSolver`` passes its previous block, or on its first sparse
+    solve the Ritz vectors of the reference pencil on the grid modes
     (``spectrum.SpectrumSolver.mode_estimates``).  LOBPCG is asked for
     tol/10; a block still above tol after the Rayleigh-Ritz step
-    restarts from where it stopped, at most LOBPCG_RUNS runs in all.
-    Every LOBPCG iteration that takes a step applies the preconditioner
-    (the identity when there is none) once, and those applications,
-    summed over the runs, are the result's ``iterations``.  Both paths
-    end in a Rayleigh-Ritz step and a residual check on the pencil
-    itself.  A ValueError from lobpcg, such as a rank-deficient start
-    block, becomes a ConvergenceError.
+    restarts from where it stopped, at most LOBPCG_RUNS runs in all
+    (``_lobpcg``).  Every LOBPCG iteration that takes a step applies the
+    preconditioner (the identity when there is none) once, and those
+    applications, summed over the runs and the classes, are the result's
+    ``iterations``.  Every path ends in a Rayleigh-Ritz step and a
+    residual check on the pencil itself; a class solve whose residuals
+    exceed tol is replaced by a solve of the whole pencil (from the
+    class solve's block on the sparse path), and the result's
+    ``classes`` counts the classes of the solve it kept.  A ValueError
+    from lobpcg, such as a rank-deficient start block, becomes a
+    ConvergenceError.
     """
     n = A.n
     if not 1 <= L <= n:
         raise ValueError(f"need 1 <= L <= {n}, got L={L}")
 
-    iterations, kept = 0, 1
-    if dense_path(n, L, dense_cutoff):
-        if classes is not None:
-            w, X, resid = _rayleigh_ritz(A, B,
-                                         classes.eigenvectors(A.csr, L))
-            kept = len(classes.rows)
-        if classes is None or np.any(resid > tol):
+    iterations, kept, spare = 0, 1, None
+
+    def precondition(R):
+        nonlocal iterations
+        iterations += 1
+        return R if preconditioner is None else preconditioner.solve(R)
+    dense = dense_path(n, L, dense_cutoff)
+    if classes is not None:
+        if dense:
+            X = classes.eigenvectors(A.csr, L)
+        else:
+            if bounds is None:
+                bounds = [np.empty(0)] * len(classes.rows)
+            _, X, spare = _class_lobpcg(
+                A, B, L, tol, seed, precondition,
+                np.empty((n, 0)) if start is None else start, classes,
+                bounds)
+        w, X, resid = _rayleigh_ritz(A, B, X)
+        kept = len(classes.rows)
+        if np.any(resid > tol):
             # the pencil keeps the mesh's symmetries too loosely for
             # tol: solve it whole
+            start, kept, spare = X, 1, None
+    if kept == 1:
+        if dense:
             _, X = sla.eigh(A.toarray(), B.toarray(),
                             subset_by_index=[0, L - 1])
             w, X, resid = _rayleigh_ritz(A, B, X)
-            kept = 1
-    else:
-        def precondition(R):
-            nonlocal iterations
-            iterations += 1
-            return R if preconditioner is None else preconditioner.solve(R)
-        X = np.empty((n, L))
-        k = 0
-        if start is not None:
-            k = min(start.shape[1], L)
-            X[:, :k] = start[:, :k]
-        if k < L:
-            X[:, k:] = np.random.default_rng(seed).standard_normal((n, L - k))
-        for _ in range(LOBPCG_RUNS):
-            # lobpcg warns when it stops above its tolerance or solves
-            # densely (n < 5L); the residual check below decides instead
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    _, X = spla.lobpcg(A.csr, X, B=B.csr,
-                                       M=precondition, tol=0.1 * tol,
-                                       maxiter=LOBPCG_MAXITER, largest=False)
-                except ValueError as exc:
-                    # e.g. "Linearly dependent initial approximations"
-                    # for a rank-deficient start block
-                    raise ConvergenceError(f"lobpcg failed: {exc}") from exc
-            w, X, resid = _rayleigh_ritz(A, B, X)
-            if np.all(resid <= tol):
-                break
+        else:
+            X = np.empty((n, L))
+            k = 0
+            if start is not None:
+                k = min(start.shape[1], L)
+                X[:, :k] = start[:, :k]
+            if k < L:
+                X[:, k:] = np.random.default_rng(seed).standard_normal(
+                    (n, L - k))
+            w, X, resid = _lobpcg(A.csr, B.csr, X, precondition, tol)
 
     if np.any(resid > tol):
         raise ConvergenceError(
             f"eigensolver residuals exceed tol={tol:g}: max "
             f"{resid.max():.3e}", residual=resid)
     return EigenResult(values=w, vectors=X, residual_norms=resid,
-                       iterations=iterations, classes=kept)
+                       iterations=iterations, classes=kept, spare=spare)

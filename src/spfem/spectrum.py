@@ -12,9 +12,11 @@ sine modes diagonalize (``SineInverse``: the kinetic-energy
 preconditioner of LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001), and
 its first block is the Ritz vectors of the reference pencil on the
 cube's lowest modes at the interior vertices
-(``SpectrumSolver.mode_estimates``).  The dense eigensolve of a pencil
-that keeps the mesh's symmetries takes the mesh's six symmetry classes
-(``symmetry.class_split``), each class block apart.
+(``SpectrumSolver.mode_estimates``).  Both eigensolves of a pencil
+that keeps the mesh's symmetries take the mesh's six symmetry classes
+(``symmetry.class_split``), each class block apart: the dense one, and
+LOBPCG, which certifies each class's cut with the class's own min-max
+bound (``SpectrumSolver.class_bounds``).
 """
 
 import math
@@ -30,10 +32,13 @@ from .quadrature import tet_rule
 
 PI2 = math.pi ** 2
 # relative size of the seeded perturbation added to every column of the
-# first LOBPCG block, the Ritz vectors on the grid modes: the Kuhn mesh,
-# V0 and the sine-transform preconditioner share the cube's symmetries,
-# so an exact Ritz block would never reach a level of a symmetry class
-# it lacks, nor the partner of a degenerate pair it cuts
+# first whole-pencil LOBPCG block, the Ritz vectors on the grid modes,
+# of a solver whose reference pencil lacks the mesh's symmetries; a
+# pencil that keeps them is solved per class from unperturbed class
+# Ritz vectors, which cannot miss a class or a partner (the class path
+# grows a class its block lacks), and without the noise its first
+# sweeps took no more preconditioner applications (98 against 102 on
+# benchmark 1 at m = 16, mu = 0.04)
 START_NOISE = 1e-2
 # relative asymmetry (``symmetry.asymmetry``) of the reference pencil and
 # of the vertex values of u up to which the dense solve splits the pencil
@@ -168,7 +173,8 @@ class SpectralSet:
     residual_norms: np.ndarray
     mesh: object = field(repr=False, default=None)
     iterations: int = 0            # LOBPCG iterations; 0 on the dense path
-    classes: int = 1               # symmetry classes solved apart: 6 or 1
+    classes: int = 1               # symmetry classes solved apart, by
+                                   # the dense solve or LOBPCG: 6 or 1
     floor: float = -math.inf       # W >= floor M; -inf: no bound known
     bounds: np.ndarray = None      # (min(L + 1, n_interior),)
 
@@ -222,30 +228,35 @@ class SpectrumSolver:
     assembled when the solver is made, from the caller's K when given;
     every ``solve`` adds W(u) to it and runs one eigensolve.
     ``preconditioner``, the exact inverse of K (``SineInverse``),
-    preconditions every LOBPCG solve.  A dense solve takes the mesh's
-    six symmetry classes (``symmetry.class_split``, built once per mesh)
-    when the solver is ``symmetric`` and the vertex values of u are
-    invariant under the mesh's symmetries to SYMMETRY_TOL, and the whole
-    pencil otherwise or when the class solve misses the tolerance.
-    ``symmetric`` is fixed when the solver is made: it holds when the
-    mesh has at most ``dense_cutoff`` unknowns and the reference pencil
-    keeps the symmetries to SYMMETRY_TOL (M always keeps them).
+    preconditions every LOBPCG solve.  Both the dense solve and LOBPCG
+    take the mesh's six symmetry classes (``symmetry.class_split``,
+    built once per mesh) when the solver is ``symmetric`` and the vertex
+    values of u are invariant under the mesh's symmetries to
+    SYMMETRY_TOL, and the whole pencil otherwise or when the class
+    solve misses the tolerance.  ``symmetric`` is fixed when the solver
+    is made: it holds when the reference pencil keeps the symmetries to
+    SYMMETRY_TOL (M always keeps them).
     ``floor``, the smallest value of V0 at the points of the reference
     pencil's rule (0 without V0, the smallest vertex value of a P1 V0),
     comes with it; a solve's ``SpectralSet.floor`` adds min(0, smallest
     vertex value of u), as a P1 weight is at least its smallest vertex
     value everywhere, and its ``bounds`` are ``level_bounds`` at that
-    floor.
+    floor; a class LOBPCG solve certifies each class's cut with
+    ``class_bounds`` at that floor.
     The solver's state between calls is ``block``, the last eigenvector
     block, from which the next solve starts (with seeded random columns
     appended when L grows, and its leading L columns taken when L
-    shrinks), and ``continuum``, the cube's levels that
-    ``level_bounds`` has needed so far.  ``mode_estimates`` estimates
+    shrinks); ``spare``, the levels the last class solve computed past
+    the block because their class's bound could not certify its cut,
+    which the next solve starts those classes with; and ``continuum``
+    and ``class_continuum``, the cube's levels that ``level_bounds`` and
+    ``class_bounds`` have needed so far.  ``mode_estimates`` estimates
     the levels of the reference pencil before any solve and, while
-    there is no block, keeps its perturbed Ritz vectors as the block,
-    seeded by ``seed``, unless every solve takes the dense path, which
-    needs no start block; a first sparse solve without a block calls
-    it for L levels.  Each
+    there is no block, keeps its Ritz vectors as the block, per class
+    for a ``symmetric`` solver and else perturbed and seeded by
+    ``seed``, unless every solve takes the dense path, which needs no
+    start block; a first sparse solve without a block calls it for L
+    levels.  Each
     ``solve`` runs to its own ``tol`` when given, else to the solver's:
     the SCF loop asks for loose early sweeps and ``tol`` itself at the
     end.
@@ -270,10 +281,12 @@ class SpectrumSolver:
         if V is not V0:
             self.floor = V.floor
         self.preconditioner = SineInverse(mesh.m)
-        self.symmetric = mesh.n_interior <= dense_cutoff and \
-            symmetry.asymmetry(mesh.m, self.reference[0].csr) <= SYMMETRY_TOL
+        self.symmetric = symmetry.asymmetry(
+            mesh.m, self.reference[0].csr) <= SYMMETRY_TOL
         self.block = None
+        self.spare = None
         self.continuum = np.empty(0)
+        self.class_continuum = None
 
     def solve(self, u, L, tol=None):
         """SpectralSet of the L lowest levels for the potential u + V0,
@@ -281,28 +294,32 @@ class SpectrumSolver:
         mesh = self.mesh
         A0, B = self.reference
         A = _add_potential(A0, mesh, u)
-        classes = None
-        if dense_path(A.n, L, self.dense_cutoff):
-            if self.symmetric and (u is None or symmetry.asymmetry(
-                    mesh.m, u.interior()) <= SYMMETRY_TOL):
-                classes = symmetry.class_split(mesh)
-        else:
+        floor = self.floor
+        if u is not None:
+            floor += min(0.0, float(u.coeffs.min()))
+        classes = bounds = start = None
+        if self.symmetric and (u is None or symmetry.asymmetry(
+                mesh.m, u.interior()) <= SYMMETRY_TOL):
+            classes = symmetry.class_split(mesh)
+        if not dense_path(A.n, L, self.dense_cutoff):
             if self.block is None:
                 self.mode_estimates(L)
-            if self.block.shape[1] > L:
-                self.block = self.block[:, :L].copy()
+            start = self.block[:, :L]
+            if self.spare is not None:
+                start = np.hstack([start, self.spare])
+            if classes is not None:
+                bounds = self.class_bounds(L + 1, floor)
         result = lowest_eigenpairs(A, B, L,
                                    tol=self.tol if tol is None else tol,
                                    seed=self.seed,
                                    dense_cutoff=self.dense_cutoff,
                                    preconditioner=self.preconditioner,
-                                   start=self.block, classes=classes)
+                                   start=start, classes=classes,
+                                   bounds=bounds)
         self.block = result.vectors
+        self.spare = result.spare
         coeffs = np.zeros((mesh.n_vertices, L))
         coeffs[mesh.interior_vertices] = result.vectors
-        floor = self.floor
-        if u is not None:
-            floor += min(0.0, float(u.coeffs.min()))
         return SpectralSet(result.values, coeffs, result.residual_norms,
                            mesh=mesh, iterations=result.iterations,
                            classes=result.classes, floor=floor,
@@ -322,6 +339,24 @@ class SpectrumSolver:
         return self.continuum[:count] + (self.floor if floor is None
                                          else floor)
 
+    def class_bounds(self, count, floor=None):
+        """Per symmetry class of the mesh (the order of
+        ``symmetry.CLASSES``), lower bounds mu_{c,i} + f of its first
+        min(count, n_c) levels, as ``level_bounds`` gives them for the
+        whole pencil: the cube's levels in the class
+        (``symmetry.class_levels``, one row of Eg and Eu) plus the
+        floor.  They are tabulated in ``class_continuum``, from twice
+        the modes that the count needs."""
+        need = np.minimum(count, symmetry.class_split(self.mesh).sizes)
+        table = self.class_continuum
+        modes = 24 * count
+        while table is None or any(len(t) < k for t, k in zip(table, need)):
+            table = symmetry.class_levels(modes)
+            modes *= 2
+        self.class_continuum = table
+        f = self.floor if floor is None else floor
+        return [t[:k] + f for t, k in zip(table, need)]
+
     def mode_estimates(self, count):
         """Ritz values of the reference pencil on the span of the lowest
         ``count`` grid modes (``grid_modes``, through the end of their
@@ -330,18 +365,40 @@ class SpectrumSolver:
         the cube's shells as the Kuhn mesh does.  A solver without a
         ``block`` that can take the sparse path (more than
         ``dense_cutoff`` unknowns) keeps the B-orthonormal Ritz vectors
-        as its block, each column plus a standard normal draw from
-        ``seed`` scaled to START_NOISE of its norm."""
+        as its block: for a ``symmetric`` solver those of each class on
+        its part of the span, merged as ``ClassSplit.merge`` merges
+        levels, and else those of the whole span, each column plus a
+        standard normal draw from ``seed`` scaled to START_NOISE of its
+        norm."""
         if count < 1:
             raise ValueError("count must be >= 1")
         A0, B = self.reference
         X = grid_modes(self.mesh.m, min(count, self.mesh.n_interior))
-        w, V = sla.eigh(X.T @ (A0 @ X), X.T @ (B @ X))
-        if self.block is None and self.mesh.n_interior > self.dense_cutoff:
+        keep = self.block is None and self.mesh.n_interior > self.dense_cutoff
+        if keep and self.symmetric:
+            # the modes' span is invariant, so each class holds its part
+            # of it: the columns of the span's projection whose Gram
+            # eigenvalue is 1, as the modes are orthogonal with norm m^3/2
+            split = symmetry.class_split(self.mesh)
+            values, vectors = [], []
+            for rows in split.rows:
+                Z = rows[0].T @ X
+                g, V = sla.eigh(Z.T @ Z)
+                Z = Z @ V[:, g > 0.5 * self.mesh.m ** 3]
+                QZ = rows[0] @ Z
+                w, V = sla.eigh(QZ.T @ (A0 @ QZ), QZ.T @ (B @ QZ))
+                values.append(w)
+                vectors.append(Z @ V)
+            w, X = split.merge(values, vectors, X.shape[1])
+        else:
+            w, V = sla.eigh(X.T @ (A0 @ X), X.T @ (B @ X))
             X = X @ V
-            noise = np.random.default_rng(self.seed).standard_normal(X.shape)
-            noise *= START_NOISE * np.linalg.norm(X, axis=0) \
-                / np.linalg.norm(noise, axis=0)
-            X += noise
+        if keep:
+            if not self.symmetric:
+                noise = np.random.default_rng(self.seed).standard_normal(
+                    X.shape)
+                noise *= START_NOISE * np.linalg.norm(X, axis=0) \
+                    / np.linalg.norm(noise, axis=0)
+                X += noise
             self.block = X
         return w

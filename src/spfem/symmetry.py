@@ -18,6 +18,7 @@ pencils needs, the class bases and the factors of the mass matrix's
 class blocks, and ``ClassSplit.eigenvectors`` solves one class at a time.
 """
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -34,6 +35,8 @@ _PERMS = np.array([p for p in itertools.permutations(range(3))
 _INVERTS = np.tile([False, True], 6)
 # the generators: two axis transpositions and the inversion
 GENERATORS = (4, 2, 1)
+# the rotations C3 of the axes: the identity and the two cyclic shifts
+_ROTATIONS = (0, 6, 8)
 # the plane orthogonal to (1, 1, 1), which the axis permutations rotate:
 # the two-dimensional representation of S3
 _PLANE = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T \
@@ -134,55 +137,133 @@ def class_bases(m):
     return bases
 
 
-class ClassSplit(NamedTuple):
-    """The symmetry classes of one mesh for the dense eigensolve
+class ClassSplit:
+    """The symmetry classes of one mesh for the eigensolve
     (``class_split``): ``rows``, per class the (n, n_c) sparse
-    orthonormal bases of its rows (``SymmetryClass.rows``); ``basis``,
-    the first rows of all classes side by side; and ``factors``, per
-    class the inverse F of the lower Cholesky factor of the mass
-    matrix's block, F basis^T M basis F^T = I."""
+    orthonormal bases of its rows (``SymmetryClass.rows``); ``mass``,
+    per class the sparse block Q^T M Q of the mass matrix M on its first
+    row Q; and ``factors``, built at the first dense solve, per class the
+    inverse F of the lower Cholesky factor of that block,
+    F Q^T M Q F^T = I.
 
-    basis: object
-    rows: list
-    factors: list
+    A matrix A that keeps the symmetries maps each row space into
+    itself, A Q = Q R, so its block R = Q^T A Q needs the rows of A Q at
+    a quarter of the vertices only: the images of one vertex v of each
+    orbit under the three rotations C3 of the axes.  For the C3 average
+    of D(g)^T S D(g) over a class's matrices D(g) is the average over
+    all 12 (C3 acts irreducibly on the plane of Eg and Eu), so the sum
+    of Q^T X over an orbit, 1/|H| times the sum over the group at v with
+    stabilizer H, is 4/|H| times the sum over C3 at v.  ``weights`` w
+    holds 4/|H| at those images (added when they coincide), 0 elsewhere,
+    and R = Q^T diag(w) A Q."""
+
+    def __init__(self, m, rows, mass):
+        self.rows = rows
+        img = images(m)
+        reps = np.flatnonzero(img.min(axis=0) == np.arange(img.shape[1]))
+        order = (img[:, reps] == reps).sum(axis=0)
+        weights = np.zeros(img.shape[1])
+        for g in _ROTATIONS:
+            np.add.at(weights, img[g, reps], 4.0 / order)
+        self.support = np.flatnonzero(weights)
+        self._weighted = [(r[0][self.support].T.multiply(
+            weights[self.support])).tocsr() for r in rows]
+        self.mass = self.blocks(mass)
+
+    @property
+    def sizes(self):
+        """(6,) int array: n_c, the columns of each class's first row."""
+        return np.array([r[0].shape[1] for r in self.rows])
 
     def blocks(self, A):
-        """The dense class blocks of the sparse matrix A: basis^T A
-        basis, reduced once, cut at the class boundaries."""
-        R = (self.basis.T @ (A @ self.basis)).toarray()
-        ends = np.cumsum([0] + [r[0].shape[1] for r in self.rows])
-        return [R[lo:hi, lo:hi] for lo, hi in zip(ends, ends[1:])]
+        """The sparse class blocks Q^T A Q of a sparse matrix A with the
+        mesh's symmetries, on the first row Q of every class, from the
+        rows of A at ``support``, symmetrized; no (n, n) array is
+        formed."""
+        A = A[self.support]
+        blocks = []
+        for W, r in zip(self._weighted, self.rows):
+            R = W @ (A @ r[0])
+            blocks.append((0.5 * (R + R.T)).tocsr())
+        return blocks
+
+    @functools.cached_property
+    def factors(self):
+        return [sla.solve_triangular(sla.cholesky(B.toarray(), lower=True),
+                                     np.eye(B.shape[0]), lower=True)
+                for B in self.mass]
+
+    def merge(self, values, vectors, L):
+        """The L lowest of the per-class levels ``values`` (ascending
+        arrays) with their vectors ``vectors`` (per class (n_c, k_c) in
+        first-row coordinates Y), merged stably by (value, class): a
+        level of a two-dimensional class counts twice, as Q_1 Y and as
+        its partner Q_2 Y.  A class without levels has an empty entry.
+        Returns the values and the (n, L) vectors."""
+        merged = [(w, Q @ Y) for w, Y, rows in zip(values, vectors,
+                                                  self.rows)
+                  for Q in rows if len(w)]
+        order = np.argsort(np.concatenate([w for w, _ in merged]),
+                           kind="stable")[:L]
+        return (np.concatenate([w for w, _ in merged])[order],
+                np.hstack([X for _, X in merged])[:, order])
 
     def eigenvectors(self, A, L):
         """The eigenvectors of the lowest L levels of A x = e M x, for a
         sparse A with the mesh's symmetries, from one dense subset
         ``eigh`` per class block R of A, in the standard form F R F^T,
-        up to min(L, n_c) levels each.  A level of a two-dimensional
-        class counts twice, as Q_1 Y and as its partner Q_2 Y; the
-        levels merge stably by (value, class)."""
+        up to min(L, n_c) levels each, merged by ``merge``."""
         values, vectors = [], []
-        for R, F, rows in zip(self.blocks(A), self.factors, self.rows):
-            k = min(L, len(R))
+        for R, F in zip(self.blocks(A), self.factors):
+            k = min(L, R.shape[0])
             if k == 0:
+                values.append(np.empty(0))
+                vectors.append(np.empty((0, 0)))
                 continue
-            w, V = sla.eigh(F @ R @ F.T, subset_by_index=[0, k - 1])
-            Y = F.T @ V
-            values += [w] * len(rows)
-            vectors += [Q @ Y for Q in rows]
-        order = np.argsort(np.concatenate(values), kind="stable")[:L]
-        return np.hstack(vectors)[:, order]
+            w, V = sla.eigh(F @ R.toarray() @ F.T, subset_by_index=[0, k - 1])
+            values.append(w)
+            vectors.append(F.T @ V)
+        return self.merge(values, vectors, L)[1]
 
 
 def class_split(mesh):
     """The mesh's ``ClassSplit``, built at the first call and kept in
     the mesh's ``_class_split``: the bases depend on m alone, and the
-    factors on the mass matrix, which keeps the mesh's symmetries."""
+    mass blocks and their factors on the mass matrix, which keeps the
+    mesh's symmetries."""
     if mesh._class_split is None:
-        rows = [c.rows for c in class_bases(mesh.m)]
-        split = ClassSplit(sp.hstack([r[0] for r in rows], format="csc"),
-                           rows, None)
-        mesh._class_split = split._replace(factors=[
-            sla.solve_triangular(sla.cholesky(B, lower=True),
-                                 np.eye(len(B)), lower=True)
-            for B in split.blocks(fem.assemble_mass(mesh).csr)])
+        mesh._class_split = ClassSplit(
+            mesh.m, [c.rows for c in class_bases(mesh.m)],
+            fem.assemble_mass(mesh).csr)
     return mesh._class_split
+
+
+def class_levels(count):
+    """Per class, in the order of ``CLASSES``, the ascending levels
+    (i^2 + j^2 + k^2) pi^2 of the cube's Dirichlet modes
+    sin(i pi x) sin(j pi y) sin(k pi z) that lie in the class, over the
+    complete shells of equal i^2 + j^2 + k^2 through the ``count``-th
+    mode; a level of Eg or Eu is listed once, for one row.
+
+    The inversion maps the mode to (-1)^(i+j+k+1) times itself, so it
+    lies in a g class when i + j + k is odd and in a u class when it is
+    even.  The axis permutations map it to the modes of the permuted
+    indices, whose span holds A1 + A2 + 2E when i, j, k are distinct,
+    A1 + E when two are equal and A1 when all are.  By min-max on the
+    class's subspace, the i-th level of a class of a conforming P1
+    pencil (K + W, M) with W >= f M is at least the i-th level listed
+    here plus f.
+    """
+    from .spectrum import PI2, cube_levels, cube_shells
+    s, i, j, k = cube_shells(round(cube_levels(count)[-1] / PI2))
+    orbit = (i <= j) & (j <= k)                   # one mode per orbit
+    s, i, j, k = s[orbit], i[orbit], j[orbit], k[orbit]
+    distinct = (i < j) & (j < k)
+    pair = ~distinct & (i != k)                    # two indices equal
+    levels = []
+    for parity in ((i + j + k) % 2 == 1, (i + j + k) % 2 == 0):
+        levels += [s[parity], s[parity & distinct],
+                   np.sort(np.concatenate([s[parity & pair],
+                                           np.repeat(s[parity & distinct],
+                                                     2)]))]
+    return [PI2 * lv for lv in levels]

@@ -253,7 +253,9 @@ def test_grid_modes_are_the_cube_modes_at_the_vertices(mesh8):
 
 
 def test_first_block_is_the_perturbed_ritz_vectors(mesh8, monkeypatch):
-    V0 = manufactured_problem(2, DistributionParams()).V0
+    # a V0 without the mesh's symmetries: the whole pencil's first
+    # LOBPCG block is perturbed
+    V0 = _tilted(mesh8)
     # a solver whose every solve is dense keeps no block
     dense = SpectrumSolver(mesh8, V0)
     dense.mode_estimates(6)
@@ -280,6 +282,29 @@ def test_first_block_is_the_perturbed_ritz_vectors(mesh8, monkeypatch):
     # a solver that has a block keeps it
     clean_solver.mode_estimates(20)
     assert clean_solver.block is X
+
+
+def test_symmetric_first_block_is_the_class_ritz_vectors(mesh8):
+    # a pencil with the mesh's symmetries: the first block is the Ritz
+    # vectors of each class on its part of the grid modes, unperturbed,
+    # and their values are those of the whole projection
+    V0 = manufactured_problem(2, DistributionParams()).V0
+    solver = SpectrumSolver(mesh8, V0, dense_cutoff=0)
+    assert solver.symmetric
+    est = solver.mode_estimates(6)
+    np.testing.assert_allclose(est, SpectrumSolver(mesh8, V0).mode_estimates(6),
+                               rtol=1e-12)
+    A, B = solver.reference
+    X = solver.block
+    assert X.shape == (mesh8.n_interior, 7)
+    np.testing.assert_allclose(X.T @ (B @ X), np.eye(7), atol=1e-12)
+    np.testing.assert_allclose(X.T @ (A @ X), np.diag(est),
+                               atol=1e-10 * est.max())
+    # every column lies in one row of one class: no noise
+    rows = [Q for r in symmetry.class_split(mesh8).rows for Q in r]
+    weight = np.array([np.sum((Q.T @ X) ** 2, axis=0) for Q in rows])
+    np.testing.assert_allclose(weight.max(axis=0), np.sum(X * X, axis=0),
+                               rtol=1e-12)
 
 
 def test_sparse_fixed_point_solve_projects_onto_grid_modes_once(

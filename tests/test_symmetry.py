@@ -1,12 +1,18 @@
-"""The symmetry classes of the Kuhn mesh and the dense eigensolve that
-splits a pencil into them, against the full ``eigh`` as the oracle."""
+"""The symmetry classes of the Kuhn mesh and the eigensolves that split
+a pencil into them, against the full ``eigh`` and the whole pencil's
+LOBPCG as the oracles."""
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spfem import fem, scf, spectrum, symmetry
+from spfem import fem, linsolve, scf, spectrum, symmetry
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import manufactured_problem
@@ -238,3 +244,204 @@ def test_two_solves_on_one_mesh_split_it_once(monkeypatch):
     assert built == [8]
     assert symmetry.class_split(mesh) is split
     assert all(a is b for a, b in zip(split.factors, factors))
+
+
+def test_class_levels_are_the_cube_levels():
+    # each level of Eg and Eu is listed once, for one row
+    for count in (1, 7, 50, 513):
+        levels = symmetry.class_levels(count)
+        assert len(levels) == 6
+        assert all(np.all(np.diff(lv) >= 0.0) for lv in levels)
+        union = np.sort(np.concatenate(
+            [np.tile(lv, D.shape[1])
+             for lv, (_, D) in zip(levels, symmetry.CLASSES)]))
+        assert len(union) >= count
+        np.testing.assert_array_equal(union,
+                                      spectrum.cube_levels(len(union)))
+    # the lowest level of each class: (1,1,1) A1g, (1,1,2) A1u + Eu,
+    # (1,2,2) A1g + Eg, (1,2,3) A2u, (1,2,4) A2g
+    lowest = [lv[0] / spectrum.PI2 for lv in symmetry.class_levels(100)]
+    assert lowest == [3.0, 21.0, 9.0, 6.0, 14.0, 6.0]
+
+
+@functools.cache
+def _symmetric_problem(m, name):
+    mesh = build_structured_mesh(m)
+    V0 = None if name is None else manufactured_problem(
+        int(name[-1]), DistributionParams()).V0
+    return mesh, V0, symmetry.images(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([4, 6, 8]),
+       potential=st.sampled_from([None, "benchmark 1", "benchmark 2"]),
+       amplitude=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_class_levels_lie_above_the_class_continuum_plus_the_floor(
+        m, potential, amplitude, seed):
+    # min-max on each class's subspace: the i-th level of a class of the
+    # pencil for a symmetric u + V0 is at least the i-th level of the
+    # cube's modes in that class plus the solve's potential floor
+    mesh, V0, img = _symmetric_problem(m, potential)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.n_interior)
+    u = fem.FeField.from_interior(mesh, amplitude * x[img].mean(axis=0))
+    solver = SpectrumSolver(mesh, V0)
+    spectral = solver.solve(u, 1)
+    assert spectral.classes == 6
+    A, _ = assemble_hamiltonian(mesh, u, V0)
+    split = symmetry.class_split(mesh)
+    bounds = solver.class_bounds(mesh.n_interior, spectral.floor)
+    for R, Mc, bound, n_c in zip(split.blocks(A.csr), split.mass, bounds,
+                                 split.sizes):
+        if n_c == 0:
+            continue
+        lam = sla.eigh(R.toarray(), Mc.toarray(), eigvals_only=True)
+        assert len(bound) == n_c
+        assert np.all(lam >= bound - 1e-9 * np.abs(lam))
+
+
+def _gap_count(values, most):
+    """The largest L <= most with a relative gap above 1 % after it."""
+    gaps = np.flatnonzero(np.diff(values[:most + 1])
+                          > 0.01 * np.abs(values[1:most + 1])) + 1
+    return int(gaps[-1])
+
+
+def _grams(mesh, coeffs, values):
+    """The step Gram of each eigenspace (levels equal to 1e-8) of the
+    vertex values ``coeffs``."""
+    cuts = np.flatnonzero(np.diff(values) > 1e-8 * np.abs(values[1:])) + 1
+    return [fem.step_gram(mesh, coeffs[:, space], np.ones(len(space)))
+            for space in np.split(np.arange(len(values)), cuts)]
+
+
+@pytest.mark.parametrize("example", [1, 2])
+@pytest.mark.parametrize("m", [12, 16])
+def test_class_lobpcg_matches_the_whole_pencil(example, m):
+    # the sparse class path against the unreduced LOBPCG, on a small and
+    # a wide block that end at a gap: the levels, and the step Gram of
+    # every eigenspace, which no rotation within it changes
+    mesh = build_structured_mesh(m)
+    V0 = manufactured_problem(example, DistributionParams()).V0
+    solver = SpectrumSolver(mesh, V0)
+    A, B = solver.reference
+    whole = linsolve.lowest_eigenpairs(
+        A, B, 40, tol=solver.tol, preconditioner=solver.preconditioner)
+    assert whole.classes == 1
+    coeffs = np.zeros((mesh.n_vertices, 40))
+    coeffs[mesh.interior_vertices] = whole.vectors
+    for most in (12, 36):
+        L = _gap_count(whole.values, most)
+        s = solver.solve(None, L)
+        assert s.classes == 6 and s.iterations > 0
+        np.testing.assert_allclose(s.eigenvalues, whole.values[:L],
+                                   rtol=1e-10)
+        for got, ref in zip(_grams(mesh, s.coefficients, s.eigenvalues),
+                            _grams(mesh, coeffs[:, :L], whole.values[:L])):
+            assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+def _class_solve(mesh, V0, L, start):
+    solver = SpectrumSolver(mesh, V0)
+    A, B = solver.reference
+    return linsolve.lowest_eigenpairs(
+        A, B, L, tol=solver.tol, preconditioner=solver.preconditioner,
+        start=start, classes=symmetry.class_split(mesh),
+        bounds=solver.class_bounds(L + 1))
+
+
+def test_class_lobpcg_grows_a_class_its_start_lacks(monkeypatch):
+    # a start block without the A1u levels, one with a single column of
+    # the A1g levels, and none at all: each class is grown until its
+    # bound or its own next level certifies the cut, and every result
+    # is the L lowest levels of the pencil
+    mesh = build_structured_mesh(10)
+    V0 = manufactured_problem(1, DistributionParams()).V0
+    solver = SpectrumSolver(mesh, V0)
+    A, B = solver.reference
+    L = 16
+    ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
+                   subset_by_index=[0, L - 1])
+    full = solver.solve(None, L)
+    assert full.classes == 6
+    X = full.coefficients[mesh.interior_vertices]
+    split = symmetry.class_split(mesh)
+    weight = np.array([sum(np.sum((Q.T @ X) ** 2, axis=0) for Q in rows)
+                       for rows in split.rows])
+    owner = np.argmax(weight, axis=0)
+    a1g, a1u = (np.flatnonzero(owner == c) for c in (0, 3))
+    assert len(a1g) > 1 and len(a1u) > 0
+    grown = []
+    lobpcg = linsolve._lobpcg
+
+    def recording(A, B, X, precondition, tol, constraints=None):
+        grown.append(constraints is not None)
+        return lobpcg(A, B, X, precondition, tol, constraints)
+    monkeypatch.setattr(linsolve, "_lobpcg", recording)
+    for start in (np.delete(X, a1u, axis=1), np.delete(X, a1g[1:], axis=1),
+                  None):
+        grown.clear()
+        res = _class_solve(mesh, V0, L, start)
+        assert res.classes == 6 and any(grown)
+        np.testing.assert_allclose(res.values, ref, rtol=1e-10)
+
+
+def test_class_lobpcg_solves_each_share_and_no_margin(monkeypatch):
+    # benchmark 1 at m = 16, 11 levels: the bounds certify every class's
+    # cut, so each class solves its share of the block and nothing more,
+    # and the classes without a share (A2g, A2u) run no LOBPCG
+    mesh = build_structured_mesh(16)
+    V0 = manufactured_problem(1, DistributionParams()).V0
+    solver = SpectrumSolver(mesh, V0)
+    s = solver.solve(None, 11)
+    assert s.classes == 6 and solver.spare is None
+    runs = []
+    lobpcg = linsolve._lobpcg
+
+    split = symmetry.class_split(mesh)
+
+    def recording(A, B, X, precondition, tol, constraints=None):
+        c = next(c for c, Mc in enumerate(split.mass) if Mc is B)
+        runs.append((c, X.shape[1], constraints is None))
+        return lobpcg(A, B, X, precondition, tol, constraints)
+    monkeypatch.setattr(linsolve, "_lobpcg", recording)
+    again = solver.solve(None, 11)
+    np.testing.assert_allclose(again.eigenvalues, s.eigenvalues, rtol=1e-10)
+    shares = {c: k for c, k, _ in runs}
+    assert len(shares) == len(runs)
+    assert all(free for _, _, free in runs)
+    assert sorted(shares) == [0, 2, 3, 5]
+    assert sum(k * len(split.rows[c]) for c, k in shares.items()) == 11
+
+
+def test_tilted_sparse_pencils_run_whole():
+    # n = 729: the sparse path; a tilted u solves the whole pencil
+    mesh = build_structured_mesh(10)
+    V0 = manufactured_problem(2, DistributionParams()).V0
+    tilt = _tilted(mesh)
+    solver = SpectrumSolver(mesh, V0)
+    assert solver.solve(None, 8).classes == 6
+    s = solver.solve(tilt, 8)
+    assert s.classes == 1 and s.iterations > 0
+    A, B = assemble_hamiltonian(mesh, tilt, V0)
+    ref = sla.eigh(A.toarray(), B.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 7])
+    np.testing.assert_allclose(s.eigenvalues, ref, rtol=1e-10)
+    assert not SpectrumSolver(mesh, tilt).symmetric
+
+
+def test_class_path_forms_no_dense_square_array():
+    # m = 24, n = 12167: the solver, the mesh's class split and a class
+    # LOBPCG solve together stay far below one (n, n) float64 array;
+    # a dense reduction on the first rows of all classes, (2n/3)^2 of
+    # them, would not
+    mesh = build_structured_mesh(24)
+    n = mesh.n_interior
+    tracemalloc.start()
+    try:
+        solver = SpectrumSolver(mesh, None)
+        s = solver.solve(None, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.classes == 6
+    assert peak < 0.1 * 8 * n * n
