@@ -2,12 +2,15 @@
 
 The sparse eigensolver is LOBPCG preconditioned by the exact inverse of
 the stiffness, applied with sine transforms along the three grid axes
-(``spectrum.SineInverse``).  For benchmark 1 on m = 16, 24 and 32 this
-prints the SCF wall time, the peak resident memory of the process so
-far (the meshes run in increasing size, so it is the peak of the
-largest) and the LOBPCG iterations of each SCF step, as the solve
-records them (``IterationRecord.eig_iterations``; each iteration
-applies the preconditioner once).  The last step is the loop's
+(``spectrum.SineInverse``), run per symmetry class of the Kuhn mesh
+when the pencil keeps its symmetries.  For benchmark 1 on m = 16, 24
+and 32 this prints the SCF wall time, the peak resident memory of the
+process so far (the meshes run in increasing size, so it is the peak of
+the largest), the number of symmetry classes the final-state solve
+split the pencil into (6, or 1 for the whole pencil) with the levels
+each class holds, and the preconditioner applications of each SCF step,
+as the solve records them (``IterationRecord.eig_iterations``: one per
+LOBPCG iteration of each class).  The last step is the loop's
 final-state solve, whose count the returned density's spectral set
 carries.
 """
@@ -15,9 +18,11 @@ carries.
 import resource
 import time
 
+import numpy as np
+
 from spfem import (DistributionParams, ScfConfig, ScfModel,
                    build_structured_mesh, fixed_point_solve,
-                   manufactured_problem)
+                   manufactured_problem, symmetry)
 
 p = DistributionParams()
 problem = manufactured_problem(1, p)
@@ -33,4 +38,13 @@ for m in (16, 24, 32):
     print(f"m={m:3d}  n={mesh.n_interior:6d}  {wall:6.1f} s  "
           f"peak RSS {rss:6.0f} MB  {len(report.iterations)} SCF steps, "
           f"converged={report.converged}")
+    spectral = report.density.spectral
+    X = spectral.coefficients[mesh.interior_vertices]
+    rows = symmetry.class_split(mesh).rows
+    owner = np.argmax([sum(np.sum((Q.T @ X) ** 2, axis=0) for Q in r)
+                       for r in rows], axis=0)
+    held = ", ".join(f"{name} {np.count_nonzero(owner == c)}"
+                     for c, (name, _) in enumerate(symmetry.CLASSES))
+    print(f"       classes solved apart: {spectral.classes} "
+          f"(levels held: {held})")
     print(f"       LOBPCG iterations per SCF step: {steps}")

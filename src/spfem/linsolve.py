@@ -191,15 +191,19 @@ def _class_lobpcg(A, B, L, tol, seed, precondition, start, classes,
     past them where the bound alone would not certify that class, in
     the full space: the next solve's start for it."""
     sizes = classes.sizes
-    blocks = classes.blocks(A.csr)
+    starts = _class_starts(classes, start)
+    blocks = classes.blocks(A.csr, [c for c, Y in enumerate(starts)
+                                    if Y.shape[1]])
 
     def solve(c, Y, constraints=None):
+        if blocks[c] is None:
+            blocks[c] = classes.blocks(A.csr, [c])[c]
         Q = classes.rows[c][0]
         return _lobpcg(blocks[c], classes.mass[c], Y,
                        lambda R: Q.T @ precondition(Q @ R), tol,
                        constraints)[:2]
     values, vectors = [], []
-    for c, Y in enumerate(_class_starts(classes, start)):
+    for c, Y in enumerate(starts):
         w, Y = solve(c, Y) if Y.shape[1] else (np.empty(0), Y)
         values.append(w)
         vectors.append(Y)

@@ -166,8 +166,9 @@ class ClassSplit:
         for g in _ROTATIONS:
             np.add.at(weights, img[g, reps], 4.0 / order)
         self.support = np.flatnonzero(weights)
-        self._weighted = [(r[0][self.support].T.multiply(
-            weights[self.support])).tocsr() for r in rows]
+        self._first = [r[0].tocsr() for r in rows]
+        self._weighted = [(Q[self.support].T.multiply(
+            weights[self.support])).tocsr() for Q in self._first]
         self.mass = self.blocks(mass)
 
     @property
@@ -175,16 +176,19 @@ class ClassSplit:
         """(6,) int array: n_c, the columns of each class's first row."""
         return np.array([r[0].shape[1] for r in self.rows])
 
-    def blocks(self, A):
+    def blocks(self, A, which=None):
         """The sparse class blocks Q^T A Q of a sparse matrix A with the
-        mesh's symmetries, on the first row Q of every class, from the
-        rows of A at ``support``, symmetrized; no (n, n) array is
-        formed."""
+        mesh's symmetries, on the first row Q of every class in
+        ``which`` (all by default; None for the others), from the rows of
+        A at ``support``, symmetrized; no (n, n) array is formed."""
         A = A[self.support]
         blocks = []
-        for W, r in zip(self._weighted, self.rows):
-            R = W @ (A @ r[0])
-            blocks.append((0.5 * (R + R.T)).tocsr())
+        for c, (W, Q) in enumerate(zip(self._weighted, self._first)):
+            R = None
+            if which is None or c in which:
+                R = W @ (A @ Q)
+                R = (0.5 * (R + R.T)).tocsr()
+            blocks.append(R)
         return blocks
 
     @functools.cached_property
