@@ -140,11 +140,12 @@ def class_bases(m):
 class ClassSplit:
     """The symmetry classes of one mesh for the eigensolve
     (``class_split``): ``rows``, per class the (n, n_c) sparse
-    orthonormal bases of its rows (``SymmetryClass.rows``); ``mass``,
-    per class the sparse block Q^T M Q of the mass matrix M on its first
-    row Q; and ``factors``, built at the first dense solve, per class the
-    inverse F of the lower Cholesky factor of that block,
-    F Q^T M Q F^T = I.
+    orthonormal bases of its rows (``SymmetryClass.rows``); ``basis``,
+    the first rows of all classes side by side; ``mass``, per class the
+    sparse block Q^T M Q of the mass matrix M on its first row Q
+    (``blocks``), built at the first sparse solve; and ``factors``, built
+    at the first dense solve, per class the inverse F of the lower
+    Cholesky factor of that block, F Q^T M Q F^T = I.
 
     A matrix A that keeps the symmetries maps each row space into
     itself, A Q = Q R, so its block R = Q^T A Q needs the rows of A Q at
@@ -153,23 +154,34 @@ class ClassSplit:
     of D(g)^T S D(g) over a class's matrices D(g) is the average over
     all 12 (C3 acts irreducibly on the plane of Eg and Eu), so the sum
     of Q^T X over an orbit, 1/|H| times the sum over the group at v with
-    stabilizer H, is 4/|H| times the sum over C3 at v.  ``weights`` w
-    holds 4/|H| at those images (added when they coincide), 0 elsewhere,
-    and R = Q^T diag(w) A Q."""
+    stabilizer H, is 4/|H| times the sum over C3 at v.  With w holding
+    4/|H| at those images (added where they coincide) and 0 elsewhere,
+    R = Q^T diag(w) A Q."""
 
     def __init__(self, m, rows, mass):
+        self.m = m
         self.rows = rows
-        img = images(m)
+        self.basis = sp.hstack([r[0] for r in rows], format="csc")
+        self._mass_matrix = mass
+
+    @functools.cached_property
+    def _reduction(self):
+        """The support of w, and per class the first row Q in CSR and
+        Q^T diag(w) restricted to the support's rows."""
+        img = images(self.m)
         reps = np.flatnonzero(img.min(axis=0) == np.arange(img.shape[1]))
         order = (img[:, reps] == reps).sum(axis=0)
         weights = np.zeros(img.shape[1])
         for g in _ROTATIONS:
             np.add.at(weights, img[g, reps], 4.0 / order)
-        self.support = np.flatnonzero(weights)
-        self._first = [r[0].tocsr() for r in rows]
-        self._weighted = [(Q[self.support].T.multiply(
-            weights[self.support])).tocsr() for Q in self._first]
-        self.mass = self.blocks(mass)
+        support = np.flatnonzero(weights)
+        first = [r[0].tocsr() for r in self.rows]
+        return support, first, [(Q[support].T.multiply(weights[support]))
+                                .tocsr() for Q in first]
+
+    @functools.cached_property
+    def mass(self):
+        return self.blocks(self._mass_matrix)
 
     @property
     def sizes(self):
@@ -180,10 +192,12 @@ class ClassSplit:
         """The sparse class blocks Q^T A Q of a sparse matrix A with the
         mesh's symmetries, on the first row Q of every class in
         ``which`` (all by default; None for the others), from the rows of
-        A at ``support``, symmetrized; no (n, n) array is formed."""
-        A = A[self.support]
+        A at the support of w, symmetrized; no (n, n) array is
+        formed."""
+        support, first, weighted = self._reduction
+        A = A[support]
         blocks = []
-        for c, (W, Q) in enumerate(zip(self._weighted, self._first)):
+        for c, (W, Q) in enumerate(zip(weighted, first)):
             R = None
             if which is None or c in which:
                 R = W @ (A @ Q)
@@ -191,11 +205,19 @@ class ClassSplit:
             blocks.append(R)
         return blocks
 
+    def _dense_blocks(self, A):
+        """The dense class blocks basis^T A basis of the sparse matrix A,
+        reduced at once, cut at the class boundaries: for the dense path,
+        whose blocks are small."""
+        R = (self.basis.T @ (A @ self.basis)).toarray()
+        ends = np.cumsum([0] + list(self.sizes))
+        return [R[lo:hi, lo:hi] for lo, hi in zip(ends, ends[1:])]
+
     @functools.cached_property
     def factors(self):
-        return [sla.solve_triangular(sla.cholesky(B.toarray(), lower=True),
-                                     np.eye(B.shape[0]), lower=True)
-                for B in self.mass]
+        return [sla.solve_triangular(sla.cholesky(B, lower=True),
+                                     np.eye(len(B)), lower=True)
+                for B in self._dense_blocks(self._mass_matrix)]
 
     def merge(self, values, vectors, L):
         """The L lowest of the per-class levels ``values`` (ascending
@@ -218,13 +240,13 @@ class ClassSplit:
         ``eigh`` per class block R of A, in the standard form F R F^T,
         up to min(L, n_c) levels each, merged by ``merge``."""
         values, vectors = [], []
-        for R, F in zip(self.blocks(A), self.factors):
-            k = min(L, R.shape[0])
+        for R, F in zip(self._dense_blocks(A), self.factors):
+            k = min(L, len(R))
             if k == 0:
                 values.append(np.empty(0))
                 vectors.append(np.empty((0, 0)))
                 continue
-            w, V = sla.eigh(F @ R.toarray() @ F.T, subset_by_index=[0, k - 1])
+            w, V = sla.eigh(F @ R @ F.T, subset_by_index=[0, k - 1])
             values.append(w)
             vectors.append(F.T @ V)
         return self.merge(values, vectors, L)[1]
