@@ -175,8 +175,7 @@ def _class_starts(classes, start):
     return starts
 
 
-def _class_lobpcg(A, B, L, tol, seed, precondition, start, classes,
-                  bounds):
+def _class_lobpcg(A, L, tol, seed, precondition, start, classes, bounds):
     """LOBPCG per symmetry class of ``classes`` on the reduced pencil
     (Q^T A Q, Q^T M Q) of each class's first row Q, preconditioned by
     Q^T P Q for the full space's ``precondition`` P, each class from its
@@ -230,6 +229,8 @@ def _class_lobpcg(A, B, L, tol, seed, precondition, start, classes,
         if held < len(v) and (held >= len(b) or b[held] < w[-1]):
             spare.append(classes.rows[c][0] @ Y[:, held:held + 1])
     return w, X, np.hstack(spare) if spare else None
+
+
 def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
                       dense_cutoff=DENSE_CUTOFF, preconditioner=None,
                       start=None, classes=None, bounds=None):
@@ -286,7 +287,7 @@ def lowest_eigenpairs(A, B, L, tol=DEFAULT_EIG_TOL, seed=0,
             if bounds is None:
                 bounds = [np.empty(0)] * len(classes.rows)
             _, X, spare = _class_lobpcg(
-                A, B, L, tol, seed, precondition,
+                A, L, tol, seed, precondition,
                 np.empty((n, 0)) if start is None else start, classes,
                 bounds)
         w, X, resid = _rayleigh_ritz(A, B, X)

@@ -140,12 +140,12 @@ def class_bases(m):
 class ClassSplit:
     """The symmetry classes of one mesh for the eigensolve
     (``class_split``): ``rows``, per class the (n, n_c) sparse
-    orthonormal bases of its rows (``SymmetryClass.rows``); ``basis``,
-    the first rows of all classes side by side; ``mass``, per class the
-    sparse block Q^T M Q of the mass matrix M on its first row Q
-    (``blocks``), built at the first sparse solve; and ``factors``, built
-    at the first dense solve, per class the inverse F of the lower
-    Cholesky factor of that block, F Q^T M Q F^T = I.
+    orthonormal bases of its rows (``SymmetryClass.rows``, in CSR);
+    ``mass``, per class the sparse block Q^T M Q of the mass matrix M on
+    its first row Q; and, built at the first dense solve, ``basis``, the
+    first rows of all classes side by side, and ``factors``, per class
+    the inverse F of the lower Cholesky factor of the mass block,
+    F Q^T M Q F^T = I.
 
     A matrix A that keeps the symmetries maps each row space into
     itself, A Q = Q R, so its block R = Q^T A Q needs the rows of A Q at
@@ -161,13 +161,16 @@ class ClassSplit:
     def __init__(self, m, rows, mass):
         self.m = m
         self.rows = rows
-        self.basis = sp.hstack([r[0] for r in rows], format="csc")
-        self._mass_matrix = mass
+        self.mass = [(r[0].T @ (mass @ r[0])).tocsr() for r in rows]
+
+    @functools.cached_property
+    def basis(self):
+        return sp.hstack([r[0] for r in self.rows], format="csc")
 
     @functools.cached_property
     def _reduction(self):
-        """The support of w, and per class the first row Q in CSR and
-        Q^T diag(w) restricted to the support's rows."""
+        """The support of w, and per class Q^T diag(w) restricted to the
+        support's rows."""
         img = images(self.m)
         reps = np.flatnonzero(img.min(axis=0) == np.arange(img.shape[1]))
         order = (img[:, reps] == reps).sum(axis=0)
@@ -175,13 +178,8 @@ class ClassSplit:
         for g in _ROTATIONS:
             np.add.at(weights, img[g, reps], 4.0 / order)
         support = np.flatnonzero(weights)
-        first = [r[0].tocsr() for r in self.rows]
-        return support, first, [(Q[support].T.multiply(weights[support]))
-                                .tocsr() for Q in first]
-
-    @functools.cached_property
-    def mass(self):
-        return self.blocks(self._mass_matrix)
+        return support, [(r[0][support].T.multiply(weights[support]))
+                         .tocsr() for r in self.rows]
 
     @property
     def sizes(self):
@@ -194,13 +192,13 @@ class ClassSplit:
         ``which`` (all by default; None for the others), from the rows of
         A at the support of w, symmetrized; no (n, n) array is
         formed."""
-        support, first, weighted = self._reduction
+        support, weighted = self._reduction
         A = A[support]
         blocks = []
-        for c, (W, Q) in enumerate(zip(weighted, first)):
+        for c, (W, r) in enumerate(zip(weighted, self.rows)):
             R = None
             if which is None or c in which:
-                R = W @ (A @ Q)
+                R = W @ (A @ r[0])
                 R = (0.5 * (R + R.T)).tocsr()
             blocks.append(R)
         return blocks
@@ -215,9 +213,9 @@ class ClassSplit:
 
     @functools.cached_property
     def factors(self):
-        return [sla.solve_triangular(sla.cholesky(B, lower=True),
-                                     np.eye(len(B)), lower=True)
-                for B in self._dense_blocks(self._mass_matrix)]
+        return [sla.solve_triangular(sla.cholesky(B.toarray(), lower=True),
+                                     np.eye(B.shape[0]), lower=True)
+                for B in self.mass]
 
     def merge(self, values, vectors, L):
         """The L lowest of the per-class levels ``values`` (ascending
@@ -259,7 +257,8 @@ def class_split(mesh):
     mesh's symmetries."""
     if mesh._class_split is None:
         mesh._class_split = ClassSplit(
-            mesh.m, [c.rows for c in class_bases(mesh.m)],
+            mesh.m, [tuple(Q.tocsr() for Q in c.rows)
+                     for c in class_bases(mesh.m)],
             fem.assemble_mass(mesh).csr)
     return mesh._class_split
 

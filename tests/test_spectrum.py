@@ -292,8 +292,8 @@ def test_symmetric_first_block_is_the_class_ritz_vectors(mesh8):
     solver = SpectrumSolver(mesh8, V0, dense_cutoff=0)
     assert solver.symmetric
     est = solver.mode_estimates(6)
-    np.testing.assert_allclose(est, SpectrumSolver(mesh8, V0).mode_estimates(6),
-                               rtol=1e-12)
+    np.testing.assert_allclose(
+        est, SpectrumSolver(mesh8, V0).mode_estimates(6), rtol=1e-12)
     A, B = solver.reference
     X = solver.block
     assert X.shape == (mesh8.n_interior, 7)
