@@ -149,8 +149,8 @@ class ClassSplit:
 
     A matrix A that keeps the symmetries maps each row space into
     itself, A Q = Q R, so its block R = Q^T A Q needs the rows of A Q at
-    a quarter of the vertices only: the images of one vertex v of each
-    orbit under the three rotations C3 of the axes.  For the C3 average
+    the images of one vertex v of each orbit under the three rotations
+    C3 of the axes only (3 of the 12 vertices of a generic orbit).  For the C3 average
     of D(g)^T S D(g) over a class's matrices D(g) is the average over
     all 12 (C3 acts irreducibly on the plane of Eg and Eu), so the sum
     of Q^T X over an orbit, 1/|H| times the sum over the group at v with
@@ -279,7 +279,7 @@ def class_levels(count):
     pencil (K + W, M) with W >= f M is at least the i-th level listed
     here plus f.
     """
-    from .spectrum import PI2, cube_levels, cube_shells
+    from .spectrum import PI2, cube_levels, cube_shells   # imports us
     s, i, j, k = cube_shells(round(cube_levels(count)[-1] / PI2))
     orbit = (i <= j) & (j <= k)                   # one mode per orbit
     s, i, j, k = s[orbit], i[orbit], j[orbit], k[orbit]
