@@ -95,14 +95,18 @@ class Mesh:
 
     def point_axes(self, rule, slabs=None):
         """The points of ``physical_points(rule, slabs)`` as per-axis
-        coordinate tables and indices (``PointAxes``), in closed form.
+        coordinate tables and point kinds (``PointAxes``), in closed form.
 
-        Along each axis a point's coordinate is (c + u) / m, c its cell
-        index and u one of the rule's distinct Kuhn offsets on that axis
-        (6, 16 and 21 of them for degrees 2, 4 and 5); an (x, y) pair is
-        a cell column and one of the rule's distinct offset pairs.  The
-        coordinates are computed as in ``physical_points``, so they are
-        the same floats; a coordinate may repeat where two cells meet.
+        A cell holds the rule's points on its six Kuhn simplices, 6 nq
+        point kinds.  Along each axis a point's coordinate is
+        (c + u) / m, c its cell index and u one of the rule's distinct
+        Kuhn offsets on that axis (6, 16 and 21 of them for degrees 2, 4
+        and 5), fixed by its kind.  So the point of kind p in cell
+        (cx, cy, cz) is (x[cx, kinds[0, p]], y[cy, kinds[1, p]],
+        z[cz, kinds[2, p]]), and the points come in the order (cx, cy,
+        cz, p) of ``physical_points``.  The coordinates are computed as
+        in ``physical_points``, so they are the same floats; a
+        coordinate may repeat where two cells meet.
         """
         m = self.m
         slabs = range(m) if slabs is None else slabs
@@ -111,35 +115,27 @@ class Mesh:
                 for d in range(3)]
         starts = (slabs.start, 0, 0)
         counts = (len(slabs), m, m)
-        coords = [((np.arange(c, dtype=float)[:, None] + s + u) / m).ravel()
+        coords = [(np.arange(c, dtype=float)[:, None] + s + u) / m
                   for (u, _), s, c in zip(axes, starts, counts)]
-        (ux, jx), (uy, jy), (uz, jz) = axes
-        kinds, pair_kind = np.unique(jx * len(uy) + jy, return_inverse=True)
-        kx, ky = np.divmod(kinds, len(uy))
-        column = np.arange(len(slabs) * m)                # cx m + cy
-        cx, cy = np.divmod(column, m)
-        pairs = np.stack([
-            (cx[:, None] * len(ux) + kx).ravel(),
-            (cy[:, None] * len(uy) + ky).ravel()], axis=1)
-        # points ordered by column, then cz, then (simplex, rule point)
-        pair_of = (column[:, None, None] * len(kinds)
-                   + pair_kind.ravel()[None, None, :])
-        z_index = np.arange(m)[:, None] * len(uz) + jz.ravel()[None, :]
-        pair_of = np.broadcast_to(pair_of, (len(column), m, len(jz)))
-        z_index = np.broadcast_to(z_index, pair_of.shape)
-        return PointAxes(coords, pairs, pair_of.ravel(), z_index.ravel())
+        return PointAxes(coords, np.stack([j for _, j in axes]))
 
 
 class PointAxes(NamedTuple):
-    """Points given per axis: ``coords`` holds one 1-D table of
-    coordinates per axis, ``pairs`` (P, 2) the x and y table indices of
-    each (x, y) pair, and per point ``pair_of`` its pair and ``z_index``
-    its z table index."""
+    """Points given per axis: ``coords`` holds one (cells, offsets)
+    table of coordinates per axis, and ``kinds`` (3, K) the offset of
+    each of the K point kinds on each axis.  The points are every cell
+    triple with every kind, (cx, cy, cz, p) in C order."""
 
     coords: list
-    pairs: np.ndarray
-    pair_of: np.ndarray
-    z_index: np.ndarray
+    kinds: np.ndarray
+
+    def grid(self):
+        """The coordinates of the points per axis, as three arrays that
+        broadcast to (cx, cy, cz, p)."""
+        # taken, not indexed: c[:, j] is laid out kind-major, and so
+        # would be every product of the three
+        x, y, z = (c.take(j, axis=1) for c, j in zip(self.coords, self.kinds))
+        return x[:, None, None], y[None, :, None], z[None, None]
 
 
 _KUHN_PERMS = list(itertools.permutations(range(3)))

@@ -11,18 +11,30 @@ terms only, so each is accurate to a requested relative tolerance.
 Every mode sin(i pi x) sin(j pi y) sin(k pi z) is a product of one
 sine per axis, so the density series is a contraction of one n^3
 coefficient tensor (n the largest mode index) with three per-axis
-tables of sin^2.  The points come as per-axis coordinate tables with an
-index per point (``mesh.PointAxes``), and the contraction runs one axis
-at a time: over i once per x coordinate, over j once per (x, y) pair,
-over k once per point.  On a mesh the series is a field-like object:
-``element_values`` takes the tables of a block of x-slabs in closed
-form from ``Mesh.point_axes`` (a coordinate is (cell + offset) / m over
-the rule's few Kuhn offsets per axis), so the cost per point is O(n)
-and nothing is sorted.  Arbitrary points get their tables from
-``np.unique`` over blocks of points; distinct points make it a
-pointwise GEMM.  Blocks of pairs and of points are sized in table
-entries (``SERIES_CHUNK_ENTRIES``), so the gathered tables stay bounded
-however large n is.
+tables of sin^2.  The points come as per-axis tables
+(``mesh.PointAxes``): along each axis a few cells with a few offsets
+each, and point kinds that fix one offset per axis; the points are
+every triple of cells with every kind.  The contraction runs one axis
+at a time: over i once per (x cell, x offset), over j once per (x cell,
+y cell, (x, y) offset pair) and over k in one batched product per point
+kind, so the cost per point is O(n) and no table is gathered per point.
+On a mesh the series is a field-like object: ``element_values`` takes
+the tables of a block of x-slabs in closed form from
+``Mesh.point_axes`` (a coordinate is (cell + offset) / m over the
+rule's few Kuhn offsets per axis, and a cell holds 6 nq point kinds),
+and nothing is sorted.  Arbitrary points are one cell whose offsets
+are their distinct coordinates, from ``np.unique`` over blocks of
+points, and whose kinds are the points themselves; distinct points
+make it a pointwise product.  Blocks of pairs, of kinds and of points
+are sized in table entries (``SERIES_CHUNK_ENTRIES``), so the gathered
+tables stay bounded however large n is.
+
+The benchmarks' applied potentials are products of one function per
+axis as well (sin sin sin and g g g), and their gradients and
+Laplacians sums of such products.  ``AxisField`` writes them as
+elementwise arithmetic on (x, y, z), which on a block of a mesh runs on
+the per-axis tables broadcast together, to the floats of the pointwise
+evaluation; no physical point is built for them.
 """
 
 import math
@@ -150,47 +162,53 @@ class SeriesDensity:
 
     def element_values(self, mesh, rule, slabs=None):
         """(nb, nq) series at the quadrature points of the x-slabs
-        ``slabs`` (all by default), indexed in closed form."""
+        ``slabs`` (all by default), on the tables of ``Mesh.point_axes``."""
         return self(mesh.point_axes(rule, slabs)).reshape(
             -1, len(rule.weights))
 
     def _contract(self, axes):
-        """sum_ijk coeffs[ijk] sin^2(i pi x) sin^2(j pi y) sin^2(k pi z),
-        contracted one axis at a time: over i once per x coordinate, over
-        j once per (x, y) pair, over k once per point; pairs and points
-        go in blocks that gather at most SERIES_CHUNK_ENTRIES entries."""
+        """sum_ijk coeffs[ijk] sin^2(i pi x) sin^2(j pi y) sin^2(k pi z)
+        at the points of ``axes``, flat in their order, contracted one
+        axis at a time: over i once per (x cell, x offset), over j once
+        per (x cell, y cell, pair kind), the kinds' distinct (x, y)
+        offset pairs, and over k in one batched product per point kind,
+        of its pair's (x cell, y cell) table with its z offset's z cell
+        table.  Pair kinds and point kinds go in blocks that gather at
+        most SERIES_CHUNK_ENTRIES entries."""
         n = len(self.coeffs)
         freq = np.arange(1, n + 1) * math.pi
-        tx, ty, tz = (np.sin(np.outer(c, freq)) ** 2 for c in axes.coords)
-        over_i = (tx @ self.coeffs.reshape(n, n * n)).reshape(-1, n, n)
-        over_ij = np.empty((len(axes.pairs), n))
-        step = max(1, SERIES_CHUNK_ENTRIES // (n * n))
-        for start in range(0, len(over_ij), step):
-            px, py = axes.pairs[start:start + step].T
-            over_ij[start:start + step] = np.matmul(
-                ty[py, None, :], over_i[px])[:, 0]
-        out = np.empty(len(axes.pair_of))
-        step = max(1, SERIES_CHUNK_ENTRIES // n)
-        for start in range(0, len(out), step):
+        tx, ty, tz = (np.sin(c[..., None] * freq) ** 2 for c in axes.coords)
+        (ncx, nox), (ncy, noy), ncz = tx.shape[:2], ty.shape[:2], len(tz)
+        jx, jy, jz = axes.kinds
+        over_i = (tx.reshape(-1, n) @ self.coeffs.reshape(n, n * n)) \
+            .reshape(ncx, nox, n, n)
+        pairs, pair_of = np.unique(jx * noy + jy, return_inverse=True)
+        kx, ky = np.divmod(pairs, noy)
+        over_ij = np.empty((len(pairs), ncx * ncy, n))
+        step = max(1, SERIES_CHUNK_ENTRIES // (ncx * n * n))
+        for start in range(0, len(pairs), step):
             block = slice(start, start + step)
-            out[block] = np.einsum("pk,pk->p", over_ij[axes.pair_of[block]],
-                                   tz[axes.z_index[block]])
-        return out
+            over_ij[block] = np.matmul(
+                ty[:, ky[block], None].transpose(1, 2, 0, 3),
+                over_i[:, kx[block]].transpose(1, 0, 2, 3)).reshape(
+                    -1, ncx * ncy, n)
+        tz = tz.transpose(1, 2, 0)                      # (noz, n, ncz)
+        out = np.empty((ncx * ncy, ncz, len(jz)))
+        step = max(1, SERIES_CHUNK_ENTRIES // (ncx * ncy * n))
+        for start in range(0, len(jz), step):
+            block = slice(start, start + step)
+            out[..., block] = np.matmul(over_ij[pair_of[block]],
+                                        tz[jz[block]]).transpose(1, 2, 0)
+        return out.ravel()
 
 
 def _distinct_axes(flat):
-    """``PointAxes`` of points (np, 3) over their distinct coordinates and
-    (x, y) pairs, found by sorting."""
-    coords, index = [], []
-    for d in range(3):
-        values, inverse = np.unique(flat[:, d], return_inverse=True)
-        coords.append(values)
-        index.append(inverse.ravel())
-    ix, iy, iz = index
-    ny = len(coords[1])
-    pairs, pair_of = np.unique(ix * ny + iy, return_inverse=True)
-    return PointAxes(coords, np.stack(np.divmod(pairs, ny), axis=1),
-                     pair_of.ravel(), iz)
+    """``PointAxes`` of points (np, 3) as one cell whose offsets are their
+    distinct coordinates, found by sorting, and whose point kinds are the
+    points themselves."""
+    coords, kinds = zip(*[np.unique(flat[:, d], return_inverse=True)
+                          for d in range(3)])
+    return PointAxes([c[None] for c in coords], np.stack(kinds))
 
 
 def _mode_by_mode(series, points):
@@ -212,26 +230,53 @@ def exact_density(p, x, rel_tol=1e-8):
     return SeriesDensity(p, rel_tol)(x)
 
 
+class AxisField(ScalarFunction):
+    """A benchmark field written as elementwise arithmetic on its three
+    coordinates: ``fn(x, y, z)``, and ``grad(x, y, z)`` with the three
+    components stacked on a last axis.  At points (..., 3) the
+    coordinates are the points' columns.  On the quadrature points of a
+    block of x-slabs they are the per-axis tables of ``Mesh.point_axes``,
+    broadcast together: a function of one coordinate runs once per
+    (cell, point kind) of its axis, and only the products and sums run
+    once per point, in the same order, so to the same floats."""
+
+    def __init__(self, fn, grad=None):
+        super().__init__(lambda p: fn(p[..., 0], p[..., 1], p[..., 2]))
+        if grad is not None:
+            self.grad = lambda p: grad(p[..., 0], p[..., 1], p[..., 2])
+        self._xyz = fn
+        self._grad_xyz = grad
+
+    def element_values(self, mesh, rule, slabs=None):
+        return self._xyz(*mesh.point_axes(rule, slabs).grid()).reshape(
+            -1, len(rule.weights))
+
+    def element_gradients(self, mesh, rule, slabs=None):
+        return self._grad_xyz(*mesh.point_axes(rule, slabs).grid()).reshape(
+            -1, len(rule.weights), 3)
+
+
 def _example1_fields():
+    """V0, its gradient and its Laplacian, as functions of (x, y, z)."""
     pi = math.pi
 
-    def v0(pts):
-        return (np.sin(pi * pts[..., 0]) * np.sin(pi * pts[..., 1])
-                * np.sin(pi * pts[..., 2]))
+    def v0(x, y, z):
+        return np.sin(pi * x) * np.sin(pi * y) * np.sin(pi * z)
 
-    def v0_grad(pts):
-        sx, sy, sz = (np.sin(pi * pts[..., d]) for d in range(3))
-        cx, cy, cz = (np.cos(pi * pts[..., d]) for d in range(3))
+    def v0_grad(x, y, z):
+        sx, sy, sz = (np.sin(pi * t) for t in (x, y, z))
+        cx, cy, cz = (np.cos(pi * t) for t in (x, y, z))
         return pi * np.stack([cx * sy * sz, sx * cy * sz, sx * sy * cz],
                              axis=-1)
 
-    def lap_v0(pts):
-        return -3.0 * PI2 * v0(pts)
+    def lap_v0(x, y, z):
+        return -3.0 * PI2 * v0(x, y, z)
 
-    return ScalarFunction(v0, grad=v0_grad), ScalarFunction(lap_v0)
+    return v0, v0_grad, lap_v0
 
 
 def _example2_fields():
+    """V0, its gradient and its Laplacian, as functions of (x, y, z)."""
     def g(t):
         return np.exp(t * (1.0 - t)) - 1.0
 
@@ -241,26 +286,26 @@ def _example2_fields():
     def gpp(t):
         return np.exp(t * (1.0 - t)) * ((1.0 - 2.0 * t) ** 2 - 2.0)
 
-    def v0(pts):
-        return g(pts[..., 0]) * g(pts[..., 1]) * g(pts[..., 2])
+    def v0(x, y, z):
+        return g(x) * g(y) * g(z)
 
-    def v0_grad(pts):
-        gx, gy, gz = (g(pts[..., d]) for d in range(3))
-        px, py, pz = (gp(pts[..., d]) for d in range(3))
+    def v0_grad(x, y, z):
+        gx, gy, gz = g(x), g(y), g(z)
+        px, py, pz = gp(x), gp(y), gp(z)
         return np.stack([px * gy * gz, gx * py * gz, gx * gy * pz], axis=-1)
 
-    def lap_v0(pts):
-        gx, gy, gz = (g(pts[..., d]) for d in range(3))
-        qx, qy, qz = (gpp(pts[..., d]) for d in range(3))
+    def lap_v0(x, y, z):
+        gx, gy, gz = g(x), g(y), g(z)
+        qx, qy, qz = gpp(x), gpp(y), gpp(z)
         return qx * gy * gz + gx * qy * gz + gx * gy * qz
 
-    return ScalarFunction(v0, grad=v0_grad), ScalarFunction(lap_v0)
+    return v0, v0_grad, lap_v0
 
 
 class DopingProfile:
     """n_D = n - lap V0 for the series n and the applied potential V0, as
-    a field-like object: on a mesh the series part is indexed in closed
-    form."""
+    a field-like object: on a mesh both parts run on the per-axis tables
+    of ``Mesh.point_axes``."""
 
     def __init__(self, series, laplacian_V0):
         self.series = series
@@ -309,26 +354,27 @@ def manufactured_problem(example, p, rel_tol=1e-8):
     """Benchmark problem 1 (sine applied potential) or 2 (exponential
     bump applied potential)."""
     if example == 1:
-        V0, lap_V0 = _example1_fields()
+        v0, v0_grad, lap_v0 = _example1_fields()
     elif example == 2:
-        V0, lap_V0 = _example2_fields()
+        v0, v0_grad, lap_v0 = _example2_fields()
     else:
         raise ValueError(f"example must be 1 or 2, got {example}")
 
     series = SeriesDensity(p, rel_tol)
+    lap_V0 = AxisField(lap_v0)
 
-    def v_exact(pts):
-        return -V0(pts)
+    def v_exact(x, y, z):
+        return -v0(x, y, z)
 
-    def v_exact_grad(pts):
-        return -V0.grad(pts)
+    def v_exact_grad(x, y, z):
+        return -v0_grad(x, y, z)
 
     return ManufacturedProblem(
         example=example,
         params=p,
-        V0=V0,
+        V0=AxisField(v0, v0_grad),
         laplacian_V0=lap_V0,
-        V_exact=ScalarFunction(v_exact, grad=v_exact_grad),
+        V_exact=AxisField(v_exact, v_exact_grad),
         n_exact=series,
         n_D=DopingProfile(series, lap_V0),
     )

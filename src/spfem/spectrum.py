@@ -281,8 +281,8 @@ class SpectrumSolver:
         if V is not V0:
             self.floor = V.floor
         self.preconditioner = SineInverse(mesh.m)
-        self.symmetric = symmetry.asymmetry(
-            mesh.m, self.reference[0].csr) <= SYMMETRY_TOL
+        self.symmetric = symmetry.stencil_asymmetry(
+            mesh, self.reference[0].csr) <= SYMMETRY_TOL
         self.block = None
         self.spare = None
         self.continuum = np.empty(0)

@@ -93,6 +93,33 @@ def asymmetry(m, x):
     return float(worst / scale)
 
 
+def stencil_asymmetry(mesh, A):
+    """``asymmetry(mesh.m, A)`` of a sparse matrix A assembled on the
+    mesh's pattern (``fem._pattern``), read from its (n, 15) (row, Kuhn
+    step) table: the entry (v, v + d) of P A P^T, P the permutation of
+    the generator g, is A at (p(v), p(v) + d'), p(v) the image of v and
+    d' the step d with its axes permuted by g and negated under the
+    inversion, which is again a Kuhn step.  So each generator is one
+    gather of the table, rows then steps, and the result is the same
+    float."""
+    valid = fem._pattern(mesh).valid
+    if A.nnz != np.count_nonzero(valid):
+        raise ValueError("matrix not assembled on the mesh's pattern")
+    table = np.zeros(valid.shape)
+    table[valid] = A.data
+    scale = abs(table).max()
+    if scale == 0.0:
+        return 0.0
+    steps = fem._KUHN_STEPS
+    keys = (steps + 1) @ [9, 3, 1]
+    worst = 0.0
+    for g, p in zip(GENERATORS, images(mesh.m, list(GENERATORS))):
+        moved = steps[:, _PERMS[g]] * (-1 if _INVERTS[g] else 1)
+        gathered = table[p][:, np.searchsorted(keys, (moved + 1) @ [9, 3, 1])]
+        worst = max(worst, abs(gathered - table).max())
+    return float(worst / scale)
+
+
 def class_bases(m):
     """The six ``SymmetryClass`` bases on the interior grid with m cells
     per axis, in the order of ``CLASSES``; a class may be empty.

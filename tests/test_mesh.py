@@ -81,13 +81,25 @@ def test_slab_points_and_axes_are_the_whole_mesh_points(m, degree, offsets):
         np.testing.assert_array_equal(pts,
                                       whole[mesh.slab_elements(slabs)])
         axes = mesh.point_axes(rule, slabs)
-        x, y, z = axes.coords
-        rebuilt = np.stack([x[axes.pairs[axes.pair_of, 0]],
-                            y[axes.pairs[axes.pair_of, 1]],
-                            z[axes.z_index]], axis=1)
-        np.testing.assert_array_equal(rebuilt, pts.reshape(-1, 3))
-        assert [len(c) for c in axes.coords] == [
-            len(slabs) * offsets, m * offsets, m * offsets]
+        rebuilt = np.stack(np.broadcast_arrays(*axes.grid()), axis=-1)
+        np.testing.assert_array_equal(rebuilt.reshape(-1, 3),
+                                      pts.reshape(-1, 3))
+        assert [c.shape for c in axes.coords] == [
+            (len(slabs), offsets), (m, offsets), (m, offsets)]
+
+
+@pytest.mark.parametrize("degree", [2, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 8, 16])
+def test_point_axes_hold_no_per_point_array(m, degree):
+    # tables per (cell, offset) and indices per point kind only (on one
+    # cell, m = 1, every point is its own kind)
+    mesh = build_structured_mesh(m)
+    rule = tet_rule(degree)
+    axes = mesh.point_axes(rule)
+    points = mesh.n_tets * len(rule.weights)
+    assert axes.kinds.shape == (3, 6 * len(rule.weights))
+    for table in list(axes.coords) + [axes.kinds]:
+        assert np.size(table) < points
 
 
 def _edge_inradius_ratio(coords):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from spfem import fem
+from spfem.mesh import Mesh, build_structured_mesh
 from spfem.occupancy import DistributionParams
 from spfem.oracle import (SeriesDensity, _shell_tail, continuous_fermi,
                           cube_eigensequence, exact_density,
                           manufactured_problem)
 from spfem.quadrature import tet_rule
-from spfem.spectrum import cube_shells
+from spfem.spectrum import SpectrumSolver, cube_shells
 
 PI2 = math.pi ** 2
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -283,3 +284,61 @@ def test_slab_series_memory_is_bounded_by_block_entries(mesh16):
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_axis_fields_are_their_pointwise_values(example):
+    # on the per-axis tables every product and sum runs in the pointwise
+    # order, so the benchmark fields are bit for bit their values at the
+    # physical points, on every block of slabs
+    problem = manufactured_problem(example, DistributionParams())
+    fields = [(problem.V0, False), (problem.V0, True),
+              (problem.laplacian_V0, False), (problem.V_exact, False),
+              (problem.V_exact, True)]
+    for m in (1, 3, 5, 16):
+        mesh = build_structured_mesh(m)
+        for degree in (2, 4, 5):
+            rule = tet_rule(degree)
+            for slabs in [range(m), range(0, 1), range(m - 1, m),
+                          range(m // 2, m)]:
+                pts = mesh.physical_points(rule, slabs)
+                for field, gradient in fields:
+                    if gradient:
+                        got = field.element_gradients(mesh, rule, slabs)
+                        expected = field.grad(pts)
+                    else:
+                        got = field.element_values(mesh, rule, slabs)
+                        expected = field(pts)
+                    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_reference_pencil_and_floor_are_the_pointwise_ones(example, mesh8):
+    # W(V0) and the solver's floor, from the per-axis tables, are those
+    # of V0 evaluated at the physical points
+    V0 = manufactured_problem(example, DistributionParams()).V0
+    pointwise = fem.ScalarFunction(lambda p: V0(p))
+    rule = tet_rule(2)
+    np.testing.assert_array_equal(
+        fem.assemble_weighted_mass(mesh8, V0, rule).csr.data,
+        fem.assemble_weighted_mass(mesh8, pointwise, rule).csr.data)
+    assert SpectrumSolver(mesh8, V0).floor == \
+        float(V0(mesh8.physical_points(rule)).min())
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_benchmark_passes_build_no_physical_points(example, monkeypatch):
+    # the reference pencil, the doping load and the error functionals
+    # evaluate the benchmark fields on per-axis tables only
+    problem = manufactured_problem(example, DistributionParams())
+    mesh = build_structured_mesh(4)
+    fh = fem.FeField.interpolate(mesh, problem.V_exact, dirichlet=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("physical points built")
+
+    monkeypatch.setattr(Mesh, "physical_points", refuse)
+    SpectrumSolver(mesh, problem.V0)
+    fem.assemble_load(mesh, problem.n_D, tet_rule(4))
+    fem.h1_error(mesh, fh, problem.V_exact)
+    fem.l2_norm_error(mesh, fh, problem.n_exact)

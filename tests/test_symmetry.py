@@ -96,6 +96,24 @@ def test_generators_commute_with_the_pencils(m):
         assert abs(M.csr[p][:, p] - M.csr).max() > 1e-3 * abs(M.csr).max()
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_stencil_asymmetry_is_the_reference_check(m):
+    # the (row, Kuhn step) table gather gives the very float of the
+    # permuted CSR, on symmetric and on tilted pencils
+    mesh = build_structured_mesh(m)
+    tilt = _tilted(mesh)
+    for example in (1, 2):
+        V0 = manufactured_problem(example, DistributionParams()).V0
+        for u in (None, tilt):
+            A = assemble_hamiltonian(mesh, u, V0)[0].csr
+            np.testing.assert_equal(symmetry.stencil_asymmetry(mesh, A),
+                                    symmetry.asymmetry(m, A))
+    A = assemble_hamiltonian(mesh, tilt, None)[0].csr
+    np.testing.assert_equal(symmetry.stencil_asymmetry(mesh, A),
+                            symmetry.asymmetry(m, A))
+    assert symmetry.stencil_asymmetry(mesh, A) > 1e-3
+
+
 @pytest.mark.parametrize("m", MESHES)
 def test_pencils_are_block_diagonal_with_equal_partner_blocks(m):
     bases = symmetry.class_bases(m)
