@@ -286,6 +286,45 @@ def test_slab_series_memory_is_bounded_by_block_entries(mesh16):
     assert peak < 48 * 2 ** 20
 
 
+def _pointwise_v0(example, pts):
+    """V0, grad V0 and lap V0 at points (..., 3), each product formed
+    left to right over the axes as the benchmarks define them."""
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    if example == 1:
+        sx, sy, sz = np.sin(math.pi * x), np.sin(math.pi * y), \
+            np.sin(math.pi * z)
+        cx, cy, cz = np.cos(math.pi * x), np.cos(math.pi * y), \
+            np.cos(math.pi * z)
+        v0 = sx * sy * sz
+        return (v0, math.pi * np.stack([cx * sy * sz, sx * cy * sz,
+                                        sx * sy * cz], axis=-1),
+                -3.0 * PI2 * v0)
+    e = [np.exp(t * (1.0 - t)) for t in (x, y, z)]
+    g = [ei - 1.0 for ei in e]
+    gp = [(1.0 - 2.0 * t) * ei for t, ei in zip((x, y, z), e)]
+    gpp = [ei * ((1.0 - 2.0 * t) ** 2 - 2.0) for t, ei in zip((x, y, z), e)]
+    return (g[0] * g[1] * g[2],
+            np.stack([gp[0] * g[1] * g[2], g[0] * gp[1] * g[2],
+                      g[0] * g[1] * gp[2]], axis=-1),
+            gpp[0] * g[1] * g[2] + g[0] * gpp[1] * g[2]
+            + g[0] * g[1] * gpp[2])
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_benchmark_fields_keep_their_pointwise_floats(example, mesh8):
+    # the fields' arithmetic keeps the benchmarks' product order, so
+    # their floats do not move with the evaluation path
+    problem = manufactured_problem(example, DistributionParams())
+    rng = np.random.default_rng(5)
+    for pts in (rng.random((500, 3)), mesh8.physical_points(tet_rule(5))):
+        v0, grad, lap = _pointwise_v0(example, pts)
+        np.testing.assert_array_equal(problem.V0(pts), v0)
+        np.testing.assert_array_equal(problem.V0.grad(pts), grad)
+        np.testing.assert_array_equal(problem.laplacian_V0(pts), lap)
+        np.testing.assert_array_equal(problem.V_exact(pts), -v0)
+        np.testing.assert_array_equal(problem.V_exact.grad(pts), -grad)
+
+
 @pytest.mark.parametrize("example", [1, 2])
 def test_axis_fields_are_their_pointwise_values(example):
     # on the per-axis tables every product and sum runs in the pointwise
