@@ -19,25 +19,24 @@ Any other field is evaluated at quadrature points: the weighted mass of
 an analytic weight, the load of an analytic source (once per solve) and
 the error norms.  Quadrature runs over blocks of whole x-slabs of cells
 (``slab_blocks``), each holding at most ``BLOCK_POINTS`` quadrature
-points, so no transient grows with elements times points.  Cells are
-ordered with x slowest, so a block is a contiguous range of elements.
-Field-like objects evaluate on one block at a time
-(``element_values(mesh, rule, slabs)``); a plain callable gets the
-block's physical points.  In a block a weighted mass is (nb, nq)
-weights times the rule's (nq, 16) table of basis products, a load is
-(nb, nq) values times the (nq, 4) basis values, and an error is a
-weighted sum per element.  Each block writes its rows into whole-mesh
-arrays, which are reduced once, as if there were one block.  Element
-integrals scale by the one element volume ``mesh.volumes[0]``.
+points, so no transient grows with elements times points.  A field
+evaluates on one block at a time (``element_values(mesh, rule, slabs)``
+and ``element_gradients``); a plain callable is wrapped in a
+``ScalarFunction`` (``as_field``), which takes the block's physical
+points.  In a block a weighted mass is (nb, nq) weights times the
+rule's (nq, 16) table of basis products, a load is (nb, nq) values
+times the (nq, 4) basis values, and an error is a weighted sum per
+element.  Each block adds its entries into the step table or the
+vertex vector (``np.add.at``), in element order, so the sums are those
+of one block.  Element integrals scale by ``mesh.volumes[0]``.
 
 The interior CSR pattern and the (vertex, Kuhn step) pairs it holds
 are computed once per mesh; a stencil is written through the pairs.  An
 element pass reaches them by a closed-form index per block into an
 (n + 1, 15) step table whose last row is the boundary vertices' zero
-row (``_step_index``): a quadrature weighted mass is one bincount into
-it, and ``element_gram`` gathers the element Grams from a step Gram,
-with one index for all the slabs of a call that touch no boundary
-x-plane.
+row (``_step_index``): a quadrature weighted mass adds into it, and
+``element_gram`` gathers the element Grams from a step Gram, with one
+index for all the slabs of a call that touch no boundary x-plane.
 Matrices on the pattern add as their data arrays (``pattern_sum``).
 The pattern, kept in the mesh's ``_pattern``, is the only thing this
 module remembers between calls: fields are evaluated afresh at every
@@ -91,6 +90,29 @@ class ScalarFunction:
         return cls(lambda p: np.full(p.shape[:-1], c),
                    grad=lambda p: np.zeros(p.shape))
 
+    def element_values(self, mesh, rule, slabs=None):
+        """(nb, nq) values at the rule's points on the x-slabs ``slabs``
+        (all by default)."""
+        return self(mesh.physical_points(rule, slabs))
+
+    def element_gradients(self, mesh, rule, slabs=None):
+        """(nb, nq, 3) gradients at the same points."""
+        if self.grad is None:
+            raise TypeError(
+                f"no gradient available for {type(self).__name__}")
+        return np.asarray(self.grad(mesh.physical_points(rule, slabs)),
+                          dtype=float)
+
+
+def as_field(obj):
+    """``obj`` when it evaluates on elements (``element_values``), a
+    plain callable as a ``ScalarFunction`` (with its ``grad``, if any)."""
+    if hasattr(obj, "element_values"):
+        return obj
+    if callable(obj):
+        return ScalarFunction(obj, grad=getattr(obj, "grad", None))
+    raise TypeError(f"cannot evaluate {type(obj).__name__} on elements")
+
 
 class FeField:
     """Piecewise-linear field given by one coefficient per mesh vertex."""
@@ -122,58 +144,23 @@ class FeField:
     def interior(self):
         return self.coeffs[self.mesh.interior_vertices]
 
-    def element_values(self, mesh, rule, slabs=None):
+    def _local(self, mesh, slabs):
+        """(nb, 4) vertex values of the elements of the x-slabs."""
         if mesh is not self.mesh:
             raise ValueError("field evaluated on a foreign mesh")
-        local = self.coeffs[mesh.tets[mesh.slab_elements(slabs)]]  # (nb, 4)
-        return local @ rule.points.T                   # (nb, nq)
+        return self.coeffs[mesh.element_vertices(slabs)]
+
+    def element_values(self, mesh, rule, slabs=None):
+        return self._local(mesh, slabs) @ rule.points.T   # (nb, nq)
 
     def element_gradients(self, mesh, rule, slabs=None):
-        if mesh is not self.mesh:
-            raise ValueError("field evaluated on a foreign mesh")
-        elements = mesh.slab_elements(slabs)
-        local = self.coeffs[mesh.tets[elements]]
+        local = self._local(mesh, slabs)
         # constant per element; a block starts at a cell, so its element
         # e is Kuhn simplex e % 6
         g = np.einsum("na,nad->nd", local,
                       mesh.grads[np.arange(len(local)) % 6])
         return np.broadcast_to(g[:, None, :],
                                (len(g), len(rule.points), 3))
-
-
-def values_on_elements(obj, mesh, rule, slabs=None, points=None):
-    """(nb, nq) values of a field-like object at the quadrature points of
-    the x-slabs ``slabs`` (all by default).  A plain callable is
-    evaluated at ``points``, the block's physical points, when given."""
-    if hasattr(obj, "element_values"):
-        return obj.element_values(mesh, rule, slabs)
-    if callable(obj):
-        if points is None:
-            points = mesh.physical_points(rule, slabs)
-        return obj(points)
-    raise TypeError(f"cannot evaluate {type(obj).__name__} on elements")
-
-
-def gradients_on_elements(obj, mesh, rule, slabs=None, points=None):
-    """(nb, nq, 3) gradients of a field-like object at the quadrature
-    points of the x-slabs ``slabs``, as ``values_on_elements``."""
-    if hasattr(obj, "element_gradients"):
-        return obj.element_gradients(mesh, rule, slabs)
-    grad = getattr(obj, "grad", None)
-    if grad is not None:
-        if points is None:
-            points = mesh.physical_points(rule, slabs)
-        return np.asarray(grad(points), dtype=float)
-    raise TypeError(f"no gradient available for {type(obj).__name__}")
-
-
-def blockwise(mesh, rule, local, shape=()):
-    """(nt, *shape) array whose rows on each slab block are
-    ``local(slabs)``."""
-    out = np.empty((mesh.n_tets,) + shape)
-    for slabs in slab_blocks(mesh, rule):
-        out[mesh.slab_elements(slabs)] = local(slabs)
-    return out
 
 
 # the 15 grid steps d in {0,1}^3 or {0,-1}^3 that join two vertices of a
@@ -422,13 +409,14 @@ def assemble_weighted_mass(mesh, w, rule=None):
             data[p.indptr[rows.start]:p.indptr[rows.stop]] = \
                 (around.reshape(-1, len(_KUHN_STEPS)) @ table)[p.valid[rows]]
         return _matrix(mesh, data)
-    table = basis_products(rule)                       # (nq, 16)
-    local = blockwise(mesh, rule, lambda slabs: (
-        values_on_elements(w, mesh, rule, slabs) * rule.weights) @ table,
-        (16,))
-    local *= mesh.volumes[0]
-    table = np.bincount(_step_index(mesh.m).ravel(), weights=local.ravel(),
-                        minlength=(p.n + 1) * len(_KUHN_STEPS))
+    w = as_field(w)
+    products = basis_products(rule)                    # (nq, 16)
+    table = np.zeros((p.n + 1) * len(_KUHN_STEPS))
+    for slabs in slab_blocks(mesh, rule):
+        local = (w.element_values(mesh, rule, slabs) * rule.weights) \
+            @ products
+        local *= mesh.volumes[0]
+        np.add.at(table, _step_index(mesh.m, slabs).ravel(), local.ravel())
     return _matrix(mesh, table.reshape(-1, len(_KUHN_STEPS))[:-1][p.valid])
 
 
@@ -456,35 +444,31 @@ def assemble_load(mesh, g, rule=None):
         for s, d in enumerate(_KUHN_STEPS):
             load += _at_step(H, d)[..., s]
         return load.ravel()
-    local = blockwise(mesh, rule, lambda slabs: (
-        values_on_elements(g, mesh, rule, slabs) * rule.weights)
-        @ rule.points, (4,))
-    local *= mesh.volumes[0]
-    full = np.bincount(mesh.tets.ravel(), weights=local.ravel(),
-                       minlength=mesh.n_vertices)
+    g = as_field(g)
+    full = np.zeros(mesh.n_vertices)
+    for slabs in slab_blocks(mesh, rule):
+        local = (g.element_values(mesh, rule, slabs) * rule.weights) \
+            @ rule.points
+        local *= mesh.volumes[0]
+        np.add.at(full, mesh.element_vertices(slabs).ravel(), local.ravel())
     return full[mesh.interior_vertices]
 
 
 def _error_norms(mesh, fh, f, rule, values, gradients):
     """L2 norm (``values``) and/or H1 seminorm (``gradients``) of
-    (fh - f), from per-element quadrature sums over the slab blocks.  A
-    block's physical points are built once, and only when a term is a
-    plain callable."""
-    needs = ["element_values"] * values + ["element_gradients"] * gradients
-    sums = np.empty((len(needs), mesh.n_tets))
+    (fh - f), from per-element quadrature sums over the slab blocks."""
+    fh, f = as_field(fh), as_field(f)
+    sums = np.empty((values + gradients, mesh.n_tets))
     for slabs in slab_blocks(mesh, rule):
         elements = mesh.slab_elements(slabs)
-        points = None
-        if not all(hasattr(obj, attr) for attr in needs for obj in (fh, f)):
-            points = mesh.physical_points(rule, slabs)
         if values:
-            diff = values_on_elements(fh, mesh, rule, slabs, points) \
-                - values_on_elements(f, mesh, rule, slabs, points)
+            diff = fh.element_values(mesh, rule, slabs) \
+                - f.element_values(mesh, rule, slabs)
             sums[0, elements] = (diff * diff) @ rule.weights
             del diff            # not held while the gradients are built
         if gradients:
-            diff = gradients_on_elements(fh, mesh, rule, slabs, points) \
-                - gradients_on_elements(f, mesh, rule, slabs, points)
+            diff = fh.element_gradients(mesh, rule, slabs) \
+                - f.element_gradients(mesh, rule, slabs)
             sums[-1, elements] = np.einsum("nqd,nqd,q->n", diff, diff,
                                            rule.weights)
     return [float(np.sqrt(max(s.sum() * mesh.volumes[0], 0.0)))

@@ -14,20 +14,22 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .quadrature import _RULES
+
 
 class Mesh:
     """Immutable Kuhn mesh of (0,1)^3 with m cells per axis, as built by
     ``build_structured_mesh``; its geometry and quadrature points are
     closed forms of m.  What depends on the mesh alone is built at its
     first use and kept on it: ``fem._pattern``, ``symmetry.class_split``.
+    No array is kept per element but ``volumes``: an element pass takes
+    its block's vertex ids in closed form (``element_vertices``).
 
     Attributes
     ----------
     m : int
         Cells per axis.
     vertices : (nv, 3) float array
-    tets : (nt, 4) int array
-        Vertex indices, positively oriented.
     boundary_mask : (nv,) bool array
         True for vertices on the cube surface.
     interior_index : (nv,) int array
@@ -37,16 +39,15 @@ class Mesh:
     volumes : (nt,) float array
         Every entry is the one element volume 1/(6 m^3); ``fem`` reads
         ``volumes[0]`` only.  The array stays because the benchmark
-        harness (``perfbench/workloads.py``) reads it.
+        harness (``perfbench/workloads.py``) reads it as an (nt,) array.
     grads : (6, 4, 3) float array
         Constant gradients of the four P1 basis functions on each of the
         six Kuhn simplices; element e has those of ``grads[e % 6]``.
     """
 
-    def __init__(self, m, vertices, tets, boundary_mask):
+    def __init__(self, m, vertices, boundary_mask):
         self.m = m
         self.vertices = vertices
-        self.tets = tets
         self.boundary_mask = boundary_mask
         self.interior_index = np.full(len(vertices), -1, dtype=int)
         self.interior_vertices = np.flatnonzero(~boundary_mask)
@@ -55,7 +56,7 @@ class Mesh:
         # every element is a translate of a reference simplex scaled by
         # 1/m: volume 1/(6 m^3), gradients m times the reference ones
         # (integers, so exact in floating point)
-        self.volumes = np.full(len(tets), 1.0 / (6 * m ** 3))
+        self.volumes = np.full(6 * m ** 3, 1.0 / (6 * m ** 3))
         self.grads = _KUHN_GRADS * m
         self._pattern = None       # CSR assembly pattern, filled by fem
         self._class_split = None   # symmetry classes, filled by symmetry
@@ -66,7 +67,7 @@ class Mesh:
 
     @property
     def n_tets(self):
-        return len(self.tets)
+        return 6 * self.m ** 3
 
     @property
     def n_interior(self):
@@ -81,21 +82,27 @@ class Mesh:
         per_slab = 6 * self.m ** 2
         return slice(per_slab * slabs.start, per_slab * slabs.stop)
 
+    def element_vertices(self, slabs=None):
+        """(nb, 4) vertex ids of the elements of the x-slabs ``slabs``
+        (all by default), positively oriented: each cell's low corner
+        plus the offsets of its six Kuhn simplices, in element order."""
+        n1, slabs = self.m + 1, range(self.m) if slabs is None else slabs
+        x, c = np.arange(slabs.start, slabs.stop), np.arange(self.m)
+        corners = (x[:, None, None] * n1 + c[:, None]) * n1 + c
+        offsets = _KUHN_CORNERS @ np.array([n1 * n1, n1, 1])    # (6, 4)
+        return (corners.reshape(-1, 1, 1) + offsets).reshape(-1, 4)
+
     def physical_points(self, rule, slabs=None):
         """Physical coordinates of the rule's points on the elements of
-        the x-slabs ``slabs`` (all by default), shape (nb, nq, 3):
-        (cell corner + barycentric points times the Kuhn corners) / m."""
-        m = self.m
-        slabs = range(m) if slabs is None else slabs
-        cells = np.indices((len(slabs), m, m), dtype=float).reshape(3, -1).T
-        cells[:, 0] += slabs.start
-        pts = cells[:, None, None, :] + rule.points @ _KUHN_CORNERS
-        pts /= m                                         # (nc, 6, nq, 3)
-        return pts.reshape(-1, len(rule.points), 3)
+        the x-slabs ``slabs`` (all by default), shape (nb, nq, 3): the
+        points of ``point_axes`` gathered per point."""
+        xyz = np.broadcast_arrays(*self.point_axes(rule, slabs).grid())
+        return np.stack(xyz, axis=-1).reshape(-1, len(rule.points), 3)
 
     def point_axes(self, rule, slabs=None):
-        """The points of ``physical_points(rule, slabs)`` as per-axis
-        coordinate tables and point kinds (``PointAxes``), in closed form.
+        """The rule's points on the elements of the x-slabs ``slabs`` (all
+        by default) as per-axis coordinate tables and point kinds
+        (``PointAxes``), in closed form.
 
         A cell holds the rule's points on its six Kuhn simplices, 6 nq
         point kinds.  Along each axis a point's coordinate is
@@ -104,20 +111,18 @@ class Mesh:
         and 5), fixed by its kind.  So the point of kind p in cell
         (cx, cy, cz) is (x[cx, kinds[0, p]], y[cy, kinds[1, p]],
         z[cz, kinds[2, p]]), and the points come in the order (cx, cy,
-        cz, p) of ``physical_points``.  The coordinates are computed as
-        in ``physical_points``, so they are the same floats; a
-        coordinate may repeat where two cells meet.
+        cz, p), which is element order; a coordinate may repeat where
+        two cells meet.
         """
         m = self.m
         slabs = range(m) if slabs is None else slabs
-        offsets = (rule.points @ _KUHN_CORNERS).reshape(-1, 3)  # (6 nq, 3)
-        axes = [np.unique(offsets[:, d], return_inverse=True)
-                for d in range(3)]
+        known = [axes for table_rule, axes in _RULE_AXES if table_rule is rule]
+        offsets, kinds = known[0] if known else _axis_offsets(rule)
         starts = (slabs.start, 0, 0)
         counts = (len(slabs), m, m)
         coords = [(np.arange(c, dtype=float)[:, None] + s + u) / m
-                  for (u, _), s, c in zip(axes, starts, counts)]
-        return PointAxes(coords, np.stack([j for _, j in axes]))
+                  for u, s, c in zip(offsets, starts, counts)]
+        return PointAxes(coords, kinds)
 
 
 class PointAxes(NamedTuple):
@@ -164,6 +169,20 @@ def _kuhn_simplices():
 _KUHN_CORNERS, _KUHN_GRADS = _kuhn_simplices()
 
 
+def _axis_offsets(rule):
+    """The rule's sorted distinct Kuhn offsets per axis, and the (3, 6 nq)
+    read-only index into them of each of a cell's point kinds."""
+    offsets = (rule.points @ _KUHN_CORNERS).reshape(-1, 3)  # (6 nq, 3)
+    axes = [np.unique(offsets[:, d], return_inverse=True) for d in range(3)]
+    kinds = np.stack([j for _, j in axes])
+    kinds.flags.writeable = False
+    return [u for u, _ in axes], kinds
+
+
+# the tables of every rule of ``quadrature``, made once
+_RULE_AXES = [(rule, _axis_offsets(rule)) for rule in _RULES]
+
+
 def build_structured_mesh(m):
     """Kuhn-subdivided structured mesh with m cells per axis.
 
@@ -178,14 +197,7 @@ def build_structured_mesh(m):
 
     on_boundary = (gx == 0) | (gx == m) | (gy == 0) | (gy == m) \
         | (gz == 0) | (gz == m)
-    boundary_mask = on_boundary.ravel()
-
-    cells = np.arange(m)
-    base = ((cells[:, None, None] * n1 + cells[None, :, None]) * n1
-            + cells[None, None, :]).ravel()          # (m^3,) base corners
-    offsets = _KUHN_CORNERS @ np.array([n1 * n1, n1, 1])    # (6, 4)
-    tets = (base[:, None, None] + offsets[None]).reshape(-1, 4)
-    return Mesh(m, vertices, tets, boundary_mask)
+    return Mesh(m, vertices, on_boundary.ravel())
 
 
 def interior_prolongation(m):
@@ -215,11 +227,11 @@ def interior_prolongation(m):
 
 def mesh_size(mesh):
     """Largest element diameter.  The longest edge of a Kuhn simplex is
-    its cell's main diagonal, from local vertex 0 to 3 of the cell's
-    first element (the identity path)."""
-    diagonals = mesh.tets[::6]
-    d = mesh.vertices[diagonals[:, 3]] - mesh.vertices[diagonals[:, 0]]
-    return float(np.linalg.norm(d, axis=1).max())
+    its cell's main diagonal, from the cell's low corner to its high
+    one."""
+    grid = mesh.vertices.reshape((mesh.m + 1,) * 3 + (3,))
+    d = grid[1:, 1:, 1:] - grid[:-1, :-1, :-1]
+    return float(np.linalg.norm(d, axis=-1).max())
 
 
 WRITE_CHUNK_ROWS = 1 << 13
@@ -250,8 +262,11 @@ def write_rows(f, table, prefix=""):
 
 
 def write_mesh(mesh, path):
-    """Plain-text dump: header, vertex lines, tet lines (0-based ids)."""
+    """Plain-text dump: header, vertex lines, tet lines (0-based ids),
+    the tet lines written one x-slab at a time."""
     with open(path, "w") as f:
         f.write(f"m {mesh.m} nv {mesh.n_vertices} nt {mesh.n_tets}\n")
         write_rows(f, mesh.vertices, prefix="v ")
-        write_rows(f, mesh.tets, prefix="t ")
+        for x in range(mesh.m):
+            write_rows(f, mesh.element_vertices(range(x, x + 1)),
+                       prefix="t ")

@@ -37,13 +37,14 @@ the per-axis tables broadcast together, to the floats of the pointwise
 evaluation; no physical point is built for them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .fem import ScalarFunction, values_on_elements
+from .fem import ScalarFunction
 from .mesh import PointAxes
 from .occupancy import BOLTZMANN, FERMI_REL_TOL, distribution, solve_fermi
 from .spectrum import (PI2, CubeMode, cube_eigensequence,  # noqa: F401
@@ -257,17 +258,19 @@ class AxisField(ScalarFunction):
 
 
 def _example1_fields():
-    """V0, its gradient and its Laplacian, as functions of (x, y, z)."""
+    """V0, its gradient and its Laplacian, as functions of (x, y, z).
+    A ``sign`` of -1 on one per-axis factor gives -V0 and its gradient,
+    their floats negated exactly, with no negated copy."""
     pi = math.pi
 
-    def v0(x, y, z):
-        return np.sin(pi * x) * np.sin(pi * y) * np.sin(pi * z)
+    def v0(x, y, z, sign=1.0):
+        return (sign * np.sin(pi * x)) * np.sin(pi * y) * np.sin(pi * z)
 
-    def v0_grad(x, y, z):
+    def v0_grad(x, y, z, sign=1.0):
         sx, sy, sz = (np.sin(pi * t) for t in (x, y, z))
         cx, cy, cz = (np.cos(pi * t) for t in (x, y, z))
-        return pi * np.stack([cx * sy * sz, sx * cy * sz, sx * sy * cz],
-                             axis=-1)
+        return (sign * pi) * np.stack([cx * sy * sz, sx * cy * sz,
+                                       sx * sy * cz], axis=-1)
 
     def lap_v0(x, y, z):
         return -3.0 * PI2 * v0(x, y, z)
@@ -276,7 +279,8 @@ def _example1_fields():
 
 
 def _example2_fields():
-    """V0, its gradient and its Laplacian, as functions of (x, y, z)."""
+    """V0, its gradient and its Laplacian, as functions of (x, y, z),
+    with the ``sign`` of ``_example1_fields``."""
     def g(t):
         return np.exp(t * (1.0 - t)) - 1.0
 
@@ -286,12 +290,12 @@ def _example2_fields():
     def gpp(t):
         return np.exp(t * (1.0 - t)) * ((1.0 - 2.0 * t) ** 2 - 2.0)
 
-    def v0(x, y, z):
-        return g(x) * g(y) * g(z)
+    def v0(x, y, z, sign=1.0):
+        return (sign * g(x)) * g(y) * g(z)
 
-    def v0_grad(x, y, z):
+    def v0_grad(x, y, z, sign=1.0):
         gx, gy, gz = g(x), g(y), g(z)
-        px, py, pz = gp(x), gp(y), gp(z)
+        px, py, pz = (sign * gp(t) for t in (x, y, z))
         return np.stack([px * gy * gz, gx * py * gz, gx * gy * pz], axis=-1)
 
     def lap_v0(x, y, z):
@@ -316,7 +320,7 @@ class DopingProfile:
 
     def element_values(self, mesh, rule, slabs=None):
         return (self.series.element_values(mesh, rule, slabs)
-                - values_on_elements(self.laplacian_V0, mesh, rule, slabs))
+                - self.laplacian_V0.element_values(mesh, rule, slabs))
 
 
 @dataclass
@@ -363,18 +367,13 @@ def manufactured_problem(example, p, rel_tol=1e-8):
     series = SeriesDensity(p, rel_tol)
     lap_V0 = AxisField(lap_v0)
 
-    def v_exact(x, y, z):
-        return -v0(x, y, z)
-
-    def v_exact_grad(x, y, z):
-        return -v0_grad(x, y, z)
-
     return ManufacturedProblem(
         example=example,
         params=p,
         V0=AxisField(v0, v0_grad),
         laplacian_V0=lap_V0,
-        V_exact=AxisField(v_exact, v_exact_grad),
+        V_exact=AxisField(functools.partial(v0, sign=-1.0),
+                          functools.partial(v0_grad, sign=-1.0)),
         n_exact=series,
         n_D=DopingProfile(series, lap_V0),
     )

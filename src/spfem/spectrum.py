@@ -212,11 +212,11 @@ class _Floored:
     exact for P1 x P1 (``tet_rule(2)``), W(V) >= floor M."""
 
     def __init__(self, field):
-        self.field = field
+        self.field = fem.as_field(field)
         self.floor = math.inf
 
     def element_values(self, mesh, rule, slabs=None):
-        values = fem.values_on_elements(self.field, mesh, rule, slabs)
+        values = self.field.element_values(mesh, rule, slabs)
         self.floor = min(self.floor, float(values.min()))
         return values
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spfem.fem import ScalarFunction, values_on_elements
+from spfem import fem
+from spfem.fem import ScalarFunction
 from spfem.lab import run_study
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DistributionParams
@@ -82,8 +83,15 @@ class Combination:
         self.terms = [(float(c), f) for c, f in terms]
 
     def element_values(self, mesh, rule, slabs=None):
-        return sum(c * values_on_elements(f, mesh, rule, slabs)
+        return sum(c * f.element_values(mesh, rule, slabs)
                    for c, f in self.terms)
+
+
+def by_blocks(mesh, rule, local):
+    """The rows ``local(slabs)`` of every slab block of ``fem.slab_blocks``,
+    stacked in element order."""
+    return np.concatenate([local(slabs)
+                           for slabs in fem.slab_blocks(mesh, rule)])
 
 
 def sine_product():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import Combination, sine_product
+from conftest import Combination, by_blocks, sine_product
 from spfem import fem
 from spfem.mesh import build_structured_mesh
 from spfem.occupancy import DensityField, DistributionParams
@@ -92,7 +92,7 @@ def test_load_center_value_and_patch_oracle(mesh4):
     # brute-force oracle: for g = 1 the load is the vertex patch volume / 4
     b4 = fem.assemble_load(mesh4, fem.ScalarFunction.constant(1.0))
     patch = np.zeros(mesh4.n_vertices)
-    for t, vol in zip(mesh4.tets, mesh4.volumes):
+    for t, vol in zip(mesh4.element_vertices(), mesh4.volumes):
         patch[t] += vol / 4.0
     np.testing.assert_allclose(b4, patch[mesh4.interior_vertices], atol=1e-15)
 
@@ -148,9 +148,9 @@ def test_bilinear_form_matches_direct_quadrature(mesh4):
     v = fem.FeField.from_interior(mesh4, rng.standard_normal(mesh4.n_interior))
     vi = v.interior()
     matrix_value = vi @ (K @ vi) + vi @ (Mw @ vi)
-    grads = fem.gradients_on_elements(v, mesh4, rule)
-    vals = fem.values_on_elements(v, mesh4, rule)
-    wvals = fem.values_on_elements(w, mesh4, rule)
+    grads = v.element_gradients(mesh4, rule)
+    vals = v.element_values(mesh4, rule)
+    wvals = w.element_values(mesh4, rule)
     integrand = np.einsum("nqd,nqd->nq", grads, grads) + wvals * vals ** 2
     direct = ((integrand @ rule.weights) @ mesh4.volumes)
     assert matrix_value == pytest.approx(direct, rel=1e-12)
@@ -177,8 +177,9 @@ def _coo_assembly(mesh, local):
     """Reference: COO scatter, tocsr and np.ix_ restriction, the assembly
     the fixed CSR pattern replaced."""
     nv = mesh.n_vertices
-    rows = np.repeat(mesh.tets[:, :, None], 4, axis=2)
-    cols = np.repeat(mesh.tets[:, None, :], 4, axis=1)
+    tets = mesh.element_vertices()
+    rows = np.repeat(tets[:, :, None], 4, axis=2)
+    cols = np.repeat(tets[:, None, :], 4, axis=1)
     csr = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                         shape=(nv, nv)).tocsr()
     ids = mesh.interior_vertices
@@ -190,7 +191,7 @@ def _coo_assembly(mesh, local):
 def _einsum_weighted_local(mesh, w, rule):
     """Reference: the 4-operand einsum of the weighted-mass local
     matrices."""
-    wvals = fem.values_on_elements(w, mesh, rule)
+    wvals = w.element_values(mesh, rule)
     local = np.einsum("q,nq,qa,qb->nab", rule.weights, wvals,
                       rule.points, rule.points)
     return local * mesh.volumes[:, None, None]
@@ -233,9 +234,10 @@ def _element_bincount(mesh, local):
     (row of vertex a, Kuhn step a -> b) keys, boundary rows in a dropped
     row n, then cut to the pattern's pairs."""
     n = mesh.n_interior
-    rows = mesh.interior_index[mesh.tets]
+    tets = mesh.element_vertices()
+    rows = mesh.interior_index[tets]
     rows[rows < 0] = n
-    corners = np.rint(mesh.vertices[mesh.tets] * mesh.m).astype(int)
+    corners = np.rint(mesh.vertices[tets] * mesh.m).astype(int)
     # the grid step b - a of each entry, as an index into fem._KUHN_STEPS
     codes = (fem._KUHN_STEPS + 1) @ [9, 3, 1]
     entry = (corners[:, None, :, :] - corners[:, :, None, :] + 1) @ [9, 3, 1]
@@ -299,7 +301,7 @@ def test_element_gram_needs_the_whole_step_gram():
 def _element_grams(mesh, coeffs, weights):
     """Reference: the 4x4 Grams sum_l w_l c_l c_l^T of every element's
     vertex coefficients c_l, (nt, 16)."""
-    local = coeffs[mesh.tets]                          # (nt, 4, L)
+    local = coeffs[mesh.element_vertices()]            # (nt, 4, L)
     return np.einsum("l,nal,nbl->nab", weights, local, local).reshape(-1, 16)
 
 
@@ -342,7 +344,7 @@ def test_sweep_stencils_match_element_quadrature(m, degree):
     # density load and integral: the density at the rule's points
     values = grams @ fem.basis_products(rule).T        # (nt, nq)
     local = ((values * rule.weights) @ rule.points) * vol
-    full = np.bincount(mesh.tets.ravel(), weights=local.ravel(),
+    full = np.bincount(mesh.element_vertices().ravel(), weights=local.ravel(),
                        minlength=mesh.n_vertices)
     close(fem.assemble_load(mesh, density, rule),
           full[mesh.interior_vertices])
@@ -362,11 +364,11 @@ def test_sweep_stencils_refuse_a_foreign_field(mesh4):
 def test_load_matches_einsum_scatter(mesh4):
     rule = tet_rule(4)
     g = sine_product()
-    gvals = fem.values_on_elements(g, mesh4, rule)
+    gvals = g.element_values(mesh4, rule)
     local = np.einsum("q,nq,qa->na", rule.weights, gvals, rule.points)
     local *= mesh4.volumes[:, None]
     full = np.zeros(mesh4.n_vertices)
-    np.add.at(full, mesh4.tets.ravel(), local.ravel())
+    np.add.at(full, mesh4.element_vertices().ravel(), local.ravel())
     ref = full[mesh4.interior_vertices]
     b = fem.assemble_load(mesh4, g, rule)
     assert np.abs(b - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -394,8 +396,8 @@ def test_one_slab_blocks_match_whole_mesh(m, monkeypatch):
             fem.h1_error(mesh, fh, f, rule5),
             fem.l2_norm_error(mesh, density, problem.n_exact, rule5),
             density.integral(),
-            fem.blockwise(mesh, rule5, lambda slabs: density.element_values(
-                mesh, rule5, slabs), (15,)),
+            by_blocks(mesh, rule5, lambda slabs: density.element_values(
+                mesh, rule5, slabs)),
         ]
 
     monkeypatch.setattr(fem, "BLOCK_POINTS", 24 * mesh.n_tets)
@@ -405,7 +407,12 @@ def test_one_slab_blocks_match_whole_mesh(m, monkeypatch):
                                   density.element_values(mesh, rule5))
     monkeypatch.setattr(fem, "BLOCK_POINTS", 1)
     assert len(fem.slab_blocks(mesh, tet_rule(2))) == m
-    for got, want in zip(evaluate(), whole):
+    got = evaluate()
+    # the analytic load and weighted mass add each block into their
+    # target in element order, the one-block summation bit for bit
+    for i in (0, 1):
+        np.testing.assert_array_equal(got[i], whole[i])
+    for got, want in zip(got[2:], whole[2:]):
         want = np.asarray(want)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-14 * np.abs(want).max(initial=0))
@@ -418,9 +425,9 @@ def test_slab_indexed_series_matches_mode_by_mode(m, mu, monkeypatch):
     mesh = build_structured_mesh(m)
     series = manufactured_problem(1, DistributionParams(mu=mu)).n_exact
     rule = tet_rule(4)
-    got = fem.values_on_elements(series, mesh, rule)
-    blocked = fem.blockwise(mesh, rule, lambda slabs: fem.values_on_elements(
-        series, mesh, rule, slabs), (len(rule.weights),))
+    got = series.element_values(mesh, rule)
+    blocked = by_blocks(mesh, rule, lambda slabs: series.element_values(
+        mesh, rule, slabs))
     ref = _mode_by_mode(series, mesh.physical_points(rule))
     for vals in (got, blocked):
         np.testing.assert_allclose(vals, ref, rtol=0,

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from spfem import fem
-from spfem.mesh import (build_structured_mesh, interior_prolongation,
+from spfem.mesh import (_KUHN_CORNERS, WRITE_CHUNK_ROWS,
+                        build_structured_mesh, interior_prolongation,
                         mesh_size, write_mesh)
+from spfem.occupancy import DistributionParams
+from spfem.oracle import manufactured_problem
 from spfem.quadrature import tet_rule
+from spfem.scf import ScfModel, fixed_point_solve
 
 
 @pytest.mark.parametrize("m,nv,nt,nint", [(1, 8, 6, 0), (2, 27, 48, 1),
@@ -52,7 +56,7 @@ def test_mesh_size(m, h):
 
 def _whole_mesh_size(mesh):
     """Reference: the largest edge over all elements gathered at once."""
-    coords = mesh.vertices[mesh.tets]
+    coords = mesh.vertices[mesh.element_vertices()]
     h = 0.0
     for a, b in itertools.combinations(range(4), 2):
         d = np.linalg.norm(coords[:, a, :] - coords[:, b, :], axis=1)
@@ -75,6 +79,11 @@ def test_slab_points_and_axes_are_the_whole_mesh_points(m, degree, offsets):
     mesh = build_structured_mesh(m)
     rule = tet_rule(degree)
     whole = mesh.physical_points(rule)
+    # reference: (cell corner + barycentric points times the Kuhn
+    # corners) / m, per point
+    cells = np.indices((m,) * 3, dtype=float).reshape(3, -1).T
+    ref = (cells[:, None, None] + rule.points @ _KUHN_CORNERS) / m
+    np.testing.assert_array_equal(whole, ref.reshape(whole.shape))
     for slabs in [range(m), range(0, 1), range(m - 1, m),
                   range(m // 2, m)]:
         pts = mesh.physical_points(rule, slabs)
@@ -117,7 +126,7 @@ def _edge_inradius_ratio(coords):
 def test_shape_regularity_uniform(m):
     mesh = build_structured_mesh(m)
     ratios = np.array([_edge_inradius_ratio(mesh.vertices[t])
-                       for t in mesh.tets])
+                       for t in mesh.element_vertices()])
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
@@ -125,7 +134,7 @@ def test_shape_regularity_uniform(m):
 def test_face_conformity(m):
     mesh = build_structured_mesh(m)
     faces = {}
-    for t in mesh.tets:
+    for t in mesh.element_vertices():
         for face in itertools.combinations(sorted(t), 3):
             faces[face] = faces.get(face, 0) + 1
     for face, count in faces.items():
@@ -137,7 +146,7 @@ def test_face_conformity(m):
 def test_deterministic_and_invalid():
     a = build_structured_mesh(3)
     b = build_structured_mesh(3)
-    np.testing.assert_array_equal(a.tets, b.tets)
+    np.testing.assert_array_equal(a.element_vertices(), b.element_vertices())
     np.testing.assert_array_equal(a.vertices, b.vertices)
     with pytest.raises(ValueError):
         build_structured_mesh(0)
@@ -155,7 +164,8 @@ def test_write_mesh(tmp_path):
     assert len(tlines) == mesh.n_tets
     first = np.array([float(tok) for tok in vlines[0].split()[1:]])
     np.testing.assert_allclose(first, mesh.vertices[0])
-    assert [int(tok) for tok in tlines[0].split()[1:]] == list(mesh.tets[0])
+    assert [int(tok) for tok in tlines[0].split()[1:]] == list(
+        mesh.element_vertices()[0])
 
 
 def _triple_loop_tets(m):
@@ -192,26 +202,36 @@ def _triple_loop_tets(m):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_broadcast_tets_match_triple_loop(m):
-    tets = build_structured_mesh(m).tets
+    mesh = build_structured_mesh(m)
+    tets = mesh.element_vertices()
     np.testing.assert_array_equal(tets, _triple_loop_tets(m))
     assert tets.dtype == np.dtype(int)
+    # a block of slabs holds the rows of its elements
+    for slabs in (range(0, 1), range(m - 1, m), range(m // 2, m)):
+        np.testing.assert_array_equal(mesh.element_vertices(slabs),
+                                      tets[mesh.slab_elements(slabs)])
 
 
 def test_write_mesh_matches_per_line_writer(tmp_path):
-    mesh = build_structured_mesh(3)
-    path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    lines = [f"m {mesh.m} nv {mesh.n_vertices} nt {mesh.n_tets}\n"]
-    lines += [f"v {float(x)!r} {float(y)!r} {float(z)!r}\n"
-              for x, y, z in mesh.vertices]
-    lines += [f"t {t[0]} {t[1]} {t[2]} {t[3]}\n" for t in mesh.tets]
-    assert path.read_text() == "".join(lines)
+    # m = 13 writes 13 182 element rows, more than one WRITE_CHUNK_ROWS
+    # chunk, one slab at a time
+    for m in (3, 13):
+        mesh = build_structured_mesh(m)
+        path = tmp_path / f"mesh{m}.txt"
+        write_mesh(mesh, path)
+        lines = [f"m {mesh.m} nv {mesh.n_vertices} nt {mesh.n_tets}\n"]
+        lines += [f"v {float(x)!r} {float(y)!r} {float(z)!r}\n"
+                  for x, y, z in mesh.vertices]
+        lines += [f"t {t[0]} {t[1]} {t[2]} {t[3]}\n"
+                  for t in mesh.element_vertices()]
+        assert path.read_text() == "".join(lines)
+    assert mesh.n_tets == 13182 > WRITE_CHUNK_ROWS
 
 
 def _batched_geometry(mesh):
     """Reference: volumes and P1 gradients from a batched det/inv of the
     edge matrices, as computed before the closed form."""
-    coords = mesh.vertices[mesh.tets]
+    coords = mesh.vertices[mesh.element_vertices()]
     edges = coords[:, 1:, :] - coords[:, :1, :]
     g123 = np.transpose(np.linalg.inv(edges), (0, 2, 1))
     grads = np.concatenate([-g123.sum(axis=1, keepdims=True), g123], axis=1)
@@ -237,7 +257,8 @@ def test_closed_form_geometry_matches_det_inv(m):
 def test_closed_form_points_match_barycentric(m, degree):
     mesh = build_structured_mesh(m)
     rule = tet_rule(degree)
-    ref = np.einsum("qa,nad->nqd", rule.points, mesh.vertices[mesh.tets])
+    ref = np.einsum("qa,nad->nqd", rule.points,
+                    mesh.vertices[mesh.element_vertices()])
     pts = mesh.physical_points(rule)
     assert pts.shape == ref.shape
     assert np.abs(pts - ref).max() <= 4.4e-16
@@ -281,3 +302,40 @@ def test_prolongation_interpolates_coarse_fields():
 def test_prolongation_needs_even_m_of_at_least_4(m):
     with pytest.raises(ValueError):
         interior_prolongation(m)
+
+
+def _arrays(value, name, seen):
+    """(name, array) for every ndarray reachable from ``value``: itself,
+    the items of a tuple or list, and the attributes of an object (a
+    sparse matrix's data and indices among them)."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{name}[{i}]", seen)
+    elif hasattr(value, "__dict__") and not callable(value):
+        for key, item in vars(value).items():
+            yield from _arrays(item, f"{name}.{key}", seen)
+
+
+def test_mesh_holds_no_per_element_array():
+    mesh = build_structured_mesh(6)
+    problem = manufactured_problem(1, DistributionParams())
+    report = fixed_point_solve(
+        mesh, ScfModel(problem.V0, problem.n_D, problem.params))
+    fem.h1_error(mesh, report.potential, problem.V_exact)
+    fem.l2_norm_error(mesh, report.density, problem.n_exact)
+    assert mesh._pattern is not None and mesh._class_split is not None
+    # ``volumes`` stays an (nt,) array because the benchmark harness
+    # reads it so; the pattern's ``indices`` holds one entry per stored
+    # matrix entry (at most 15 per interior row, 1333 at m = 6, see
+    # test_pattern_holds_no_per_element_table), not one per element
+    allowed = {"mesh.volumes", "mesh._pattern[0]"}
+    arrays = dict(_arrays(mesh, "mesh", set()))
+    assert allowed <= arrays.keys()
+    for name, array in arrays.items():
+        if name not in allowed:
+            assert array.ndim == 0 or len(array) < mesh.n_tets, name

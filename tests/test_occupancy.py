@@ -425,7 +425,7 @@ def test_density_point_evaluation_consistent(mesh8, params):
 
 def _psi_values(spectral, rule, levels):
     """(nt, nq, levels) eigenfunction values at quadrature points."""
-    local = spectral.coefficients[spectral.mesh.tets, :levels]
+    local = spectral.coefficients[spectral.mesh.element_vertices(), :levels]
     return np.einsum("qa,nal->nql", rule.points, local)
 
 
@@ -434,7 +434,7 @@ def _density_by_search(density, x):
     m = mesh.m
     cell = np.minimum((x * m).astype(int), m - 1)
     base = ((cell[0] * m + cell[1]) * m + cell[2]) * 6
-    for tet in mesh.tets[base:base + 6]:
+    for tet in mesh.element_vertices()[base:base + 6]:
         corner = mesh.vertices[tet[0]]
         lam123 = np.linalg.solve((mesh.vertices[tet[1:]] - corner).T,
                                  x - corner)

@@ -131,7 +131,7 @@ def test_exact_density_properties(params):
 def test_exact_density_quadrature_integral(params, mesh16):
     rule = tet_rule(5)
     series = SeriesDensity(params, 1e-8)
-    vals = fem.values_on_elements(series, mesh16, rule)
+    vals = series.element_values(mesh16, rule)
     integral = (vals @ rule.weights) @ mesh16.volumes
     assert integral == pytest.approx(params.N0, rel=5e-3)
     assert vals.min() >= 0.0

@@ -50,10 +50,10 @@ def test_hamiltonian_form_value_matches_direct_quadrature(mesh4):
     v = fem.FeField.from_interior(mesh4, rng.standard_normal(mesh4.n_interior))
     vi = v.interior()
     matrix_value = vi @ (A @ vi)
-    grads = fem.gradients_on_elements(v, mesh4, rule)
-    vals = fem.values_on_elements(v, mesh4, rule)
-    wvals = fem.values_on_elements(u, mesh4, rule) \
-        + fem.values_on_elements(V0, mesh4, rule)
+    grads = v.element_gradients(mesh4, rule)
+    vals = v.element_values(mesh4, rule)
+    wvals = u.element_values(mesh4, rule) \
+        + V0.element_values(mesh4, rule)
     integrand = np.einsum("nqd,nqd->nq", grads, grads) + wvals * vals ** 2
     direct = (integrand @ rule.weights) @ mesh4.volumes
     assert matrix_value == pytest.approx(direct, rel=1e-12)
@@ -120,7 +120,7 @@ def test_eigenfunction_error_first_order():
         s = SpectrumSolver(mesh, None).solve(None, 1)
         psi = fem.FeField(mesh, s.coefficients[:, 0])
         vals = psi.element_values(mesh, rule)
-        ref = fem.values_on_elements(phi1, mesh, rule)
+        ref = phi1.element_values(mesh, rule)
         inner = ((vals * ref) @ rule.weights) @ mesh.volumes
         if inner < 0:
             psi = fem.FeField(mesh, -psi.coeffs)
@@ -413,7 +413,7 @@ def test_levels_lie_above_the_continuum_plus_the_floor(m, potential,
     # least vertex value, no larger but for rounding) plus u's most
     # negative vertex value
     at_points = 0.0 if V0 is None else \
-        fem.values_on_elements(V0, mesh, tet_rule(2)).min()
+        V0.element_values(mesh, tet_rule(2)).min()
     expected = at_points + min(0.0, u.coeffs.min())
     if p1:
         assert floor <= expected + 1e-12 * abs(expected)
